@@ -55,11 +55,10 @@ print("\n      N     adaptive MSE   1/(2 sqrt N)    heterodyne MSE   1/sqrt(2N)"
 for N in [1e2, 1e3, 1e4]:
     b = tr.BeamParams(f=N, ell=1.0)
     ra = tr.run_tracking("adaptive", b, trials=200, seed=11)
-    rh = tr.heterodyne_track(b, trials=200, seed=12)
+    rh = tr.run_tracking("heterodyne", b, trials=200, seed=12)
     print(f"{N:8.0f}   {ra.mse_wrapped:.5e}   {tr.adaptive_mse_limit(N):.5e}"
           f"    {rh.mse_wrapped:.5e}    {tr.heterodyne_mse_limit(N):.5e}")
-print(f"adaptive/heterodyne at N=1e4: "
-      f"{tr.run_tracking('adaptive', tr.BeamParams(1e4, 1.0), trials=200, seed=11).mse_wrapped / tr.heterodyne_track(tr.BeamParams(1e4, 1.0), trials=200, seed=12).mse_wrapped:.3f}"
+print(f"adaptive/heterodyne at N=1e4: {ra.mse_wrapped / rh.mse_wrapped:.3f}"
       f"  (1/sqrt(2) = {1/math.sqrt(2):.3f})")
 
 # the dual-quadrature filter bandwidth trades lag against shot noise

@@ -72,52 +72,37 @@ def _require(cond, msg):
 
 def _run_track(a):
     mode = a.mode or "adaptive"
-    _require(mode in tr.MODES, f"mode must be one of {tr.MODES}")
-    _require(a.flux is not None and a.flux > 0, "--flux must be positive")
-    _require(a.linewidth is not None and a.linewidth >= 0, "--linewidth must be >= 0")
+    _require(a.flux is not None and a.linewidth is not None,
+             "--flux and --linewidth are required")
     beam = tr.BeamParams(f=a.flux, ell=a.linewidth)
     trials = 200 if a.trials is None else int(a.trials)
-    _require(trials >= 1, "--trials must be >= 1")
     seed = int(a.seed or 0)
     workers = 1 if a.workers is None else int(a.workers)
-    _require(workers >= 1, "--workers must be >= 1")
-    bandwidth = _auto(a.bandwidth)
-    if mode == "heterodyne" and bandwidth is None:
-        bandwidth = tr.optimal_bandwidth(beam)
-    dt = _auto(a.dt) or tr.auto_dt(beam, mode, bandwidth)
-    tau = tr.loop_time_constant(beam, mode, bandwidth)
-    burn_in = _auto(a.burn_in)
-    burn_in = 10.0 * tau if burn_in is None else burn_in
-    duration = _auto(a.duration) or (burn_in + 20.0 * tau)
-    res = tr.run_tracking(mode, beam, dt=dt, duration=duration, burn_in=burn_in,
-                          trials=trials, seed=seed, workers=workers, bandwidth=bandwidth)
+    res = tr.run_tracking(mode, beam, dt=_auto(a.dt), duration=_auto(a.duration),
+                          burn_in=_auto(a.burn_in), trials=trials, seed=seed,
+                          workers=workers, bandwidth=_auto(a.bandwidth))
     predicted = tr.adaptive_mse_limit(beam.N) if mode == "adaptive" \
         else tr.heterodyne_mse_limit(beam.N)
     header = ["seed", "dt", "trials", "mode", "flux_per_s", "linewidth_rad_per_s",
               "n_quality", "bandwidth_rad_per_s", "duration_s", "burn_in_s",
               "mse_rad2", "mse_unwrapped_rad2", "stderr_rad2", "predicted_rad2",
               "cycle_slips_per_s", "slips_significant"]
-    rows = [[seed, dt, trials, mode, beam.f, beam.ell, beam.N, bandwidth,
-             duration, burn_in, res.mse_wrapped, res.mse_unwrapped, res.stderr,
+    rows = [[seed, res.dt, trials, mode, beam.f, beam.ell, beam.N, res.bandwidth,
+             res.duration, res.burn_in, res.mse_wrapped, res.mse_unwrapped, res.stderr,
              predicted, res.cycle_slip_rate, res.slips_significant]]
-    config = dict(mode=mode, flux=beam.f, linewidth=beam.ell, bandwidth=bandwidth,
-                  dt=dt, duration=duration, burn_in=burn_in, trials=trials,
+    config = dict(mode=mode, flux=beam.f, linewidth=beam.ell, bandwidth=res.bandwidth,
+                  dt=res.dt, duration=res.duration, burn_in=res.burn_in, trials=trials,
                   seed=seed, workers=workers)
     return header, rows, config, {"mse_rad2": res.mse_wrapped}
 
 
 def _run_sync(a):
-    _require(a.kappa is not None and a.kappa > 0, "--kappa must be positive")
-    _require(a.mu is not None and a.mu > 0, "--mu must be positive")
+    _require(a.kappa is not None and a.mu is not None, "--kappa and --mu are required")
     parties = _ints(a.parties or "1")
-    _require(all(m >= 1 for m in parties), "--parties entries must be >= 1")
     regime = (a.regime or "hl").lower()
-    _require(regime in sy.REGIMES, f"--regime must be one of {sy.REGIMES}")
     trials = 200 if a.trials is None else int(a.trials)
-    _require(trials >= 1, "--trials must be >= 1")
     seed = int(a.seed or 0)
     workers = 1 if a.workers is None else int(a.workers)
-    _require(workers >= 1, "--workers must be >= 1")
     dt = _auto(a.dt)
     laser = ld.LaserParams(kappa=a.kappa, mu=a.mu)
     if len(parties) >= 2:
@@ -147,19 +132,19 @@ def _run_sync(a):
 
 
 def _run_linewidth(a):
-    _require(a.kappa is not None and a.kappa > 0, "--kappa must be positive")
+    _require(a.kappa is not None, "--kappa is required")
     mus = _floats(a.mu or "")
-    _require(all(m > 0 for m in mus), "--mu entries must be positive")
+    lasers = [ld.LaserParams(kappa=a.kappa, mu=mu) for mu in mus]
     header = ["seed", "dt", "trials", "kappa_per_s", "mu_photons", "truncation",
               "linewidth_eig_rad_per_s", "linewidth_fit_rad_per_s", "methods_rel_diff",
               "hl_limit_rad_per_s", "sql_limit_rad_per_s"]
     rows = []
-    for mu in mus:
-        params = ld.LaserParams(kappa=a.kappa, mu=mu)
-        trunc = int(a.truncation) if _auto(a.truncation) else fock.default_truncation(mu)
+    for params in lasers:
+        trunc = int(a.truncation) if _auto(a.truncation) else \
+            fock.default_truncation(params.mu)
         le = ld.extract_linewidth(params, trunc, method="eigenvalue")
         lf = ld.extract_linewidth(params, trunc, method="decay_fit")
-        rows.append([int(a.seed or 0), 0, 0, a.kappa, mu, trunc, le.value, lf.value,
+        rows.append([int(a.seed or 0), 0, 0, a.kappa, params.mu, trunc, le.value, lf.value,
                      abs(le.value / lf.value - 1.0), ld.hl_linewidth(params),
                      ld.sql_linewidth(params)])
     config = dict(kappa=a.kappa, mu=",".join(repr(m) for m in mus),
@@ -194,7 +179,6 @@ def _run_channel(a):
     deficit = min(float(a.mass_deficit or 1e-6), 1e-6)
     min_prob = float(a.min_prob if a.min_prob is not None else 1e-6)
     _require(mod >= 0, "--alpha-mod must be >= 0")
-    _require(delta > 0, "--delta must be positive")
     alpha = mod * complex(math.cos(arg), math.sin(arg))
     spec = ch.LatticeSpec(delta=delta)
     dist = ch.decohere(alpha, spec, mass_deficit=deficit)
@@ -223,9 +207,8 @@ def _run_channel(a):
 
 
 def _run_limits(a):
-    _require(a.mu is not None and a.mu > 0, "--mu must be positive")
+    _require(a.mu is not None, "--mu is required")
     parties = _ints(a.parties or "1")
-    _require(all(m >= 1 for m in parties), "--parties entries must be >= 1")
     phys = None
     if a.power is not None:
         _require(a.wavelength is not None and a.linewidth_hz is not None,
@@ -249,50 +232,39 @@ def _run_limits(a):
 
 def _run_sweep(a):
     mode = a.mode or "adaptive"
-    _require(mode in tr.MODES, f"mode must be one of {tr.MODES}")
     axis = (a.axis or "").lower()
     _require(axis in ("n", "flux", "linewidth", "bandwidth"),
              "--axis must be n, flux, linewidth or bandwidth")
     values = _floats(a.values or "")
     _require(all(v > 0 for v in values), "--values entries must be positive")
     trials = 200 if a.trials is None else int(a.trials)
-    _require(trials >= 1, "--trials must be >= 1")
     seed = int(a.seed or 0)
     workers = 1 if a.workers is None else int(a.workers)
-    _require(workers >= 1, "--workers must be >= 1")
     flux = a.flux
     ell = a.linewidth if a.linewidth is not None else 1.0
+    _require(axis in ("n", "flux") or flux is not None, f"--flux needed for {axis} axis")
+    _require(axis != "bandwidth" or mode == "heterodyne",
+             "bandwidth axis needs --mode heterodyne")
+    beam_at = {"n": lambda v: tr.BeamParams(f=v * ell, ell=ell),
+               "flux": lambda v: tr.BeamParams(f=v, ell=ell),
+               "linewidth": lambda v: tr.BeamParams(f=flux, ell=v),
+               "bandwidth": lambda v: tr.BeamParams(f=flux, ell=ell)}[axis]
+    beams = [beam_at(v) for v in values]
     header = ["seed", "dt", "trials", "mode", "axis", "value", "value_seed",
               "flux_per_s", "linewidth_rad_per_s", "bandwidth_rad_per_s",
               "mse_rad2", "stderr_rad2", "predicted_rad2", "is_minimum"]
     rows = []
-    for i, v in enumerate(values):
-        vseed = int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
-        bandwidth = None
-        if axis == "n":
-            beam = tr.BeamParams(f=v * ell, ell=ell)
-        elif axis == "flux":
-            beam = tr.BeamParams(f=v, ell=ell)
-        elif axis == "linewidth":
-            _require(flux is not None and flux > 0, "--flux needed for linewidth axis")
-            beam = tr.BeamParams(f=flux, ell=v)
-        else:
-            _require(flux is not None and flux > 0, "--flux needed for bandwidth axis")
-            _require(mode == "heterodyne", "bandwidth axis needs --mode heterodyne")
-            beam = tr.BeamParams(f=flux, ell=ell)
-            bandwidth = v
-        dt = tr.auto_dt(beam, mode, bandwidth)
-        res = tr.run_tracking(mode, beam, dt=dt, trials=trials, seed=vseed,
-                              workers=workers, bandwidth=bandwidth)
+    for i, (v, beam) in enumerate(zip(values, beams)):
+        vseed = tr.derive_seed(seed, i)
+        res = tr.run_tracking(mode, beam, trials=trials, seed=vseed, workers=workers,
+                              bandwidth=v if axis == "bandwidth" else None)
         if axis == "bandwidth":
             predicted = beam.ell / (2 * v) + v / (4 * beam.f)
         else:
             predicted = tr.adaptive_mse_limit(beam.N) if mode == "adaptive" \
                 else tr.heterodyne_mse_limit(beam.N)
-        if bandwidth is None and mode == "heterodyne":
-            bandwidth = tr.optimal_bandwidth(beam)
-        rows.append([seed, dt, trials, mode, axis, v, vseed, beam.f, beam.ell,
-                     bandwidth, res.mse_wrapped, res.stderr, predicted, False])
+        rows.append([seed, res.dt, trials, mode, axis, v, vseed, beam.f, beam.ell,
+                     res.bandwidth, res.mse_wrapped, res.stderr, predicted, False])
     i_min = min(range(len(rows)), key=lambda i: rows[i][10])
     rows[i_min][13] = True
     config = dict(mode=mode, axis=axis, values=",".join(repr(v) for v in values),

@@ -63,10 +63,10 @@ class LaserParams:
     omega: float = 0.0
 
     def __post_init__(self):
-        if not self.kappa > 0:
-            raise ValueError("kappa must be positive")
-        if not self.mu > 0:
-            raise ValueError("mu must be positive")
+        if not 0 < self.kappa < np.inf:
+            raise ValueError("kappa must be positive and finite")
+        if not 0 < self.mu < np.inf:
+            raise ValueError("mu must be positive and finite")
         if self.gain_kind not in GAIN_KINDS:
             raise ValueError(f"gain_kind must be one of {GAIN_KINDS}")
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .laserdyn import LaserParams
-from .tracking import BeamParams, TrackingResult, run_tracking
+from .tracking import BeamParams, derive_seed, run_tracking_batch
 
 __all__ = [
     "HBAR",
@@ -38,7 +38,6 @@ __all__ = [
     "sql_sync_limit",
     "split_variance_limit",
     "physical_units_mse",
-    "party_seed",
     "beam_for_party",
     "run_sync_experiment",
     "run_sync_sweep",
@@ -87,8 +86,8 @@ class PhysicalBeam:
             if not self.wavelength > 0:
                 raise ValueError("wavelength must be positive")
             object.__setattr__(self, "omega", 2 * math.pi * SPEED_OF_LIGHT / self.wavelength)
-        if not (self.power > 0 and self.linewidth_hz > 0 and self.omega > 0):
-            raise ValueError("power, linewidth and frequency must be positive")
+        if not all(0 < x < math.inf for x in (self.power, self.linewidth_hz, self.omega)):
+            raise ValueError("power, linewidth and frequency must be positive and finite")
 
     @property
     def flux(self) -> float:
@@ -133,8 +132,8 @@ def split_variance_limit(mu: float, m: int) -> float:
 
 
 def _check_mu_m(mu, m):
-    if not mu > 0:
-        raise ValueError("mu must be positive")
+    if not 0 < mu < math.inf:
+        raise ValueError("mu must be positive and finite")
     if m < 1:
         raise ValueError("m must be >= 1")
 
@@ -161,9 +160,18 @@ def beam_for_party(config: SyncConfig) -> BeamParams:
     return BeamParams(f=f, ell=ell)
 
 
-def party_seed(seed: int, party: int) -> int:
-    """Deterministic per-party RNG seed derived from the master seed."""
-    return int(np.random.SeedSequence([seed, party]).generate_state(1)[0])
+class _PartySeeds:
+    """derive_seed(seed, p) for each party p, derived as iterated, so that an
+    over-budget party count is refused before any seed is derived."""
+
+    def __init__(self, seed: int, parties: int):
+        self.seed, self.parties = seed, parties
+
+    def __len__(self):
+        return self.parties
+
+    def __iter__(self):
+        return (derive_seed(self.seed, p) for p in range(self.parties))
 
 
 def _predicted(config: SyncConfig) -> float:
@@ -177,20 +185,18 @@ def run_sync_experiment(config: SyncConfig, dt: float | None = None,
                         noise_dt: float | None = None) -> SyncReport:
     """Split the laser among M parties and track each share independently.
 
-    Each party runs :func:`laserclock.tracking.run_tracking` (adaptive in the
-    HL regime, dual-quadrature in the SQL regime) with its own seed stream, so
+    All M parties run as one lockstep :func:`laserclock.tracking.run_tracking_batch`
+    (adaptive in the HL regime, dual-quadrature in the SQL regime) on at most
+    one process pool.  Party p has its own seed derive_seed(seed, p), so
     per-party results are exchangeable and independent of how many parties
     run.  The per-beam quality factor is N = 4 mu^2/M (HL) or 2 mu^2/M (SQL);
     it should stay above ~1e3 for the linearized filter to apply.
     """
     beam = beam_for_party(config)
     mode = "adaptive" if config.regime == "hl" else "heterodyne"
-    results: list[TrackingResult] = []
-    for party in range(config.parties):
-        results.append(run_tracking(mode, beam, dt=dt, duration=duration,
-                                    burn_in=burn_in, trials=trials,
-                                    seed=party_seed(seed, party), workers=workers,
-                                    noise_dt=noise_dt))
+    results = run_tracking_batch(mode, beam, _PartySeeds(seed, config.parties), dt=dt,
+                                 duration=duration, burn_in=burn_in, trials=trials,
+                                 workers=workers, noise_dt=noise_dt)
     per_party = tuple(r.mse_wrapped for r in results)
     mean = sum(per_party) / len(per_party)
     stderr = math.sqrt(sum(r.stderr ** 2 for r in results)) / len(results)
@@ -222,13 +228,11 @@ def run_sync_sweep(laser: LaserParams, m_values, regime: str = "hl",
     m_values = [int(m) for m in m_values]
     if len(m_values) < 2:
         raise ValueError("sweep needs at least two M values")
-    reports = []
-    for i, m in enumerate(m_values):
-        cfg = SyncConfig(laser=laser, parties=m, regime=regime)
-        sub = int(np.random.SeedSequence([seed, 1000 + i]).generate_state(1)[0])
-        reports.append(run_sync_experiment(cfg, dt=dt, duration=duration,
-                                           burn_in=burn_in, trials=trials, seed=sub,
-                                           workers=workers, noise_dt=noise_dt))
+    configs = [SyncConfig(laser=laser, parties=m, regime=regime) for m in m_values]
+    reports = [run_sync_experiment(cfg, dt=dt, duration=duration, burn_in=burn_in,
+                                   trials=trials, seed=derive_seed(seed, 1000 + i),
+                                   workers=workers, noise_dt=noise_dt)
+               for i, cfg in enumerate(configs)]
     x = np.log(np.asarray(m_values, dtype=float))
     y = np.log(np.array([r.mean_mse[0] for r in reports]))
     slope, intercept = np.polyfit(x, y, 1)

@@ -19,12 +19,14 @@ Two estimators are provided:
   at lambda = sqrt(2 f ell), where the error is 1/sqrt(2N) -- worse than
   adaptive by sqrt(2).
 
-Monte Carlo runs are deterministic per (seed, config): every trial owns two
-Gaussian increment streams (phase and shot noise) seeded as
-[seed, trial, 0|1], so neither trial order nor worker count can change any
+Monte Carlo runs advance lanes, the trials of one or more seeds, in lockstep.
+Every lane owns two Gaussian increment streams (phase and shot noise) seeded
+[seed, trial, 0|1] and drawn in blocks of max(1, 300 000 // lanes) steps, so
+neither the other lanes, the block length nor the worker count can change any
 result.  Passing ``noise_dt`` draws the increments on a finer grid and sums
 them per step, which lets two runs at different dt share identical Wiener
-paths for time-step convergence checks.
+paths for time-step convergence checks.  Runs over 2**30 lane-steps are
+refused before any noise is drawn.
 """
 
 from __future__ import annotations
@@ -50,12 +52,17 @@ __all__ = [
     "photocurrent_increment",
     "adaptive_step",
     "variance_ode_step",
+    "derive_seed",
+    "run_tracking_batch",
     "run_tracking",
-    "heterodyne_track",
     "heterodyne_bandwidth_sweep",
 ]
 
 MODES = ("adaptive", "heterodyne")
+# lane-steps of noise held at once: half a default 200-trial run, leaving room
+# for the generators (about 2 kB a lane) that every lane holds between blocks
+NOISE_BLOCK = 300_000
+LANE_STEP_BUDGET = 2 ** 30  # largest run accepted, in lane-steps
 
 
 @dataclass(frozen=True)
@@ -66,10 +73,10 @@ class BeamParams:
     ell: float
 
     def __post_init__(self):
-        if not self.f > 0:
-            raise ValueError("flux f must be positive")
-        if self.ell < 0:
-            raise ValueError("linewidth ell must be nonnegative")
+        if not 0 < self.f < math.inf:
+            raise ValueError("flux f must be positive and finite")
+        if not 0 <= self.ell < math.inf:
+            raise ValueError("linewidth ell must be nonnegative and finite")
 
     @property
     def alpha(self) -> float:
@@ -118,7 +125,8 @@ class NoiseStep:
 
 @dataclass(frozen=True)
 class TrackingResult:
-    """Ensemble- and time-averaged steady-state tracking errors."""
+    """Ensemble- and time-averaged steady-state tracking errors at the
+    resolved dt, burn_in, duration and bandwidth."""
 
     mse_wrapped: float
     mse_unwrapped: float
@@ -128,6 +136,8 @@ class TrackingResult:
     duration: float
     cycle_slip_rate: float
     slips_significant: bool
+    dt: float
+    bandwidth: float | None
 
 
 def adaptive_mse_limit(N: float) -> float:
@@ -230,9 +240,10 @@ def variance_ode_step(sigma2: float, beam: BeamParams, dt: float) -> float:
 
 # --- Monte Carlo engine -----------------------------------------------------
 
-def _trial_streams(seed: int, trial: int):
-    return (np.random.default_rng([seed, trial, 0]),
-            np.random.default_rng([seed, trial, 1]))
+def derive_seed(seed: int, index: int) -> int:
+    """Seed of sub-run ``index`` (party, sweep point, M value) of the run seeded
+    ``seed``: the first word numpy's seed sequence [seed, index] generates."""
+    return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
 
 
 def _draw_increments(rng, n_steps: int, refine: int, noise_dt: float, pair: bool):
@@ -245,25 +256,29 @@ def _draw_increments(rng, n_steps: int, refine: int, noise_dt: float, pair: bool
     return x
 
 
-def _simulate_trials(mode, beam, dt, steps, burn_steps, seed, trials_lo, trials_hi,
-                     phi0, bandwidth, gain, evolve_sigma2, refine):
-    """Simulate trials [trials_lo, trials_hi) in lockstep.
+def _noise_columns(lanes, steps: int, refine: int, noise_dt: float, pair: bool):
+    """Yield each step's (phase, shot) increments across lanes, drawn in reused
+    blocks of NOISE_BLOCK // len(lanes) steps that continue each lane's streams."""
+    streams = [[np.random.default_rng([seed, trial, s]) for s in (0, 1)]
+               for seed, trial in lanes]
+    block = max(1, NOISE_BLOCK // len(lanes))
+    dwp = np.empty((len(lanes), min(block, steps)))
+    dws = np.empty(dwp.shape, dtype=complex if pair else float)
+    for start in range(0, steps, block):
+        b = min(block, steps - start)
+        for i, (rp, rs) in enumerate(streams):
+            dwp[i, :b] = _draw_increments(rp, b, refine, noise_dt, pair=False)
+            dws[i, :b] = _draw_increments(rs, b, refine, noise_dt, pair=pair)
+        yield from zip(dwp[:, :b].T, dws[:, :b].T)
 
-    Returns per-trial (mse_wrapped, mse_unwrapped, slips) arrays.  Per-trial
-    values depend only on (seed, trial, config), never on the chunk bounds.
-    """
-    n = trials_hi - trials_lo
-    noise_dt = dt / refine
-    dwp = np.empty((n, steps))
-    if mode == "heterodyne":
-        dws = np.empty((n, steps), dtype=complex)
-    else:
-        dws = np.empty((n, steps))
-    for i, trial in enumerate(range(trials_lo, trials_hi)):
-        rp, rs = _trial_streams(seed, trial)
-        dwp[i] = _draw_increments(rp, steps, refine, noise_dt, pair=False)
-        dws[i] = _draw_increments(rs, steps, refine, noise_dt, pair=(mode == "heterodyne"))
 
+def _simulate_lanes(mode, beam, dt, steps, burn_steps, lanes, phi0, bandwidth, gain,
+                    evolve_sigma2, refine):
+    """Simulate lanes, a list of (seed, trial) pairs, in lockstep; returns
+    per-lane (mse_wrapped, mse_unwrapped, slips) arrays.  A lane's values
+    depend only on its (seed, trial) and the config, never on the other lanes."""
+    n = len(lanes)
+    noise = _noise_columns(lanes, steps, refine, dt / refine, pair=(mode == "heterodyne"))
     sl = math.sqrt(beam.ell)
     alpha = beam.alpha
     phi = np.full(n, phi0)
@@ -271,25 +286,23 @@ def _simulate_trials(mode, beam, dt, steps, burn_steps, seed, trials_lo, trials_
     sq_u = np.zeros(n)
     slips = np.zeros(n, dtype=np.int64)
     winding = np.zeros(n, dtype=np.int64)
-    nobs = 0
 
     def observe(e):
-        nonlocal sq_w, sq_u, slips, nobs
+        nonlocal sq_w, sq_u, slips
         w = (e + np.pi) % (2 * np.pi) - np.pi
         sq_w += w * w
         sq_u += e * e
         new_wind = np.round(e / (2 * np.pi)).astype(np.int64)
         slips += np.abs(new_wind - winding)
         winding[:] = new_wind
-        nobs += 1
 
     if mode == "adaptive":
         est = np.full(n, phi0)
         sig2 = beam.stationary_sigma2() if beam.ell > 0 else 1.0
         g = (beam.ell / sig2) if gain is None else gain
-        for k in range(steps):
-            phi = phi + sl * dwp[:, k]
-            idt = 2.0 * alpha * np.sin(phi - est) * dt + dws[:, k]
+        for k, (dwp, dws) in enumerate(noise):
+            phi = phi + sl * dwp
+            idt = 2.0 * alpha * np.sin(phi - est) * dt + dws
             est = est + g * idt / (2.0 * alpha)
             if evolve_sigma2:
                 grown = sig2 + beam.ell * dt
@@ -305,29 +318,29 @@ def _simulate_trials(mode, beam, dt, steps, burn_steps, seed, trials_lo, trials_
         # unwrapped alongside phi
         prev_ang = np.angle(A)
         est = np.full(n, phi0)
-        for k in range(steps):
-            phi = phi + sl * dwp[:, k]
-            dZ = s2a * np.exp(1j * phi) * dt + dws[:, k]
+        for k, (dwp, dws) in enumerate(noise):
+            phi = phi + sl * dwp
+            dZ = s2a * np.exp(1j * phi) * dt + dws
             A = A + lam * (dZ - A * dt)
             ang = np.angle(A)
             est = est + ((ang - prev_ang + np.pi) % (2 * np.pi) - np.pi)
             prev_ang = ang
             if k >= burn_steps:
                 observe(phi - est)
-    return sq_w / nobs, sq_u / nobs, slips
+    return sq_w / (steps - burn_steps), sq_u / (steps - burn_steps), slips
 
 
-def _chunk_worker(args):
-    return _simulate_trials(*args)
+def run_tracking_batch(mode: str, beam: BeamParams, seeds, *, dt: float | None = None,
+                       duration: float | None = None, burn_in: float | None = None,
+                       trials: int = 200, workers: int = 1, phi0: float = 0.0,
+                       bandwidth: float | None = None, gain: float | None = None,
+                       evolve_sigma2: bool = False,
+                       noise_dt: float | None = None) -> tuple[TrackingResult, ...]:
+    """Ensemble steady-state tracking error for one configuration at each seed.
 
-
-def run_tracking(mode: str, beam: BeamParams, dt: float | None = None,
-                 duration: float | None = None, burn_in: float | None = None,
-                 trials: int = 200, seed: int = 0, workers: int = 1,
-                 phi0: float = 0.0, bandwidth: float | None = None,
-                 gain: float | None = None, evolve_sigma2: bool = False,
-                 noise_dt: float | None = None) -> TrackingResult:
-    """Ensemble steady-state tracking error for one configuration.
+    All seeds' trials run as one lockstep batch of lanes on at most one pool of
+    ``workers`` processes; the results, one per seed in order, are bitwise
+    those of :func:`run_tracking` at each seed.
 
     dt, burn_in and duration default to 1e-2, 10 and 30 loop time constants.
     The wrapped MSE is averaged over time (after burn_in) and trials; the
@@ -338,18 +351,20 @@ def run_tracking(mode: str, beam: BeamParams, dt: float | None = None,
 
     ``noise_dt`` (default dt; must divide dt) fixes the grid on which the
     Wiener increments are drawn, so runs at different dt can share paths.
+
+    Raises ValueError before any noise is drawn for a dt or duration that is
+    not positive and finite, a negative burn_in, no seeds, trials or workers
+    below 1, or a run over LANE_STEP_BUDGET lane-steps.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    if mode == "heterodyne":
-        bandwidth = optimal_bandwidth(beam) if bandwidth is None else bandwidth
-        if not bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
+    if len(seeds) < 1 or trials < 1 or workers < 1:
+        raise ValueError("seeds, trials and workers must each number at least 1")
+    if mode == "heterodyne" and bandwidth is None:
+        bandwidth = optimal_bandwidth(beam)
     if mode == "adaptive" and beam.ell == 0 and gain is None:
         raise ValueError("adaptive tracking of a static phase needs an explicit gain")
     if mode == "adaptive" and gain is not None:
         tau = 1.0 / gain
-    else:
+    else:  # also rejects an unknown mode and a bandwidth <= 0
         tau = loop_time_constant(beam, mode, bandwidth)
     if dt is None:
         dt = 1e-2 * tau
@@ -357,6 +372,8 @@ def run_tracking(mode: str, beam: BeamParams, dt: float | None = None,
         burn_in = 10.0 * tau
     if duration is None:
         duration = burn_in + 20.0 * tau
+    if not (0 < dt < math.inf and 0 < duration < math.inf and 0 <= burn_in < math.inf):
+        raise ValueError("dt and duration must be positive and finite, burn_in >= 0")
     if trials < 100:
         warnings.warn("fewer than 100 trials: MSE estimate will be noisy", stacklevel=2)
     if duration < burn_in + 20.0 * tau * (1 - 1e-9):
@@ -366,44 +383,53 @@ def run_tracking(mode: str, beam: BeamParams, dt: float | None = None,
         refine = int(round(dt / noise_dt))
         if refine < 1 or abs(refine * noise_dt - dt) > 1e-9 * dt:
             raise ValueError("noise_dt must divide dt")
+    n_lanes = len(seeds) * trials
+    lane_steps = n_lanes * (duration / dt) * refine
+    if not lane_steps <= LANE_STEP_BUDGET:
+        raise ValueError(f"{n_lanes} lanes x {duration / dt:.3g} steps x refine {refine} = "
+                         f"{lane_steps:.3g} lane-steps, over the budget of 2**30")
     steps = int(round(duration / dt))
     burn_steps = int(round(burn_in / dt))
     if steps <= burn_steps:
         raise ValueError("duration leaves no observation steps after burn_in")
 
-    workers = max(1, int(workers))
-    bounds = np.linspace(0, trials, min(workers, trials) + 1).astype(int)
-    chunks = [(mode, beam, dt, steps, burn_steps, seed, int(lo), int(hi),
-               phi0, bandwidth, gain, evolve_sigma2, refine)
-              for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    if len(chunks) == 1 or workers == 1:
-        parts = [_simulate_trials(*c) for c in chunks]
+    lanes = [(seed, trial) for seed in seeds for trial in range(trials)]
+    bounds = np.linspace(0, n_lanes, min(workers, n_lanes) + 1).astype(int)
+    chunks = [(mode, beam, dt, steps, burn_steps, lanes[lo:hi], phi0, bandwidth, gain,
+               evolve_sigma2, refine) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    if len(chunks) == 1:
+        parts = [_simulate_lanes(*chunks[0])]
     else:
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(_chunk_worker, chunks))
-    mse_w = np.concatenate([p[0] for p in parts])
-    mse_u = np.concatenate([p[1] for p in parts])
-    slips = np.concatenate([p[2] for p in parts])
+            parts = list(ex.map(_simulate_lanes, *zip(*chunks)))
+    mse_w, mse_u, slips = (np.concatenate(p) for p in zip(*parts))
 
-    mean_w = float(mse_w.mean())
-    mean_u = float(mse_u.mean())
-    stderr = float(mse_w.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("inf")
     obs_time = (steps - burn_steps) * dt
-    slip_rate = float(slips.sum() / (trials * obs_time))
-    significant = bool(mean_u - mean_w > 0.01 * mean_w)
-    return TrackingResult(mse_wrapped=mean_w, mse_unwrapped=mean_u, stderr=stderr,
-                          trials=trials, burn_in=burn_in, duration=duration,
-                          cycle_slip_rate=slip_rate, slips_significant=significant)
+    results = []
+    for lo in range(0, n_lanes, trials):
+        w, u = mse_w[lo:lo + trials], mse_u[lo:lo + trials]
+        mean_w, mean_u = float(w.mean()), float(u.mean())
+        results.append(TrackingResult(
+            mse_wrapped=mean_w, mse_unwrapped=mean_u,
+            stderr=float(w.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("inf"),
+            trials=trials, burn_in=burn_in, duration=duration,
+            cycle_slip_rate=float(slips[lo:lo + trials].sum() / (trials * obs_time)),
+            slips_significant=bool(mean_u - mean_w > 0.01 * mean_w), dt=dt,
+            bandwidth=bandwidth))
+    return tuple(results)
 
 
-def heterodyne_track(beam: BeamParams, dt: float | None = None,
-                     duration: float | None = None, trials: int = 200, seed: int = 0,
-                     filter_bandwidth: float | None = None, burn_in: float | None = None,
-                     workers: int = 1, noise_dt: float | None = None) -> TrackingResult:
-    """Dual-quadrature (non-adaptive) baseline at a given filter bandwidth."""
-    return run_tracking("heterodyne", beam, dt=dt, duration=duration, burn_in=burn_in,
-                        trials=trials, seed=seed, workers=workers,
-                        bandwidth=filter_bandwidth, noise_dt=noise_dt)
+def run_tracking(mode: str, beam: BeamParams, dt: float | None = None,
+                 duration: float | None = None, burn_in: float | None = None,
+                 trials: int = 200, seed: int = 0, workers: int = 1,
+                 phi0: float = 0.0, bandwidth: float | None = None,
+                 gain: float | None = None, evolve_sigma2: bool = False,
+                 noise_dt: float | None = None) -> TrackingResult:
+    """Ensemble steady-state tracking error for one configuration: the
+    one-seed case of :func:`run_tracking_batch`, which documents it."""
+    return run_tracking_batch(mode, beam, [seed], dt=dt, duration=duration, burn_in=burn_in,
+                              trials=trials, workers=workers, phi0=phi0, bandwidth=bandwidth,
+                              gain=gain, evolve_sigma2=evolve_sigma2, noise_dt=noise_dt)[0]
 
 
 def heterodyne_bandwidth_sweep(beam: BeamParams, bandwidths, trials: int = 200,
@@ -411,10 +437,7 @@ def heterodyne_bandwidth_sweep(beam: BeamParams, bandwidths, trials: int = 200,
     """Run the dual-quadrature tracker at each bandwidth; returns
     [(bandwidth, TrackingResult)] in input order (per-bandwidth seeds are
     derived from the master seed and the sweep index)."""
-    out = []
-    for i, lam in enumerate(bandwidths):
-        sub = int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
-        out.append((float(lam), heterodyne_track(beam, trials=trials, seed=sub,
-                                                 filter_bandwidth=float(lam),
-                                                 workers=workers)))
-    return out
+    return [(float(lam), run_tracking("heterodyne", beam, trials=trials,
+                                      seed=derive_seed(seed, i), workers=workers,
+                                      bandwidth=float(lam)))
+            for i, lam in enumerate(bandwidths)]

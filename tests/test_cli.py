@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -130,6 +131,55 @@ def test_invalid_config_is_usage_error(tmp_path):
     assert main(["track", "--mode", "adaptive", "--flux", "-3",
                  "--linewidth", "1"]) == 2
     assert main(["sync", "--kappa", "1", "--mu", "0", "--parties", "2"]) == 2
+    # explicit values are used as given, never replaced by the auto defaults
+    track = ["track", "--mode", "adaptive", "--flux", "1e3", "--linewidth", "1"]
+    for extra in (["--dt", "0"], ["--duration", "0"], ["--burn-in", "-1"],
+                  ["--trials", "0"], ["--workers", "0"]):
+        out = tmp_path / "bad.csv"
+        assert main(track + extra + ["--out", str(out)]) == 2, extra
+        assert not out.exists()
+    assert main(["sync", "--kappa", "1", "--mu", "100", "--dt", "0"]) == 2
+
+
+def _no_noise(*args, **kwargs):
+    raise AssertionError("noise drawn")
+
+
+@pytest.mark.parametrize("argv", [
+    "track --flux inf --linewidth 1",
+    "track --flux nan --linewidth 1",
+    "track --flux 1e3 --linewidth inf",
+    "track --flux 1e3 --linewidth nan",
+    "track --flux 1e3 --linewidth 1 --dt inf",
+    "track --flux 1e3 --linewidth 1 --dt nan",
+    "sync --kappa inf --mu 100",
+    "sync --kappa 1 --mu inf",
+    "sync --kappa 1 --mu nan --parties 1,4",
+    "sync --kappa 1 --mu 100 --parties 1,0",
+    "linewidth --kappa inf --mu 8",
+    "linewidth --kappa 1 --mu 8,inf",
+    "linewidth --kappa 1 --mu 8,-1",
+    "limits --mu inf",
+    "limits --mu nan",
+    "limits --mu 100 --parties 1,0",
+    "limits --mu 100 --power inf --wavelength 6e-7 --linewidth-hz 1e6",
+    "channel --delta -1",
+])
+def test_out_of_domain_input_is_usage_error(monkeypatch, argv):
+    monkeypatch.setattr("laserclock.tracking._noise_columns", _no_noise)
+    assert main(argv.split()) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    "sync --kappa 1 --mu 1 --parties 100000",      # 6e10 lane-steps
+    "track --flux 1e4 --linewidth 1 --dt 1e-12",   # 3e13 lane-steps
+])
+def test_over_budget_run_is_refused_at_once(monkeypatch, capsys, argv):
+    monkeypatch.setattr("laserclock.tracking._noise_columns", _no_noise)
+    start = time.perf_counter()
+    assert main(argv.split()) == 2
+    assert time.perf_counter() - start < 2.0
+    assert "lane-steps" in capsys.readouterr().err
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):

@@ -109,7 +109,7 @@ def test_single_party_reduces_to_tracking():
     report = sync.run_sync_experiment(cfg, trials=100, seed=13)
     beam = tr.BeamParams(f=100.0, ell=1 / 400)
     assert beam.N == pytest.approx(4 * 100.0 ** 2)
-    direct = tr.run_tracking("adaptive", beam, trials=100, seed=sync.party_seed(13, 0))
+    direct = tr.run_tracking("adaptive", beam, trials=100, seed=tr.derive_seed(13, 0))
     assert report.per_party_mse[0][0] == direct.mse_wrapped
 
 
@@ -120,7 +120,7 @@ def test_party_results_are_seed_isolated():
     beam = sync.beam_for_party(cfg)
     for party in range(3):
         direct = tr.run_tracking("adaptive", beam, trials=100,
-                                 seed=sync.party_seed(5, party))
+                                 seed=tr.derive_seed(5, party))
         assert report.per_party_mse[0][party] == direct.mse_wrapped
 
 
@@ -157,3 +157,22 @@ def test_sync_config_validation():
         sync.SyncConfig(laser=laser, parties=2, regime="squeezed")
     with pytest.raises(ValueError):
         sync.run_sync_sweep(laser, [4], regime="hl")
+
+
+def test_sync_worker_count_does_not_change_report():
+    laser = LaserParams(kappa=1.0, mu=100.0)
+    cfg = sync.SyncConfig(laser=laser, parties=3, regime="hl")
+    r1 = sync.run_sync_experiment(cfg, trials=100, seed=6, workers=1)
+    r2 = sync.run_sync_experiment(cfg, trials=100, seed=6, workers=2)
+    assert r1 == r2
+
+
+def test_nonfinite_mu_is_refused():
+    for mu in (math.inf, math.nan):
+        for limit in (sync.hl_sync_limit, sync.sql_sync_limit, sync.split_variance_limit):
+            with pytest.raises(ValueError):
+                limit(mu, 4)
+        with pytest.raises(ValueError):
+            LaserParams(kappa=1.0, mu=mu)
+        with pytest.raises(ValueError):
+            LaserParams(kappa=mu, mu=10.0)

@@ -134,7 +134,7 @@ def test_variance_ode_convergence_against_ivp_oracle():
 
 def test_heterodyne_minimum_matches_limit():
     beam = tr.BeamParams(f=1e4, ell=1.0)
-    res = tr.heterodyne_track(beam, trials=200, seed=11)
+    res = tr.run_tracking("heterodyne", beam, trials=200, seed=11)
     assert res.mse_wrapped == pytest.approx(tr.heterodyne_mse_limit(beam.N), rel=0.15)
 
 
@@ -158,8 +158,8 @@ def test_heterodyne_static_phase_vanishing_bandwidth():
     beam = tr.BeamParams(f=100.0, ell=0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        mses = [tr.heterodyne_track(beam, filter_bandwidth=lam, trials=50,
-                                    seed=5).mse_wrapped
+        mses = [tr.run_tracking("heterodyne", beam, bandwidth=lam, trials=50,
+                                seed=5).mse_wrapped
                 for lam in [10.0, 1.0, 0.1]]
     assert mses[0] > mses[1] > mses[2]
     assert mses[-1] < 1e-3
@@ -223,9 +223,10 @@ def test_phase_offset_invariance():
 def _per_trial_mses(beam, seed, phi0, trials):
     dt = tr.auto_dt(beam)
     tau = tr.loop_time_constant(beam, "adaptive")
-    w, _, _ = tr._simulate_trials("adaptive", beam, dt, int(round(30 * tau / dt)),
-                                  int(round(10 * tau / dt)), seed, 0, trials,
-                                  phi0, None, None, False, 1)
+    w, _, _ = tr._simulate_lanes("adaptive", beam, dt, int(round(30 * tau / dt)),
+                                 int(round(10 * tau / dt)),
+                                 [(seed, trial) for trial in range(trials)],
+                                 phi0, None, None, False, 1)
     return w
 
 
@@ -285,5 +286,58 @@ def test_beam_params_validation():
         tr.BeamParams(f=0.0, ell=1.0)
     with pytest.raises(ValueError):
         tr.BeamParams(f=1.0, ell=-1.0)
+    for f, ell in [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)]:
+        with pytest.raises(ValueError):
+            tr.BeamParams(f=f, ell=ell)
     assert tr.BeamParams(f=10.0, ell=0.0).N == math.inf
     assert tr.BeamParams(f=100.0, ell=4.0).alpha == 10.0
+
+
+def test_derive_seed_is_pinned():
+    # old sidecars name only the master seed: the derivation must never move
+    for (s, i), want in {(0, 0): 2968811710, (7, 3): 3466196061,
+                         (2, 1004): 1201848496, (123456789, 15): 2763662145}.items():
+        assert tr.derive_seed(s, i) == want
+        assert tr.derive_seed(s, i) == int(np.random.SeedSequence([s, i]).generate_state(1)[0])
+
+
+def test_noise_block_length_changes_no_result(monkeypatch):
+    # 7-step noise blocks, aligned with neither burn-in nor the run's end,
+    # reproduce the single-block default exactly
+    beam = tr.BeamParams(f=1e3, ell=1.0)
+    dt = tr.auto_dt(beam)
+    configs = [dict(mode="adaptive"), dict(mode="heterodyne"),
+               dict(mode="adaptive", dt=dt, noise_dt=dt / 2)]
+
+    def runs():
+        return [tr.run_tracking(beam=beam, trials=100, seed=4, **c) for c in configs]
+
+    default = runs()
+    monkeypatch.setattr(tr, "NOISE_BLOCK", 7 * 100)  # 100 lanes: 7-step blocks
+    assert runs() == default
+
+
+def test_batch_equals_one_seed_runs():
+    beam = tr.BeamParams(f=1e3, ell=1.0)
+    batch = tr.run_tracking_batch("heterodyne", beam, [3, 8], trials=100, workers=2)
+    assert batch == tuple(tr.run_tracking("heterodyne", beam, trials=100, seed=s)
+                          for s in (3, 8))
+    assert batch[0].dt == tr.auto_dt(beam, "heterodyne")
+    assert batch[0].bandwidth == tr.optimal_bandwidth(beam)
+    with pytest.raises(ValueError):
+        tr.run_tracking_batch("heterodyne", beam, [])
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(dt=0.0), dict(dt=-1e-4), dict(dt=math.inf), dict(dt=math.nan),
+    dict(duration=0.0), dict(duration=math.inf), dict(burn_in=-0.01),
+    dict(burn_in=math.nan), dict(trials=0), dict(workers=0),
+    dict(dt=1e-12),                      # 200 x 1.5e10 lane-steps
+])
+def test_run_tracking_refuses_before_drawing_noise(monkeypatch, kwargs):
+    def no_noise(*args, **kw):
+        raise AssertionError("noise drawn")
+
+    monkeypatch.setattr(tr, "_noise_columns", no_noise)
+    with pytest.raises(ValueError):
+        tr.run_tracking("adaptive", tr.BeamParams(f=1e3, ell=1.0), **kwargs)
