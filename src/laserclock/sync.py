@@ -21,7 +21,7 @@ freely copyable information; the relay chain itself is not simulated here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -185,9 +185,9 @@ def run_sync_experiment(config: SyncConfig, dt: float | None = None,
                         noise_dt: float | None = None) -> SyncReport:
     """Split the laser among M parties and track each share independently.
 
-    All M parties run as one lockstep :func:`laserclock.tracking.run_tracking_batch`
-    (adaptive in the HL regime, dual-quadrature in the SQL regime) on at most
-    one process pool.  Party p has its own seed derive_seed(seed, p), so
+    All M parties run as lanes of one :func:`laserclock.tracking.run_tracking_batch`
+    call (adaptive in the HL regime, dual-quadrature in the SQL regime) on at
+    most one process pool.  Party p has its own seed derive_seed(seed, p), so
     per-party results are exchangeable and independent of how many parties
     run.  The per-beam quality factor is N = 4 mu^2/M (HL) or 2 mu^2/M (SQL);
     it should stay above ~1e3 for the linearized filter to apply.
@@ -239,16 +239,7 @@ def run_sync_sweep(laser: LaserParams, m_values, regime: str = "hl",
     resid = y - (slope * x + intercept)
     dof = max(len(x) - 2, 1)
     slope_se = math.sqrt(float(resid @ resid) / dof / float(np.sum((x - x.mean()) ** 2)))
-    return SyncReport(
-        m_values=tuple(m_values),
-        per_party_mse=tuple(r.per_party_mse[0] for r in reports),
-        mean_mse=tuple(r.mean_mse[0] for r in reports),
-        stderr=tuple(r.stderr[0] for r in reports),
-        predicted=tuple(r.predicted[0] for r in reports),
-        scaling_exponent=float(slope),
-        scaling_stderr=float(slope_se),
-        regime=regime,
-        trials=trials,
-        seed=seed,
-        slips_flagged=any(r.slips_flagged for r in reports),
-    )
+    per_m = ("m_values", "per_party_mse", "mean_mse", "stderr", "predicted")
+    return replace(reports[0], scaling_exponent=float(slope), scaling_stderr=float(slope_se),
+                   seed=seed, slips_flagged=any(r.slips_flagged for r in reports),
+                   **{f: sum((getattr(r, f) for r in reports), ()) for f in per_m})

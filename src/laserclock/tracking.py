@@ -19,14 +19,14 @@ Two estimators are provided:
   at lambda = sqrt(2 f ell), where the error is 1/sqrt(2N) -- worse than
   adaptive by sqrt(2).
 
-Monte Carlo runs advance lanes, the trials of one or more seeds, in lockstep.
-Every lane owns two Gaussian increment streams (phase and shot noise) seeded
-[seed, trial, 0|1] and drawn in blocks of max(1, 300 000 // lanes) steps, so
-neither the other lanes, the block length nor the worker count can change any
-result.  Passing ``noise_dt`` draws the increments on a finer grid and sums
-them per step, which lets two runs at different dt share identical Wiener
-paths for time-step convergence checks.  Runs over 2**30 lane-steps are
-refused before any noise is drawn.
+Monte Carlo runs advance lanes, the trials of one or more seeds, in lockstep
+groups of at most LANE_GROUP lanes.  Every lane owns two Gaussian increment
+streams (phase and shot noise) seeded [seed, trial, 0|1] and drawn in blocks
+of NOISE_BLOCK // (group lanes) steps, so neither the other lanes, the block
+length nor the worker count can change any result.  Passing ``noise_dt`` draws
+the increments on a finer grid and sums them per step, which lets two runs at
+different dt share identical Wiener paths for time-step convergence checks.
+Runs over 2**30 lane-steps are refused before any noise is drawn.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ MODES = ("adaptive", "heterodyne")
 # lane-steps of noise held at once: half a default 200-trial run, leaving room
 # for the generators (about 2 kB a lane) that every lane holds between blocks
 NOISE_BLOCK = 300_000
+LANE_GROUP = 1024  # lanes in lockstep at once: bounds generators, keeps blocks long
 LANE_STEP_BUDGET = 2 ** 30  # largest run accepted, in lane-steps
 
 
@@ -261,7 +262,7 @@ def _noise_columns(lanes, steps: int, refine: int, noise_dt: float, pair: bool):
     blocks of NOISE_BLOCK // len(lanes) steps that continue each lane's streams."""
     streams = [[np.random.default_rng([seed, trial, s]) for s in (0, 1)]
                for seed, trial in lanes]
-    block = max(1, NOISE_BLOCK // len(lanes))
+    block = NOISE_BLOCK // len(lanes)
     dwp = np.empty((len(lanes), min(block, steps)))
     dws = np.empty(dwp.shape, dtype=complex if pair else float)
     for start in range(0, steps, block):
@@ -338,9 +339,9 @@ def run_tracking_batch(mode: str, beam: BeamParams, seeds, *, dt: float | None =
                        noise_dt: float | None = None) -> tuple[TrackingResult, ...]:
     """Ensemble steady-state tracking error for one configuration at each seed.
 
-    All seeds' trials run as one lockstep batch of lanes on at most one pool of
-    ``workers`` processes; the results, one per seed in order, are bitwise
-    those of :func:`run_tracking` at each seed.
+    All seeds' trials run as lanes of one batch, in lockstep groups, on at most
+    one pool of ``workers`` processes; the results, one per seed in order, are
+    bitwise those of :func:`run_tracking` at each seed.
 
     dt, burn_in and duration default to 1e-2, 10 and 30 loop time constants.
     The wrapped MSE is averaged over time (after burn_in) and trials; the
@@ -356,6 +357,12 @@ def run_tracking_batch(mode: str, beam: BeamParams, seeds, *, dt: float | None =
     not positive and finite, a negative burn_in, no seeds, trials or workers
     below 1, or a run over LANE_STEP_BUDGET lane-steps.
     """
+    return _run_batch(mode, beam, seeds, dt, duration, burn_in, trials, workers, phi0,
+                      bandwidth, gain, evolve_sigma2, noise_dt, stacklevel=3)
+
+
+def _run_batch(mode, beam, seeds, dt, duration, burn_in, trials, workers, phi0, bandwidth,
+               gain, evolve_sigma2, noise_dt, stacklevel):
     if len(seeds) < 1 or trials < 1 or workers < 1:
         raise ValueError("seeds, trials and workers must each number at least 1")
     if mode == "heterodyne" and bandwidth is None:
@@ -375,9 +382,9 @@ def run_tracking_batch(mode: str, beam: BeamParams, seeds, *, dt: float | None =
     if not (0 < dt < math.inf and 0 < duration < math.inf and 0 <= burn_in < math.inf):
         raise ValueError("dt and duration must be positive and finite, burn_in >= 0")
     if trials < 100:
-        warnings.warn("fewer than 100 trials: MSE estimate will be noisy", stacklevel=2)
+        warnings.warn("fewer than 100 trials: MSE estimate will be noisy", stacklevel=stacklevel)
     if duration < burn_in + 20.0 * tau * (1 - 1e-9):
-        warnings.warn("duration below burn_in + 20 loop time constants", stacklevel=2)
+        warnings.warn("duration below burn_in + 20 loop time constants", stacklevel=stacklevel)
     refine = 1
     if noise_dt is not None:
         refine = int(round(dt / noise_dt))
@@ -393,15 +400,17 @@ def run_tracking_batch(mode: str, beam: BeamParams, seeds, *, dt: float | None =
     if steps <= burn_steps:
         raise ValueError("duration leaves no observation steps after burn_in")
 
-    lanes = [(seed, trial) for seed in seeds for trial in range(trials)]
-    bounds = np.linspace(0, n_lanes, min(workers, n_lanes) + 1).astype(int)
-    chunks = [(mode, beam, dt, steps, burn_steps, lanes[lo:hi], phi0, bandwidth, gain,
-               evolve_sigma2, refine) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    if len(chunks) == 1:
-        parts = [_simulate_lanes(*chunks[0])]
+    lanes = ((seed, trial) for seed in seeds for trial in range(trials))
+    # groups of at most LANE_GROUP lanes, a multiple of workers, listed lazily
+    n_groups = min(n_lanes, workers * -(-n_lanes // (workers * LANE_GROUP)))
+    sizes = np.diff(np.linspace(0, n_lanes, n_groups + 1).astype(int))
+    groups = ((mode, beam, dt, steps, burn_steps, [next(lanes) for _ in range(size)], phi0,
+               bandwidth, gain, evolve_sigma2, refine) for size in sizes)
+    if workers == 1 or n_groups == 1:
+        parts = [_simulate_lanes(*g) for g in groups]
     else:
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(_simulate_lanes, *zip(*chunks)))
+            parts = list(ex.map(_simulate_lanes, *zip(*groups)))
     mse_w, mse_u, slips = (np.concatenate(p) for p in zip(*parts))
 
     obs_time = (steps - burn_steps) * dt
@@ -427,9 +436,8 @@ def run_tracking(mode: str, beam: BeamParams, dt: float | None = None,
                  noise_dt: float | None = None) -> TrackingResult:
     """Ensemble steady-state tracking error for one configuration: the
     one-seed case of :func:`run_tracking_batch`, which documents it."""
-    return run_tracking_batch(mode, beam, [seed], dt=dt, duration=duration, burn_in=burn_in,
-                              trials=trials, workers=workers, phi0=phi0, bandwidth=bandwidth,
-                              gain=gain, evolve_sigma2=evolve_sigma2, noise_dt=noise_dt)[0]
+    return _run_batch(mode, beam, [seed], dt, duration, burn_in, trials, workers, phi0,
+                      bandwidth, gain, evolve_sigma2, noise_dt, stacklevel=3)[0]
 
 
 def heterodyne_bandwidth_sweep(beam: BeamParams, bandwidths, trials: int = 200,

@@ -328,6 +328,39 @@ def test_batch_equals_one_seed_runs():
         tr.run_tracking_batch("heterodyne", beam, [])
 
 
+def test_lane_groups_are_capped_and_change_no_result(monkeypatch):
+    # 3 seeds x 100 trials in groups of at most 70 lanes (uneven, crossing
+    # seeds) reproduce the one-group default at 1 and 2 workers
+    beam = tr.BeamParams(f=1e3, ell=1.0)
+    default = tr.run_tracking_batch("adaptive", beam, [1, 2, 3], trials=100)
+    sizes = []
+    simulate = tr._simulate_lanes
+
+    def recording(*args):
+        sizes.append(len(args[5]))
+        return simulate(*args)
+
+    monkeypatch.setattr(tr, "_simulate_lanes", recording)
+    monkeypatch.setattr(tr, "LANE_GROUP", 70)
+    assert tr.run_tracking_batch("adaptive", beam, [1, 2, 3], trials=100) == default
+    assert sizes == [60] * 5
+    monkeypatch.setattr(tr, "_simulate_lanes", simulate)  # workers pickle it
+    assert tr.run_tracking_batch("adaptive", beam, [1, 2, 3], trials=100,
+                                 workers=2) == default
+
+
+def test_warnings_name_the_caller():
+    beam = tr.BeamParams(f=1e3, ell=1.0)
+    dt = tr.auto_dt(beam)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        tr.run_tracking("adaptive", beam, trials=2, burn_in=0.0, duration=10 * dt)
+        tr.run_tracking_batch("adaptive", beam, [0], trials=2, burn_in=0.0,
+                              duration=10 * dt)
+    assert len(caught) == 4
+    assert {w.filename for w in caught} == {__file__}
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(dt=0.0), dict(dt=-1e-4), dict(dt=math.inf), dict(dt=math.nan),
     dict(duration=0.0), dict(duration=math.inf), dict(burn_in=-0.01),
