@@ -71,13 +71,10 @@ def _require(cond, msg):
 # each returns (header, rows, resolved_config, summary)
 
 def _run_track(a):
-    mode = a.mode or "adaptive"
+    mode, trials, seed, workers = a.mode, int(a.trials), int(a.seed), int(a.workers)
     _require(a.flux is not None and a.linewidth is not None,
              "--flux and --linewidth are required")
     beam = tr.BeamParams(f=a.flux, ell=a.linewidth)
-    trials = 200 if a.trials is None else int(a.trials)
-    seed = int(a.seed or 0)
-    workers = 1 if a.workers is None else int(a.workers)
     res = tr.run_tracking(mode, beam, dt=_auto(a.dt), duration=_auto(a.duration),
                           burn_in=_auto(a.burn_in), trials=trials, seed=seed,
                           workers=workers, bandwidth=_auto(a.bandwidth))
@@ -98,12 +95,8 @@ def _run_track(a):
 
 def _run_sync(a):
     _require(a.kappa is not None and a.mu is not None, "--kappa and --mu are required")
-    parties = _ints(a.parties or "1")
-    regime = (a.regime or "hl").lower()
-    trials = 200 if a.trials is None else int(a.trials)
-    seed = int(a.seed or 0)
-    workers = 1 if a.workers is None else int(a.workers)
-    dt = _auto(a.dt)
+    parties, regime = _ints(a.parties), a.regime.lower()
+    trials, seed, workers, dt = int(a.trials), int(a.seed), int(a.workers), _auto(a.dt)
     laser = ld.LaserParams(kappa=a.kappa, mu=a.mu)
     if len(parties) >= 2:
         report = sy.run_sync_sweep(laser, parties, regime=regime, dt=dt,
@@ -140,22 +133,22 @@ def _run_linewidth(a):
               "hl_limit_rad_per_s", "sql_limit_rad_per_s"]
     rows = []
     for params in lasers:
-        trunc = int(a.truncation) if _auto(a.truncation) else \
-            fock.default_truncation(params.mu)
+        trunc = fock.default_truncation(params.mu) if _auto(a.truncation) is None \
+            else int(a.truncation)
         le = ld.extract_linewidth(params, trunc, method="eigenvalue")
         lf = ld.extract_linewidth(params, trunc, method="decay_fit")
-        rows.append([int(a.seed or 0), 0, 0, a.kappa, params.mu, trunc, le.value, lf.value,
+        rows.append([int(a.seed), 0, 0, a.kappa, params.mu, trunc, le.value, lf.value,
                      abs(le.value / lf.value - 1.0), ld.hl_linewidth(params),
                      ld.sql_linewidth(params)])
     config = dict(kappa=a.kappa, mu=",".join(repr(m) for m in mus),
-                  truncation=a.truncation or "auto", seed=int(a.seed or 0))
+                  truncation=a.truncation, seed=int(a.seed))
     return header, rows, config, {}
 
 
 def _run_phasevar(a):
     mus = _floats(a.mu or "")
     _require(all(m > 0 for m in mus), "--mu entries must be positive")
-    grid = int(a.grid_size or 4096)
+    grid = int(a.grid_size)
     _require(grid >= 256, "--grid-size must be >= 256")
     header = ["seed", "dt", "trials", "mu_photons", "grid_size", "truncation",
               "phase_variance_rad2", "coherent_limit_rad2", "rel_deviation"]
@@ -164,27 +157,24 @@ def _run_phasevar(a):
         state = fock.coherent_state(math.sqrt(mu))
         dist = fock.canonical_phase_distribution(state, grid_size=grid)
         v = fock.phase_variance(dist)
-        rows.append([int(a.seed or 0), 0, 0, mu, grid, state.truncation, v,
+        rows.append([int(a.seed), 0, 0, mu, grid, state.truncation, v,
                      1.0 / (4.0 * mu), v * 4.0 * mu - 1.0])
-    config = dict(mu=",".join(repr(m) for m in mus), grid_size=grid,
-                  seed=int(a.seed or 0))
+    config = dict(mu=",".join(repr(m) for m in mus), grid_size=grid, seed=int(a.seed))
     return header, rows, config, {}
 
 
 def _run_channel(a):
-    mod = float(a.alpha_mod if a.alpha_mod is not None else 5.0)
-    arg = float(a.alpha_arg or 0.0)
-    delta = float(a.delta or 1.0)
+    mod, arg, delta, min_prob = (float(x) for x in (a.alpha_mod, a.alpha_arg, a.delta,
+                                                     a.min_prob))
     # the output-amplitude contract needs captured mass >= 1 - 1e-6
-    deficit = min(float(a.mass_deficit or 1e-6), 1e-6)
-    min_prob = float(a.min_prob if a.min_prob is not None else 1e-6)
+    deficit = min(float(a.mass_deficit), 1e-6)
     _require(mod >= 0, "--alpha-mod must be >= 0")
     alpha = mod * complex(math.cos(arg), math.sin(arg))
     spec = ch.LatticeSpec(delta=delta)
     dist = ch.decohere(alpha, spec, mass_deficit=deficit)
     amp = ch.output_mean_amplitude(dist, spec)
     fid = ch.coherent_fidelity(dist, alpha)
-    seed = int(a.seed or 0)
+    seed = int(a.seed)
     header = ["seed", "dt", "trials", "delta", "alpha_mod", "alpha_arg", "n", "m",
               "q", "p", "probability", "output_amp_re", "output_amp_im",
               "captured_mass"]
@@ -208,7 +198,7 @@ def _run_channel(a):
 
 def _run_limits(a):
     _require(a.mu is not None, "--mu is required")
-    parties = _ints(a.parties or "1")
+    parties = _ints(a.parties)
     phys = None
     if a.power is not None:
         _require(a.wavelength is not None and a.linewidth_hz is not None,
@@ -220,28 +210,24 @@ def _run_limits(a):
               "physical_mse_rad2"]
     rows = []
     for m in parties:
-        rows.append([int(a.seed or 0), 0, 0, a.mu, m,
+        rows.append([int(a.seed), 0, 0, a.mu, m,
                      sy.hl_sync_limit(a.mu, m), sy.sql_sync_limit(a.mu, m),
                      sy.split_variance_limit(a.mu, m), fock.clone_phase_variance(a.mu, m),
                      sy.physical_units_mse(phys, m) if phys else None])
     config = dict(mu=a.mu, parties=",".join(str(m) for m in parties),
                   power=a.power, wavelength=a.wavelength, linewidth_hz=a.linewidth_hz,
-                  seed=int(a.seed or 0))
+                  seed=int(a.seed))
     return header, rows, config, {}
 
 
 def _run_sweep(a):
-    mode = a.mode or "adaptive"
+    mode, trials, seed, workers = a.mode, int(a.trials), int(a.seed), int(a.workers)
     axis = (a.axis or "").lower()
     _require(axis in ("n", "flux", "linewidth", "bandwidth"),
              "--axis must be n, flux, linewidth or bandwidth")
     values = _floats(a.values or "")
     _require(all(v > 0 for v in values), "--values entries must be positive")
-    trials = 200 if a.trials is None else int(a.trials)
-    seed = int(a.seed or 0)
-    workers = 1 if a.workers is None else int(a.workers)
-    flux = a.flux
-    ell = a.linewidth if a.linewidth is not None else 1.0
+    flux, ell = a.flux, a.linewidth
     _require(axis in ("n", "flux") or flux is not None, f"--flux needed for {axis} axis")
     _require(axis != "bandwidth" or mode == "heterodyne",
              "bandwidth axis needs --mode heterodyne")
@@ -249,15 +235,14 @@ def _run_sweep(a):
                "flux": lambda v: tr.BeamParams(f=v, ell=ell),
                "linewidth": lambda v: tr.BeamParams(f=flux, ell=v),
                "bandwidth": lambda v: tr.BeamParams(f=flux, ell=ell)}[axis]
-    beams = [beam_at(v) for v in values]
+    points = [(beam_at(v), [tr.derive_seed(seed, i)], v if axis == "bandwidth" else None)
+              for i, v in enumerate(values)]
+    batch = tr.run_tracking_batch(mode, points, trials=trials, workers=workers)
     header = ["seed", "dt", "trials", "mode", "axis", "value", "value_seed",
               "flux_per_s", "linewidth_rad_per_s", "bandwidth_rad_per_s",
               "mse_rad2", "stderr_rad2", "predicted_rad2", "is_minimum"]
     rows = []
-    for i, (v, beam) in enumerate(zip(values, beams)):
-        vseed = tr.derive_seed(seed, i)
-        res = tr.run_tracking(mode, beam, trials=trials, seed=vseed, workers=workers,
-                              bandwidth=v if axis == "bandwidth" else None)
+    for v, (beam, (vseed,), _), (res,) in zip(values, points, batch):
         if axis == "bandwidth":
             predicted = beam.ell / (2 * v) + v / (4 * beam.f)
         else:
@@ -291,66 +276,69 @@ def _build_parser():
     sub = p.add_subparsers(dest="cmd", required=True)
 
     def add(name, help_, flags):
+        # each flag's default is applied only after the --config merge
         sp = sub.add_parser(name, help=help_)
+        defaults = {"seed": 0}
         for flag, kw in flags:
-            sp.add_argument(flag, **kw)
+            defaults[sp.add_argument(flag, **{**kw, "default": None}).dest] = kw.get("default")
         sp.add_argument("--config", default=None, help="JSON config file (flags win)")
         sp.add_argument("--out", default=None, help="CSV output path (sidecar: same stem .json)")
         sp.add_argument("--seed", type=int, default=None)
+        sp.set_defaults(flag_defaults=defaults)
         return sp
 
     f = float
     add("track", "track one beam", [
-        ("--mode", dict(default=None, choices=list(tr.MODES))),
+        ("--mode", dict(default="adaptive", choices=list(tr.MODES))),
         ("--flux", dict(type=f, default=None)),
         ("--linewidth", dict(type=f, default=None)),
         ("--bandwidth", dict(default=None)),
         ("--dt", dict(default=None)),
         ("--duration", dict(default=None)),
         ("--burn-in", dict(default=None, dest="burn_in")),
-        ("--trials", dict(type=int, default=None)),
-        ("--workers", dict(type=int, default=None)),
+        ("--trials", dict(type=int, default=200)),
+        ("--workers", dict(type=int, default=1)),
     ])
     add("sync", "M-party synchronization", [
         ("--kappa", dict(type=f, default=None)),
         ("--mu", dict(type=f, default=None)),
-        ("--parties", dict(default=None)),
-        ("--regime", dict(default=None, choices=list(sy.REGIMES))),
+        ("--parties", dict(default="1")),
+        ("--regime", dict(default="hl", choices=list(sy.REGIMES))),
         ("--dt", dict(default=None)),
-        ("--trials", dict(type=int, default=None)),
-        ("--workers", dict(type=int, default=None)),
+        ("--trials", dict(type=int, default=200)),
+        ("--workers", dict(type=int, default=1)),
     ])
     add("linewidth", "master-equation linewidth", [
         ("--kappa", dict(type=f, default=None)),
         ("--mu", dict(default=None)),
-        ("--truncation", dict(default=None)),
+        ("--truncation", dict(default="auto")),
     ])
     add("phasevar", "coherent-state phase variance", [
         ("--mu", dict(default=None)),
-        ("--grid-size", dict(type=int, default=None, dest="grid_size")),
+        ("--grid-size", dict(type=int, default=4096, dest="grid_size")),
     ])
     add("channel", "lattice decoherence channel", [
-        ("--alpha-mod", dict(type=f, default=None, dest="alpha_mod")),
-        ("--alpha-arg", dict(type=f, default=None, dest="alpha_arg")),
-        ("--delta", dict(type=f, default=None)),
-        ("--mass-deficit", dict(type=f, default=None, dest="mass_deficit")),
-        ("--min-prob", dict(type=f, default=None, dest="min_prob")),
+        ("--alpha-mod", dict(type=f, default=5.0, dest="alpha_mod")),
+        ("--alpha-arg", dict(type=f, default=0.0, dest="alpha_arg")),
+        ("--delta", dict(type=f, default=1.0)),
+        ("--mass-deficit", dict(type=f, default=1e-6, dest="mass_deficit")),
+        ("--min-prob", dict(type=f, default=1e-6, dest="min_prob")),
     ])
     add("limits", "analytic synchronization limits", [
         ("--mu", dict(type=f, default=None)),
-        ("--parties", dict(default=None)),
+        ("--parties", dict(default="1")),
         ("--power", dict(type=f, default=None)),
         ("--wavelength", dict(type=f, default=None)),
         ("--linewidth-hz", dict(type=f, default=None, dest="linewidth_hz")),
     ])
     add("sweep", "sweep one numeric axis", [
-        ("--mode", dict(default=None, choices=list(tr.MODES))),
+        ("--mode", dict(default="adaptive", choices=list(tr.MODES))),
         ("--axis", dict(default=None)),
         ("--values", dict(default=None)),
         ("--flux", dict(type=f, default=None)),
-        ("--linewidth", dict(type=f, default=None)),
-        ("--trials", dict(type=int, default=None)),
-        ("--workers", dict(type=int, default=None)),
+        ("--linewidth", dict(type=f, default=1.0)),
+        ("--trials", dict(type=int, default=200)),
+        ("--workers", dict(type=int, default=1)),
     ])
     return p
 
@@ -368,6 +356,12 @@ def _merge_config_file(args):
             setattr(args, attr, value)
 
 
+def _apply_defaults(args):
+    for attr, value in args.flag_defaults.items():
+        if getattr(args, attr) is None:
+            setattr(args, attr, value)
+
+
 def _csv_text(header, rows):
     lines = [",".join(header)]
     for row in rows:
@@ -380,6 +374,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _merge_config_file(args)
+        _apply_defaults(args)
         header, rows, config, summary = HANDLERS[args.cmd](args)
     except (UsageError, ValueError) as exc:
         print(f"laserclock {args.cmd}: invalid configuration: {exc}", file=sys.stderr)

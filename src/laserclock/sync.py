@@ -21,7 +21,7 @@ freely copyable information; the relay chain itself is not simulated here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -192,27 +192,7 @@ def run_sync_experiment(config: SyncConfig, dt: float | None = None,
     run.  The per-beam quality factor is N = 4 mu^2/M (HL) or 2 mu^2/M (SQL);
     it should stay above ~1e3 for the linearized filter to apply.
     """
-    beam = beam_for_party(config)
-    mode = "adaptive" if config.regime == "hl" else "heterodyne"
-    results = run_tracking_batch(mode, beam, _PartySeeds(seed, config.parties), dt=dt,
-                                 duration=duration, burn_in=burn_in, trials=trials,
-                                 workers=workers, noise_dt=noise_dt)
-    per_party = tuple(r.mse_wrapped for r in results)
-    mean = sum(per_party) / len(per_party)
-    stderr = math.sqrt(sum(r.stderr ** 2 for r in results)) / len(results)
-    return SyncReport(
-        m_values=(config.parties,),
-        per_party_mse=(per_party,),
-        mean_mse=(mean,),
-        stderr=(stderr,),
-        predicted=(_predicted(config),),
-        scaling_exponent=None,
-        scaling_stderr=None,
-        regime=config.regime,
-        trials=trials,
-        seed=seed,
-        slips_flagged=any(r.slips_significant for r in results),
-    )
+    return _run_sync([config], [seed], seed, dt, duration, burn_in, trials, workers, noise_dt)
 
 
 def run_sync_sweep(laser: LaserParams, m_values, regime: str = "hl",
@@ -221,25 +201,51 @@ def run_sync_sweep(laser: LaserParams, m_values, regime: str = "hl",
                    workers: int = 1, noise_dt: float | None = None) -> SyncReport:
     """Sweep the party count and fit the scaling exponent of MSE vs M.
 
-    Runs :func:`run_sync_experiment` at every M (per-M seeds derived from the
-    master seed and the M index) and least-squares fits the slope of
-    log(mean MSE) against log(M); both limits predict slope 1/2.
+    Runs every M as :func:`run_sync_experiment` would at the seed
+    derive_seed(seed, 1000 + i) of the i-th M, but all M values as the points
+    of one batch, so the whole sweep is checked before any noise is drawn.
+    Least-squares fits the slope of log(mean MSE) against log(M); both limits
+    predict slope 1/2.
     """
     m_values = [int(m) for m in m_values]
     if len(m_values) < 2:
         raise ValueError("sweep needs at least two M values")
     configs = [SyncConfig(laser=laser, parties=m, regime=regime) for m in m_values]
-    reports = [run_sync_experiment(cfg, dt=dt, duration=duration, burn_in=burn_in,
-                                   trials=trials, seed=derive_seed(seed, 1000 + i),
-                                   workers=workers, noise_dt=noise_dt)
-               for i, cfg in enumerate(configs)]
-    x = np.log(np.asarray(m_values, dtype=float))
-    y = np.log(np.array([r.mean_mse[0] for r in reports]))
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    dof = max(len(x) - 2, 1)
-    slope_se = math.sqrt(float(resid @ resid) / dof / float(np.sum((x - x.mean()) ** 2)))
-    per_m = ("m_values", "per_party_mse", "mean_mse", "stderr", "predicted")
-    return replace(reports[0], scaling_exponent=float(slope), scaling_stderr=float(slope_se),
-                   seed=seed, slips_flagged=any(r.slips_flagged for r in reports),
-                   **{f: sum((getattr(r, f) for r in reports), ()) for f in per_m})
+    return _run_sync(configs, [derive_seed(seed, 1000 + i) for i in range(len(configs))],
+                     seed, dt, duration, burn_in, trials, workers, noise_dt)
+
+
+def _run_sync(configs, config_seeds, seed, dt, duration, burn_in, trials, workers, noise_dt):
+    """One batch with a point per config at its seed (the report names the
+    master ``seed``); with two or more configs, fits the scaling exponent of
+    the mean MSE in M."""
+    mode = "adaptive" if configs[0].regime == "hl" else "heterodyne"
+    batch = run_tracking_batch(mode, [(beam_for_party(c), _PartySeeds(s, c.parties), None)
+                                      for c, s in zip(configs, config_seeds)],
+                               dt=dt, duration=duration, burn_in=burn_in, trials=trials,
+                               workers=workers, noise_dt=noise_dt)
+    per_party = tuple(tuple(r.mse_wrapped for r in results) for results in batch)
+    mean = tuple(sum(per) / len(per) for per in per_party)
+    slope = slope_se = None
+    if len(configs) >= 2:
+        x = np.log(np.asarray([c.parties for c in configs], dtype=float))
+        y = np.log(np.array(mean))
+        fit, intercept = np.polyfit(x, y, 1)
+        resid = y - (fit * x + intercept)
+        dof = max(len(x) - 2, 1)
+        slope = float(fit)
+        slope_se = math.sqrt(float(resid @ resid) / dof / float(np.sum((x - x.mean()) ** 2)))
+    return SyncReport(
+        m_values=tuple(c.parties for c in configs),
+        per_party_mse=per_party,
+        mean_mse=mean,
+        stderr=tuple(math.sqrt(sum(r.stderr ** 2 for r in results)) / len(results)
+                     for results in batch),
+        predicted=tuple(_predicted(c) for c in configs),
+        scaling_exponent=slope,
+        scaling_stderr=slope_se,
+        regime=configs[0].regime,
+        trials=trials,
+        seed=seed,
+        slips_flagged=any(r.slips_significant for results in batch for r in results),
+    )

@@ -26,7 +26,9 @@ of NOISE_BLOCK // (group lanes) steps, so neither the other lanes, the block
 length nor the worker count can change any result.  Passing ``noise_dt`` draws
 the increments on a finer grid and sums them per step, which lets two runs at
 different dt share identical Wiener paths for time-step convergence checks.
-Runs over 2**30 lane-steps are refused before any noise is drawn.
+One batch runs every point (beam, seeds, bandwidth) of an experiment, and is
+refused before any noise is drawn when it comes to over 2**30 lane-steps, with
+each lane counted as at least LANE_COST of them.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ MODES = ("adaptive", "heterodyne")
 NOISE_BLOCK = 300_000
 LANE_GROUP = 1024  # lanes in lockstep at once: bounds generators, keeps blocks long
 LANE_STEP_BUDGET = 2 ** 30  # largest run accepted, in lane-steps
+LANE_COST = 300  # a lane's least cost in lane-steps: its set-up takes about 48 us
 
 
 @dataclass(frozen=True)
@@ -331,47 +334,48 @@ def _simulate_lanes(mode, beam, dt, steps, burn_steps, lanes, phi0, bandwidth, g
     return sq_w / (steps - burn_steps), sq_u / (steps - burn_steps), slips
 
 
-def run_tracking_batch(mode: str, beam: BeamParams, seeds, *, dt: float | None = None,
+def run_tracking_batch(mode: str, points, *, dt: float | None = None,
                        duration: float | None = None, burn_in: float | None = None,
                        trials: int = 200, workers: int = 1, phi0: float = 0.0,
-                       bandwidth: float | None = None, gain: float | None = None,
-                       evolve_sigma2: bool = False,
-                       noise_dt: float | None = None) -> tuple[TrackingResult, ...]:
-    """Ensemble steady-state tracking error for one configuration at each seed.
+                       gain: float | None = None, evolve_sigma2: bool = False,
+                       noise_dt: float | None = None) -> tuple[tuple[TrackingResult, ...], ...]:
+    """Ensemble steady-state tracking error at each point of one experiment.
 
-    All seeds' trials run as lanes of one batch, in lockstep groups, on at most
-    one pool of ``workers`` processes; the results, one per seed in order, are
-    bitwise those of :func:`run_tracking` at each seed.
+    A point is a ``(beam, seeds, bandwidth)`` triple, where a bandwidth of
+    None means the optimal one.  The result holds one tuple per point of one
+    :class:`TrackingResult` per seed, each bitwise that of :func:`run_tracking`
+    at that point and seed.  The trials of all points run as lanes, in lockstep
+    groups within a point, on at most one pool of ``workers`` processes.
 
-    dt, burn_in and duration default to 1e-2, 10 and 30 loop time constants.
-    The wrapped MSE is averaged over time (after burn_in) and trials; the
-    standard error is across trials.  Cycle slips (winding-number changes of
-    the unwrapped error) are counted separately, and ``slips_significant`` is
-    set when they contribute more than 1% of the wrapped MSE.  Results are
-    bitwise reproducible for fixed (config, seed), whatever ``workers`` is.
+    dt, burn_in and duration default, for each point, to 1e-2, 10 and 30 of its
+    loop time constants.  The wrapped MSE is averaged over time (after
+    burn_in) and trials; the standard error is across trials.  Cycle slips
+    (winding-number changes of the unwrapped error) are counted separately,
+    and ``slips_significant`` is set when they contribute more than 1% of the
+    wrapped MSE.  Results are bitwise reproducible for fixed (config, seed),
+    whatever ``workers`` is.
 
     ``noise_dt`` (default dt; must divide dt) fixes the grid on which the
     Wiener increments are drawn, so runs at different dt can share paths.
 
-    Raises ValueError before any noise is drawn for a dt or duration that is
-    not positive and finite, a negative burn_in, no seeds, trials or workers
-    below 1, or a run over LANE_STEP_BUDGET lane-steps.
+    Raises ValueError before any seed is iterated or any noise is drawn for no
+    points or seeds, a dt or duration that is not positive and finite, a
+    negative burn_in, trials or workers below 1, or a batch over
+    LANE_STEP_BUDGET lane-steps, summed over all points with each lane counted
+    as at least LANE_COST lane-steps.
     """
-    return _run_batch(mode, beam, seeds, dt, duration, burn_in, trials, workers, phi0,
-                      bandwidth, gain, evolve_sigma2, noise_dt, stacklevel=3)
+    return _run_batch(mode, points, dt, duration, burn_in, trials, workers, phi0, gain,
+                      evolve_sigma2, noise_dt, stacklevel=3)
 
 
-def _run_batch(mode, beam, seeds, dt, duration, burn_in, trials, workers, phi0, bandwidth,
-               gain, evolve_sigma2, noise_dt, stacklevel):
-    if len(seeds) < 1 or trials < 1 or workers < 1:
-        raise ValueError("seeds, trials and workers must each number at least 1")
+def _resolve(mode, beam, bandwidth, dt, duration, burn_in, gain, noise_dt):
+    """A point's loop time constant, its resolved dt, burn_in, duration and
+    bandwidth (as TrackingResult fields), and its noise refinement."""
     if mode == "heterodyne" and bandwidth is None:
         bandwidth = optimal_bandwidth(beam)
-    if mode == "adaptive" and beam.ell == 0 and gain is None:
-        raise ValueError("adaptive tracking of a static phase needs an explicit gain")
     if mode == "adaptive" and gain is not None:
         tau = 1.0 / gain
-    else:  # also rejects an unknown mode and a bandwidth <= 0
+    else:  # also rejects an unknown mode, a bandwidth <= 0 and ell = 0 without a gain
         tau = loop_time_constant(beam, mode, bandwidth)
     if dt is None:
         dt = 1e-2 * tau
@@ -381,51 +385,72 @@ def _run_batch(mode, beam, seeds, dt, duration, burn_in, trials, workers, phi0, 
         duration = burn_in + 20.0 * tau
     if not (0 < dt < math.inf and 0 < duration < math.inf and 0 <= burn_in < math.inf):
         raise ValueError("dt and duration must be positive and finite, burn_in >= 0")
-    if trials < 100:
-        warnings.warn("fewer than 100 trials: MSE estimate will be noisy", stacklevel=stacklevel)
-    if duration < burn_in + 20.0 * tau * (1 - 1e-9):
-        warnings.warn("duration below burn_in + 20 loop time constants", stacklevel=stacklevel)
     refine = 1
     if noise_dt is not None:
         refine = int(round(dt / noise_dt))
         if refine < 1 or abs(refine * noise_dt - dt) > 1e-9 * dt:
             raise ValueError("noise_dt must divide dt")
-    n_lanes = len(seeds) * trials
-    lane_steps = n_lanes * (duration / dt) * refine
+    return tau, dict(dt=dt, burn_in=burn_in, duration=duration, bandwidth=bandwidth), refine
+
+
+def _run_batch(mode, points, dt, duration, burn_in, trials, workers, phi0, gain,
+               evolve_sigma2, noise_dt, stacklevel):
+    if not points or min(len(seeds) for _, seeds, _ in points) < 1 or trials < 1 \
+            or workers < 1:
+        raise ValueError("points, seeds, trials and workers must each number at least 1")
+    runs = [_resolve(mode, beam, bandwidth, dt, duration, burn_in, gain, noise_dt)
+            for beam, _, bandwidth in points]
+    if trials < 100:
+        warnings.warn("fewer than 100 trials: MSE estimate will be noisy", stacklevel=stacklevel)
+    if any(c["duration"] < c["burn_in"] + 20.0 * tau * (1 - 1e-9) for tau, c, _ in runs):
+        warnings.warn("duration below burn_in + 20 loop time constants", stacklevel=stacklevel)
+    n_lanes = [len(seeds) * trials for _, seeds, _ in points]
+    lane_steps = sum(n * max(c["duration"] / c["dt"] * refine, LANE_COST)
+                     for n, (_, c, refine) in zip(n_lanes, runs))
     if not lane_steps <= LANE_STEP_BUDGET:
-        raise ValueError(f"{n_lanes} lanes x {duration / dt:.3g} steps x refine {refine} = "
-                         f"{lane_steps:.3g} lane-steps, over the budget of 2**30")
-    steps = int(round(duration / dt))
-    burn_steps = int(round(burn_in / dt))
-    if steps <= burn_steps:
+        raise ValueError(f"{sum(n_lanes)} lanes in {len(points)} point(s) come to "
+                         f"{lane_steps:.3g} lane-steps (at least {LANE_COST} a lane), "
+                         "over the budget of 2**30")
+    steps = [(int(round(c["duration"] / c["dt"])), int(round(c["burn_in"] / c["dt"])))
+             for _, c, _ in runs]
+    if any(n <= burn for n, burn in steps):
         raise ValueError("duration leaves no observation steps after burn_in")
 
-    lanes = ((seed, trial) for seed in seeds for trial in range(trials))
-    # groups of at most LANE_GROUP lanes, a multiple of workers, listed lazily
-    n_groups = min(n_lanes, workers * -(-n_lanes // (workers * LANE_GROUP)))
-    sizes = np.diff(np.linspace(0, n_lanes, n_groups + 1).astype(int))
-    groups = ((mode, beam, dt, steps, burn_steps, [next(lanes) for _ in range(size)], phi0,
-               bandwidth, gain, evolve_sigma2, refine) for size in sizes)
-    if workers == 1 or n_groups == 1:
-        parts = [_simulate_lanes(*g) for g in groups]
+    # groups of at most LANE_GROUP lanes within a point, a multiple of workers
+    # of them, each listing its (seed, trial) lanes only when it is run
+    n_groups = [min(n, workers * -(-n // (workers * LANE_GROUP))) for n in n_lanes]
+
+    def groups():
+        for (beam, seeds, _), (_, c, refine), counts, n, k in zip(points, runs, steps,
+                                                                  n_lanes, n_groups):
+            lanes = ((seed, trial) for seed in seeds for trial in range(trials))
+            for size in np.diff(np.linspace(0, n, k + 1).astype(int)):
+                yield (mode, beam, c["dt"], *counts, [next(lanes) for _ in range(size)], phi0,
+                       c["bandwidth"], gain, evolve_sigma2, refine)
+
+    if workers == 1 or sum(n_groups) == 1:
+        parts = [_simulate_lanes(*g) for g in groups()]
     else:
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(_simulate_lanes, *zip(*groups)))
-    mse_w, mse_u, slips = (np.concatenate(p) for p in zip(*parts))
+            parts = list(ex.map(_simulate_lanes, *zip(*groups())))
 
-    obs_time = (steps - burn_steps) * dt
-    results = []
-    for lo in range(0, n_lanes, trials):
-        w, u = mse_w[lo:lo + trials], mse_u[lo:lo + trials]
-        mean_w, mean_u = float(w.mean()), float(u.mean())
-        results.append(TrackingResult(
-            mse_wrapped=mean_w, mse_unwrapped=mean_u,
-            stderr=float(w.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("inf"),
-            trials=trials, burn_in=burn_in, duration=duration,
-            cycle_slip_rate=float(slips[lo:lo + trials].sum() / (trials * obs_time)),
-            slips_significant=bool(mean_u - mean_w > 0.01 * mean_w), dt=dt,
-            bandwidth=bandwidth))
-    return tuple(results)
+    mse_w, mse_u, slips = (np.concatenate(p) for p in zip(*parts))
+    ends = np.cumsum(n_lanes)
+    return tuple(tuple(_result(mse_w[lo:lo + trials], mse_u[lo:lo + trials],
+                               slips[lo:lo + trials], (n - burn) * c["dt"], c)
+                       for lo in range(end - lanes, end, trials))
+                 for (_, c, _), (n, burn), end, lanes in zip(runs, steps, ends, n_lanes))
+
+
+def _result(w, u, slips, obs_time, resolved):
+    """One seed's TrackingResult from its per-trial errors and slip counts."""
+    trials = len(w)
+    mean_w, mean_u = float(w.mean()), float(u.mean())
+    return TrackingResult(
+        mse_wrapped=mean_w, mse_unwrapped=mean_u,
+        stderr=float(w.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("inf"),
+        trials=trials, cycle_slip_rate=float(slips.sum() / (trials * obs_time)),
+        slips_significant=bool(mean_u - mean_w > 0.01 * mean_w), **resolved)
 
 
 def run_tracking(mode: str, beam: BeamParams, dt: float | None = None,
@@ -436,16 +461,17 @@ def run_tracking(mode: str, beam: BeamParams, dt: float | None = None,
                  noise_dt: float | None = None) -> TrackingResult:
     """Ensemble steady-state tracking error for one configuration: the
     one-seed case of :func:`run_tracking_batch`, which documents it."""
-    return _run_batch(mode, beam, [seed], dt, duration, burn_in, trials, workers, phi0,
-                      bandwidth, gain, evolve_sigma2, noise_dt, stacklevel=3)[0]
+    return _run_batch(mode, [(beam, [seed], bandwidth)], dt, duration, burn_in, trials,
+                      workers, phi0, gain, evolve_sigma2, noise_dt, stacklevel=3)[0][0]
 
 
 def heterodyne_bandwidth_sweep(beam: BeamParams, bandwidths, trials: int = 200,
                                seed: int = 0, workers: int = 1):
-    """Run the dual-quadrature tracker at each bandwidth; returns
-    [(bandwidth, TrackingResult)] in input order (per-bandwidth seeds are
-    derived from the master seed and the sweep index)."""
-    return [(float(lam), run_tracking("heterodyne", beam, trials=trials,
-                                      seed=derive_seed(seed, i), workers=workers,
-                                      bandwidth=float(lam)))
-            for i, lam in enumerate(bandwidths)]
+    """Run the dual-quadrature tracker at each bandwidth, as the points of one
+    batch; returns [(bandwidth, TrackingResult)] in input order (per-bandwidth
+    seeds are derived from the master seed and the sweep index)."""
+    bandwidths = [float(lam) for lam in bandwidths]
+    batch = run_tracking_batch("heterodyne", [(beam, [derive_seed(seed, i)], lam)
+                                              for i, lam in enumerate(bandwidths)],
+                               trials=trials, workers=workers)
+    return [(lam, res) for lam, (res,) in zip(bandwidths, batch)]

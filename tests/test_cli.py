@@ -164,6 +164,11 @@ def _no_noise(*args, **kwargs):
     "limits --mu 100 --parties 1,0",
     "limits --mu 100 --power inf --wavelength 6e-7 --linewidth-hz 1e6",
     "channel --delta -1",
+    # an explicit 0 is used as given, never replaced by the default
+    "channel --delta 0",
+    "channel --mass-deficit 0",
+    "phasevar --mu 100 --grid-size 0",
+    "linewidth --kappa 1 --mu 16 --truncation 0",
 ])
 def test_out_of_domain_input_is_usage_error(monkeypatch, argv):
     monkeypatch.setattr("laserclock.tracking._noise_columns", _no_noise)
@@ -173,6 +178,10 @@ def test_out_of_domain_input_is_usage_error(monkeypatch, argv):
 @pytest.mark.parametrize("argv", [
     "sync --kappa 1 --mu 1 --parties 100000",      # 6e10 lane-steps
     "track --flux 1e4 --linewidth 1 --dt 1e-12",   # 3e13 lane-steps
+    # 4e8 lanes x 2 steps: within 2**30 lane-steps, not at 300 a lane
+    "sync --kappa 1 --mu 1e6 --parties 2000000 --dt 2e4",
+    # the whole sweep is refused before M = 1 runs
+    "sync --kappa 1 --mu 1 --parties 1,100000",
 ])
 def test_over_budget_run_is_refused_at_once(monkeypatch, capsys, argv):
     monkeypatch.setattr("laserclock.tracking._noise_columns", _no_noise)
@@ -180,6 +189,29 @@ def test_over_budget_run_is_refused_at_once(monkeypatch, capsys, argv):
     assert main(argv.split()) == 2
     assert time.perf_counter() - start < 2.0
     assert "lane-steps" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_each_experiment_is_one_batch(monkeypatch):
+    from laserclock import sync, tracking
+    from laserclock.laserdyn import LaserParams
+
+    calls = []
+    batch = tracking.run_tracking_batch
+
+    def counting(mode, points, **kw):
+        calls.append(len(points))
+        return batch(mode, points, **kw)
+
+    monkeypatch.setattr(tracking, "run_tracking_batch", counting)
+    monkeypatch.setattr(sync, "run_tracking_batch", counting)
+    laser = LaserParams(kappa=1.0, mu=100.0)
+    beam = tracking.BeamParams(f=1e3, ell=1.0)
+    tracking.heterodyne_bandwidth_sweep(beam, [30.0, 60.0], trials=2)
+    assert main(["sweep", "--axis", "n", "--values", "1e2,1e3,1e4", "--trials", "2"]) == 0
+    sync.run_sync_experiment(sync.SyncConfig(laser=laser, parties=3), trials=2)
+    sync.run_sync_sweep(laser, [1, 2, 4], trials=2)
+    assert calls == [2, 3, 1, 3]
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.stats import ks_2samp
 
@@ -319,20 +320,59 @@ def test_noise_block_length_changes_no_result(monkeypatch):
 
 def test_batch_equals_one_seed_runs():
     beam = tr.BeamParams(f=1e3, ell=1.0)
-    batch = tr.run_tracking_batch("heterodyne", beam, [3, 8], trials=100, workers=2)
+    (batch,) = tr.run_tracking_batch("heterodyne", [(beam, [3, 8], None)], trials=100,
+                                     workers=2)
     assert batch == tuple(tr.run_tracking("heterodyne", beam, trials=100, seed=s)
                           for s in (3, 8))
     assert batch[0].dt == tr.auto_dt(beam, "heterodyne")
     assert batch[0].bandwidth == tr.optimal_bandwidth(beam)
     with pytest.raises(ValueError):
-        tr.run_tracking_batch("heterodyne", beam, [])
+        tr.run_tracking_batch("heterodyne", [(beam, [], None)])
+    with pytest.raises(ValueError):
+        tr.run_tracking_batch("heterodyne", [])
+
+
+def test_multi_point_batch_equals_per_point_runs():
+    # points of different beams and bandwidths: the auto durations differ, so
+    # at one explicit dt the points run different step counts
+    wide, narrow = tr.BeamParams(f=1e3, ell=1.0), tr.BeamParams(f=2e3, ell=0.5)
+    points = [(wide, [3, 8], None), (narrow, [5], 20.0), (wide, [3], 80.0)]
+    dt = 5e-4
+    batch = tr.run_tracking_batch("heterodyne", points, dt=dt, trials=100, workers=2)
+    assert batch == tuple(tuple(tr.run_tracking("heterodyne", beam, dt=dt, trials=100,
+                                                seed=s, bandwidth=bw) for s in seeds)
+                          for beam, seeds, bw in points)
+    assert [p[0].bandwidth for p in batch] == [tr.optimal_bandwidth(wide), 20.0, 80.0]
+    assert len({round(p[0].duration / dt) for p in batch}) == 3
+    assert batch[0][0] != batch[2][0]
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(mode=st.sampled_from(tr.MODES), trials=st.integers(1, 3),
+       timing=st.sampled_from([{}, dict(duration=0.05, burn_in=0.01)]),
+       points=st.lists(st.tuples(st.floats(30.0, 3e3), st.floats(0.5, 2.0),
+                                 st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=2),
+                                 st.sampled_from([None, 0.5, 2.0])),
+                       min_size=1, max_size=3))
+def test_batch_property_equals_per_point_runs(mode, trials, timing, points):
+    # random small batches equal their points run one seed at a time; with
+    # an explicit duration each point's own auto dt sets its step count
+    points = [(tr.BeamParams(f=n * ell, ell=ell), seeds,
+               None if k is None else k * math.sqrt(2 * n) * ell)  # k x optimal
+              for n, ell, seeds, k in points]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        batch = tr.run_tracking_batch(mode, points, trials=trials, **timing)
+        assert batch == tuple(tuple(tr.run_tracking(mode, beam, trials=trials, seed=s,
+                                                    bandwidth=bw, **timing) for s in seeds)
+                              for beam, seeds, bw in points)
 
 
 def test_lane_groups_are_capped_and_change_no_result(monkeypatch):
     # 3 seeds x 100 trials in groups of at most 70 lanes (uneven, crossing
     # seeds) reproduce the one-group default at 1 and 2 workers
     beam = tr.BeamParams(f=1e3, ell=1.0)
-    default = tr.run_tracking_batch("adaptive", beam, [1, 2, 3], trials=100)
+    default = tr.run_tracking_batch("adaptive", [(beam, [1, 2, 3], None)], trials=100)
     sizes = []
     simulate = tr._simulate_lanes
 
@@ -342,10 +382,11 @@ def test_lane_groups_are_capped_and_change_no_result(monkeypatch):
 
     monkeypatch.setattr(tr, "_simulate_lanes", recording)
     monkeypatch.setattr(tr, "LANE_GROUP", 70)
-    assert tr.run_tracking_batch("adaptive", beam, [1, 2, 3], trials=100) == default
+    assert tr.run_tracking_batch("adaptive", [(beam, [1, 2, 3], None)],
+                                 trials=100) == default
     assert sizes == [60] * 5
     monkeypatch.setattr(tr, "_simulate_lanes", simulate)  # workers pickle it
-    assert tr.run_tracking_batch("adaptive", beam, [1, 2, 3], trials=100,
+    assert tr.run_tracking_batch("adaptive", [(beam, [1, 2, 3], None)], trials=100,
                                  workers=2) == default
 
 
@@ -355,7 +396,7 @@ def test_warnings_name_the_caller():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         tr.run_tracking("adaptive", beam, trials=2, burn_in=0.0, duration=10 * dt)
-        tr.run_tracking_batch("adaptive", beam, [0], trials=2, burn_in=0.0,
+        tr.run_tracking_batch("adaptive", [(beam, [0], None)], trials=2, burn_in=0.0,
                               duration=10 * dt)
     assert len(caught) == 4
     assert {w.filename for w in caught} == {__file__}
