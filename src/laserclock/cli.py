@@ -4,7 +4,8 @@ Each subcommand runs one experiment and emits a CSV table (header row, '.'
 decimals) plus a JSON sidecar echoing the fully resolved configuration and the
 library version, so any output can be reproduced byte-for-byte from its
 sidecar alone: ``laserclock <subcommand> --config sidecar.json``.  Flags
-override config-file values.  Exit status: 0 success, 2 usage/validation
+override config-file values; a config key that is not a flag of the
+subcommand is a usage error.  Exit status: 0 success, 2 usage/validation
 error, 3 a numerical check failed (the message names it).
 """
 
@@ -350,9 +351,12 @@ def _merge_config_file(args):
         data = json.load(fh)
     if isinstance(data, dict) and "config" in data and isinstance(data["config"], dict):
         data = data["config"]
+    _require(isinstance(data, dict), "--config must hold a JSON object")
+    unknown = [key for key in data if key.replace("-", "_") not in args.flag_defaults]
+    _require(not unknown, f"--config keys not flags of {args.cmd}: {', '.join(unknown)}")
     for key, value in data.items():
         attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) is None:
+        if getattr(args, attr) is None:
             setattr(args, attr, value)
 
 

@@ -31,7 +31,9 @@ __all__ = [
 
 def wrap_angle(x):
     """Wrap an angle (or array of angles) into (-pi, pi]."""
-    return -((-np.asarray(x) + np.pi) % (2 * np.pi) - np.pi)
+    w = -((-np.asarray(x) + np.pi) % (2 * np.pi) - np.pi)
+    # just above an odd multiple of pi the modulo rounds up to 2 pi: fold -pi onto pi
+    return np.where(w == -np.pi, np.pi, w)[()]
 
 
 @dataclass(frozen=True)

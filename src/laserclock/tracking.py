@@ -20,19 +20,26 @@ Two estimators are provided:
   adaptive by sqrt(2).
 
 Monte Carlo runs advance lanes, the trials of one or more seeds, in lockstep
-groups of at most LANE_GROUP lanes.  Every lane owns two Gaussian increment
-streams (phase and shot noise) seeded [seed, trial, 0|1] and drawn in blocks
-of NOISE_BLOCK // (group lanes) steps, so neither the other lanes, the block
-length nor the worker count can change any result.  Passing ``noise_dt`` draws
-the increments on a finer grid and sums them per step, which lets two runs at
+groups of at most LANE_GROUP lanes.  One batch runs every point (beam, seeds,
+bandwidth) of an experiment; consecutive points of one shape (steps, burn-in
+steps, noise refinement) share groups, each lane carrying its own f, ell, dt
+and bandwidth.  Every lane owns two Gaussian increment streams (phase and shot
+noise) seeded [seed, trial, 0|1], drawn in place in blocks of
+NOISE_BLOCK // (group lanes) draws a stream.  The tracking errors are observed in
+chunks of OBS_CHUNK steps: the wrap, the squared sums (still added one step at
+a time, in step order) and the cycle-slip count run once per chunk, with the
+modulo and the winding number evaluated only where they can differ from the
+identity and from 0.  So neither the other lanes, the block or chunk length
+nor the worker count can change any result.  Passing ``noise_dt`` draws the
+increments on a finer grid and sums them per step, which lets two runs at
 different dt share identical Wiener paths for time-step convergence checks.
-One batch runs every point (beam, seeds, bandwidth) of an experiment, and is
-refused before any noise is drawn when it comes to over 2**30 lane-steps, with
-each lane counted as at least LANE_COST of them.
+A batch is refused before any noise is drawn when it comes to over 2**30
+lane-steps, with each lane counted as at least LANE_COST of them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -65,6 +72,7 @@ MODES = ("adaptive", "heterodyne")
 # for the generators (about 2 kB a lane) that every lane holds between blocks
 NOISE_BLOCK = 300_000
 LANE_GROUP = 1024  # lanes in lockstep at once: bounds generators, keeps blocks long
+OBS_CHUNK = 16  # steps whose errors are observed at once: bounds their temporaries
 LANE_STEP_BUDGET = 2 ** 30  # largest run accepted, in lane-steps
 LANE_COST = 300  # a lane's least cost in lane-steps: its set-up takes about 48 us
 
@@ -250,87 +258,118 @@ def derive_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
 
 
-def _draw_increments(rng, n_steps: int, refine: int, noise_dt: float, pair: bool):
-    shape = (n_steps * refine, 2) if pair else (n_steps * refine,)
-    x = rng.standard_normal(shape) * math.sqrt(noise_dt)
-    if pair:
-        x = x[:, 0] + 1j * x[:, 1]
-    if refine > 1:
-        x = x.reshape(n_steps, refine).sum(axis=1)
-    return x
-
-
-def _noise_columns(lanes, steps: int, refine: int, noise_dt: float, pair: bool):
-    """Yield each step's (phase, shot) increments across lanes, drawn in reused
-    blocks of NOISE_BLOCK // len(lanes) steps that continue each lane's streams."""
-    streams = [[np.random.default_rng([seed, trial, s]) for s in (0, 1)]
-               for seed, trial in lanes]
-    block = NOISE_BLOCK // len(lanes)
-    dwp = np.empty((len(lanes), min(block, steps)))
-    dws = np.empty(dwp.shape, dtype=complex if pair else float)
-    for start in range(0, steps, block):
-        b = min(block, steps - start)
-        for i, (rp, rs) in enumerate(streams):
-            dwp[i, :b] = _draw_increments(rp, b, refine, noise_dt, pair=False)
-            dws[i, :b] = _draw_increments(rs, b, refine, noise_dt, pair=pair)
-        yield from zip(dwp[:, :b].T, dws[:, :b].T)
-
-
-def _simulate_lanes(mode, beam, dt, steps, burn_steps, lanes, phi0, bandwidth, gain,
-                    evolve_sigma2, refine):
-    """Simulate lanes, a list of (seed, trial) pairs, in lockstep; returns
-    per-lane (mse_wrapped, mse_unwrapped, slips) arrays.  A lane's values
-    depend only on its (seed, trial) and the config, never on the other lanes."""
+def _noise_columns(lanes, steps: int, refine: int, noise_dt, pair: bool):
+    """Yield the lanes' (phase, shot) increments as (lanes, steps) blocks of
+    NOISE_BLOCK // (len(lanes) * refine) steps that continue each lane's
+    streams, drawn in place and scaled once per block by the per-lane
+    sqrt(noise_dt); a complex shot pair is drawn through its float view, and
+    with ``refine`` > 1 each step sums ``refine`` draws."""
     n = len(lanes)
-    noise = _noise_columns(lanes, steps, refine, dt / refine, pair=(mode == "heterodyne"))
-    sl = math.sqrt(beam.ell)
-    alpha = beam.alpha
+    streams = [[np.random.default_rng([seed, trial, s]) for s in (0, 1)] for seed, trial in lanes]
+    block = max(1, min(steps, NOISE_BLOCK // (n * refine)))
+    raw = np.empty((n, block * refine)), np.empty((n, block * refine), complex if pair else float)
+    scale = np.sqrt(noise_dt)[:, None]
+    for start in range(0, steps, block):
+        dw = [x[:, :min(block, steps - start) * refine] for x in raw]
+        for (rp, rs), p, s in zip(streams, *dw):
+            rp.standard_normal(out=p)
+            rs.standard_normal(out=s.view(float))
+        for x in dw:
+            np.multiply(x.view(float), scale, out=x.view(float))
+        yield [x.reshape(n, -1, refine).sum(axis=2) for x in dw] if refine > 1 else dw
+
+
+def _wrap(x):
+    """(x + pi) % (2 pi) - pi, bitwise, with % applied only where x + pi leaves
+    [0, 2 pi): on that interval fmod is exact and the identity."""
+    y = x + np.pi
+    if not (y.min() >= 0 and y.max() < 2 * np.pi):  # nan fails both
+        np.remainder(y, 2 * np.pi, out=y, where=(y < 0) | ~(y < 2 * np.pi))
+    y -= np.pi
+    return y
+
+
+def _accumulate(start, rows):
+    """Every partial sum start + rows[:, 0] + rows[:, 1] + ..., added one
+    step (column) at a time in step order, in place of rows."""
+    rows[:, 0] += start
+    return np.cumsum(rows, axis=1, out=rows)
+
+
+def _simulate_lanes(mode, steps, burn_steps, refine, lanes, f, ell, dt, bandwidth, phi0,
+                    gain, evolve_sigma2):
+    """Simulate lanes, a list of (seed, trial) pairs with per-lane f, ell, dt and
+    bandwidth arrays, in lockstep; returns per-lane (mse_wrapped, mse_unwrapped,
+    slips) arrays.  A lane's values depend only on its (seed, trial) and its
+    parameters, never on the other lanes, the noise block or the chunk of
+    OBS_CHUNK steps whose errors are observed at once."""
+    n = len(lanes)
+    sl, alpha = np.sqrt(ell), np.sqrt(f)
     phi = np.full(n, phi0)
-    sq_w = np.zeros(n)
-    sq_u = np.zeros(n)
-    slips = np.zeros(n, dtype=np.int64)
-    winding = np.zeros(n, dtype=np.int64)
+    sq_w, sq_u = np.zeros(n), np.zeros(n)
+    slips, winding = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    heterodyne = mode == "heterodyne"
+    states = np.empty((n, OBS_CHUNK), complex if heterodyne else float)
 
     def observe(e):
-        nonlocal sq_w, sq_u, slips
-        w = (e + np.pi) % (2 * np.pi) - np.pi
-        sq_w += w * w
-        sq_u += e * e
-        new_wind = np.round(e / (2 * np.pi)).astype(np.int64)
-        slips += np.abs(new_wind - winding)
-        winding[:] = new_wind
+        nonlocal sq_w, sq_u
+        w = _wrap(e)
+        sq_w = _accumulate(sq_w, np.multiply(w, w, out=w))[:, -1]
+        u = e * e
+        # round(e / 2 pi) is 0 where e^2 < 9 (|e| < 3 < pi): only lanes with a
+        # larger or nan error in the chunk, or a nonzero winding, can slip
+        hot = ~(u.max(axis=1) < 9.0) | (winding != 0)
+        sq_u = _accumulate(sq_u, u)[:, -1]
+        if hot.any():
+            wind = np.round(e[hot] / (2 * np.pi)).astype(np.int64)
+            slips[hot] += np.abs(np.diff(wind, axis=1, prepend=winding[hot, None])).sum(axis=1)
+            winding[hot] = wind[:, -1]
 
-    if mode == "adaptive":
-        est = np.full(n, phi0)
-        sig2 = beam.stationary_sigma2() if beam.ell > 0 else 1.0
-        g = (beam.ell / sig2) if gain is None else gain
-        for k, (dwp, dws) in enumerate(noise):
-            phi = phi + sl * dwp
-            idt = 2.0 * alpha * np.sin(phi - est) * dt + dws
-            est = est + g * idt / (2.0 * alpha)
-            if evolve_sigma2:
-                grown = sig2 + beam.ell * dt
-                sig2 = grown / (1.0 + 4.0 * beam.f * dt * grown)
-                g = (beam.ell / sig2) if gain is None else gain
-            if k >= burn_steps:
-                observe(phi - est)
-    else:
-        lam = bandwidth
+    if heterodyne:
         s2a = math.sqrt(2.0) * alpha
-        A = s2a * np.exp(1j * np.full(n, phi0))
+        A = s2a * np.exp(1j * phi)
         # angle(A) is wrapped; accumulate its increments to keep the estimate
         # unwrapped alongside phi
         prev_ang = np.angle(A)
-        est = np.full(n, phi0)
-        for k, (dwp, dws) in enumerate(noise):
-            phi = phi + sl * dwp
-            dZ = s2a * np.exp(1j * phi) * dt + dws
-            A = A + lam * (dZ - A * dt)
-            ang = np.angle(A)
-            est = est + ((ang - prev_ang + np.pi) % (2 * np.pi) - np.pi)
-            prev_ang = ang
-            if k >= burn_steps:
-                observe(phi - est)
+        lam, dtc = bandwidth.astype(complex), dt.astype(complex)
+    else:
+        two_alpha = 2.0 * alpha
+        with np.errstate(divide="ignore"):
+            sig2 = np.where(ell > 0, 1.0 / (2.0 * np.sqrt(f / ell)), 1.0)
+        g = ell / sig2 if gain is None else np.full(n, gain)
+    est = np.full(n, phi0)
+    k0 = 0
+    for dwp, dws in _noise_columns(lanes, steps, refine, dt / refine, heterodyne):
+        dwp *= sl[:, None]
+        dwp[:, 0] += phi
+        phis = np.cumsum(dwp, axis=1, out=dwp)  # phi = phi + sqrt(ell) dW, per step
+        phi = phis[:, -1].copy()
+        for c in range(0, phis.shape[1], OBS_CHUNK):
+            p, s = phis[:, c:c + OBS_CHUNK], dws[:, c:c + OBS_CHUNK]
+            r = p.shape[1]
+            # each update keeps the operand order of adaptive_step and of the
+            # filter A = A + lam (dZ - A dt), so every result is bitwise fixed
+            if heterodyne:
+                dZ = s2a[:, None] * np.exp(1j * p) * dt[:, None] + s
+                for k in range(r):
+                    A = np.add(A, lam * (dZ[:, k] - A * dtc), out=states[:, k])
+                ang = np.angle(states[:, :r])
+                est_rows = _accumulate(est, _wrap(np.diff(ang, axis=1, prepend=prev_ang[:, None])))
+                prev_ang = ang[:, -1]
+            else:
+                for k in range(r):
+                    idt = two_alpha * np.sin(p[:, k] - est) * dt + s[:, k]
+                    est = np.add(est, g * idt / two_alpha, out=states[:, k])
+                    if evolve_sigma2:
+                        grown = sig2 + ell * dt
+                        sig2 = grown / (1.0 + 4.0 * f * dt * grown)
+                        g = ell / sig2 if gain is None else g
+                est_rows = states[:, :r]
+            est = est_rows[:, -1].copy()
+            if k0 + r > burn_steps:
+                first = max(0, burn_steps - k0)
+                observe(p[:, first:] - est_rows[:, first:])
+            k0 += r
     return sq_w / (steps - burn_steps), sq_u / (steps - burn_steps), slips
 
 
@@ -345,7 +384,8 @@ def run_tracking_batch(mode: str, points, *, dt: float | None = None,
     None means the optimal one.  The result holds one tuple per point of one
     :class:`TrackingResult` per seed, each bitwise that of :func:`run_tracking`
     at that point and seed.  The trials of all points run as lanes, in lockstep
-    groups within a point, on at most one pool of ``workers`` processes.
+    groups that consecutive points of one step count share, on at most one
+    pool of ``workers`` processes.
 
     dt, burn_in and duration default, for each point, to 1e-2, 10 and 30 of its
     loop time constants.  The wrapped MSE is averaged over time (after
@@ -416,17 +456,24 @@ def _run_batch(mode, points, dt, duration, burn_in, trials, workers, phi0, gain,
     if any(n <= burn for n, burn in steps):
         raise ValueError("duration leaves no observation steps after burn_in")
 
-    # groups of at most LANE_GROUP lanes within a point, a multiple of workers
-    # of them, each listing its (seed, trial) lanes only when it is run
-    n_groups = [min(n, workers * -(-n // (workers * LANE_GROUP))) for n in n_lanes]
+    # consecutive points of one shape (steps, burn_steps, refine) share groups
+    # of at most LANE_GROUP lanes, a multiple of workers of them; each group
+    # lists its (seed, trial) lanes and their parameters only when it is run
+    shapes = [(*counts, refine) for counts, (_, _, refine) in zip(steps, runs)]
+    spans = [list(span) for _, span in itertools.groupby(range(len(points)), shapes.__getitem__)]
+    span_lanes = [sum(n_lanes[i] for i in span) for span in spans]
+    n_groups = [min(n, workers * -(-n // (workers * LANE_GROUP))) for n in span_lanes]
 
     def groups():
-        for (beam, seeds, _), (_, c, refine), counts, n, k in zip(points, runs, steps,
-                                                                  n_lanes, n_groups):
-            lanes = ((seed, trial) for seed in seeds for trial in range(trials))
+        for span, n, k in zip(spans, span_lanes, n_groups):
+            lanes = ((seed, trial, points[i][0], runs[i][1]) for i in span
+                     for seed in points[i][1] for trial in range(trials))
             for size in np.diff(np.linspace(0, n, k + 1).astype(int)):
-                yield (mode, beam, c["dt"], *counts, [next(lanes) for _ in range(size)], phi0,
-                       c["bandwidth"], gain, evolve_sigma2, refine)
+                group = [next(lanes) for _ in range(size)]
+                f, ell, lane_dt, bw = np.array([(beam.f, beam.ell, c["dt"], c["bandwidth"] or 0.0)
+                                                for *_, beam, c in group]).T.copy()
+                yield (mode, *shapes[span[0]], [lane[:2] for lane in group], f, ell, lane_dt, bw,
+                       phi0, gain, evolve_sigma2)
 
     if workers == 1 or sum(n_groups) == 1:
         parts = [_simulate_lanes(*g) for g in groups()]

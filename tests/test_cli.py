@@ -169,10 +169,21 @@ def _no_noise(*args, **kwargs):
     "channel --mass-deficit 0",
     "phasevar --mu 100 --grid-size 0",
     "linewidth --kappa 1 --mu 16 --truncation 0",
+    # a --config key that is not a flag of the subcommand is named and refused
+    'track --flux 1e3 --linewidth 1 --config {"trails": 5}',
+    'sync --kappa 1 --mu 100 --config {"parties": "1,4", "flux": 1e3}',
+    "limits --mu 100 --config [1, 2]",
 ])
-def test_out_of_domain_input_is_usage_error(monkeypatch, argv):
+def test_out_of_domain_input_is_usage_error(monkeypatch, capsys, tmp_path, argv):
     monkeypatch.setattr("laserclock.tracking._noise_columns", _no_noise)
+    argv, _, config = argv.partition(" --config ")
+    if config:
+        (tmp_path / "c.json").write_text(config)
+        argv += f" --config {tmp_path / 'c.json'}"
     assert main(argv.split()) == 2
+    if config:  # the message names --config and any key that is not a flag
+        err = capsys.readouterr().err
+        assert "--config" in err and all(k in err for k in ("trails", "flux") if k in config)
 
 
 @pytest.mark.parametrize("argv", [

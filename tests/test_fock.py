@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln
 
 from laserclock import fock
@@ -183,3 +184,18 @@ def test_wrap_angle_range():
     w = fock.wrap_angle(x)
     assert np.all(w > -np.pi) and np.all(w <= np.pi)
     assert np.allclose(np.exp(1j * w), np.exp(1j * x))
+
+
+_ODD_PI = [k * np.pi for k in (-3, -1, 1, 3, 101)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(x=st.floats(-1e300, 1e300) | st.sampled_from(
+    _ODD_PI + [np.nextafter(v, d) for v in _ODD_PI for d in (-np.inf, np.inf)]))
+def test_wrap_angle_range_property(x):
+    # nextafter(pi, inf) once wrapped to -pi: the modulo rounded up to 2 pi
+    w = fock.wrap_angle(x)
+    assert -np.pi < w <= np.pi
+    if abs(x) < 1e3:
+        assert abs(np.exp(1j * w) - np.exp(1j * x)) < 1e-12
+    assert fock.wrap_angle(np.array([x, x]))[1] == w

@@ -224,10 +224,12 @@ def test_phase_offset_invariance():
 def _per_trial_mses(beam, seed, phi0, trials):
     dt = tr.auto_dt(beam)
     tau = tr.loop_time_constant(beam, "adaptive")
-    w, _, _ = tr._simulate_lanes("adaptive", beam, dt, int(round(30 * tau / dt)),
-                                 int(round(10 * tau / dt)),
+    lane = np.ones(trials)
+    w, _, _ = tr._simulate_lanes("adaptive", int(round(30 * tau / dt)),
+                                 int(round(10 * tau / dt)), 1,
                                  [(seed, trial) for trial in range(trials)],
-                                 phi0, None, None, False, 1)
+                                 beam.f * lane, beam.ell * lane, dt * lane, 0 * lane,
+                                 phi0, None, False)
     return w
 
 
@@ -377,7 +379,7 @@ def test_lane_groups_are_capped_and_change_no_result(monkeypatch):
     simulate = tr._simulate_lanes
 
     def recording(*args):
-        sizes.append(len(args[5]))
+        sizes.append(len(args[4]))
         return simulate(*args)
 
     monkeypatch.setattr(tr, "_simulate_lanes", recording)
@@ -415,3 +417,76 @@ def test_run_tracking_refuses_before_drawing_noise(monkeypatch, kwargs):
     monkeypatch.setattr(tr, "_noise_columns", no_noise)
     with pytest.raises(ValueError):
         tr.run_tracking("adaptive", tr.BeamParams(f=1e3, ell=1.0), **kwargs)
+
+
+def test_observation_chunk_changes_no_result(monkeypatch):
+    # errors observed 1 or 7 steps at a time (7 aligns with neither burn-in
+    # nor the noise block) reproduce the default chunk exactly, in both modes,
+    # with cycle slips, sigma^2 evolution, a finer noise grid, an explicit gain
+    # at ell = 0 and a phase offset
+    beam, dt = tr.BeamParams(f=1e3, ell=1.0), tr.auto_dt(tr.BeamParams(f=1e3, ell=1.0))
+    configs = [dict(mode="adaptive"), dict(mode="heterodyne"),
+               dict(mode="adaptive", beam=tr.BeamParams(f=2.0, ell=1.0)),
+               dict(mode="adaptive", beam=tr.BeamParams(f=4.0, ell=1.0)),
+               dict(mode="heterodyne", beam=tr.BeamParams(f=2.0, ell=1.0)),
+               dict(mode="heterodyne", beam=tr.BeamParams(f=4.0, ell=1.0)),
+               dict(mode="adaptive", evolve_sigma2=True),
+               dict(mode="adaptive", dt=dt, noise_dt=dt / 2),
+               dict(mode="heterodyne", dt=dt, noise_dt=dt / 2),
+               dict(mode="adaptive", beam=tr.BeamParams(f=1e3, ell=0.0), gain=10.0),
+               dict(mode="adaptive", phi0=1.234), dict(mode="heterodyne", phi0=-2.5)]
+
+    def runs():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            return [tr.run_tracking(**{"beam": beam, **c}, trials=30, seed=30) for c in configs]
+
+    default = runs()
+    assert all(r.cycle_slip_rate > 0 for r in default[2:6])
+    for rows in (1, 7):
+        monkeypatch.setattr(tr, "OBS_CHUNK", rows)
+        assert runs() == default
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("mode", tr.MODES)
+def test_merged_groups_equal_per_point_runs(monkeypatch, mode):
+    # three points of one shape (3000 steps, 1000 burn-in) share lockstep
+    # groups that straddle them: 125 lanes as 62 + 63 at 1 and 2 workers
+    bw = 20.0 if mode == "heterodyne" else None
+    points = [(tr.BeamParams(f=1e3, ell=1.0), [3, 8], None),
+              (tr.BeamParams(f=2e3, ell=0.5), [5], bw),
+              (tr.BeamParams(f=5e3, ell=2.0), [3, 9], None)]
+    per_point = tuple(tuple(tr.run_tracking(mode, beam, trials=25, seed=s, bandwidth=b)
+                            for s in seeds) for beam, seeds, b in points)
+    sizes = []
+    simulate = tr._simulate_lanes
+
+    def recording(*args):
+        sizes.append(len(args[4]))
+        return simulate(*args)
+
+    monkeypatch.setattr(tr, "LANE_GROUP", 70)
+    monkeypatch.setattr(tr, "_simulate_lanes", recording)
+    assert tr.run_tracking_batch(mode, points, trials=25) == per_point
+    assert sizes == [62, 63]
+    monkeypatch.setattr(tr, "_simulate_lanes", simulate)  # workers pickle it
+    assert tr.run_tracking_batch(mode, points, trials=25, workers=2) == per_point
+
+
+_WRAP_EDGES = [np.pi, -np.pi, 2 * np.pi, -2 * np.pi, 0.0, -0.0, 1e300, -1e300,
+               np.inf, -np.inf, np.nan] + [k * 2 * np.pi for k in (-7, 3, 1e6)] + \
+    [np.nextafter(v, d) for v in (np.pi, -np.pi, 2 * np.pi, -2 * np.pi)
+     for d in (-np.inf, np.inf)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.floats() | st.sampled_from(_WRAP_EDGES), min_size=1, max_size=20),
+       st.booleans())
+def test_wrap_is_bitwise_the_modulo_wrap(xs, two_rows):
+    x = np.array(xs * 2 if two_rows else xs).reshape(2 if two_rows else 1, -1)
+    with np.errstate(invalid="ignore"):
+        want = (x + np.pi) % (2 * np.pi) - np.pi
+        got = tr._wrap(x)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
