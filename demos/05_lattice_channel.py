@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from laserclock import channel as ch
+from laserclock.errors import WindowError
 
 spec = ch.LatticeSpec(delta=1.0)
 
@@ -48,9 +49,8 @@ for chi in [np.pi / 2, np.pi / 4]:
     print(f"  chi={chi:.4f}: output phase {math.atan2(o.imag, o.real):+.4f} "
           f"(bias {math.atan2(o.imag, o.real)-chi:+.4f} rad)")
 
-# a fixed window reports its captured mass honestly
-small = ch.LatticeSpec(delta=1.0, n_range=(6, 8), m_range=(-5, 5))
+# a mass target beyond the largest window is refused, with the mass achieved
 try:
-    ch.decohere(alpha, small)
-except Exception as exc:
-    print(f"\ntoo-small fixed window: {type(exc).__name__}: {exc}")
+    ch.decohere(alpha, spec, mass_deficit=1e-12)
+except WindowError as exc:
+    print(f"\nmass deficit 1e-12: {type(exc).__name__}: {exc}")

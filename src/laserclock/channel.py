@@ -18,9 +18,10 @@ can transmit no quantum information.
 
 Overlaps fall off only as 1/p_m^2 in probability (the boxcar edges), so
 capturing all but 1e-6 of the mass needs momentum windows of order 1e4
-points; ``decohere`` therefore evaluates the overlap integral in closed form
-(stably, via the Faddeeva function), while :func:`lattice_overlap` exposes
-the direct adaptive-quadrature route the tests check it against.  The same
+points; ``decohere`` sizes that window itself for the requested mass and
+evaluates the overlap integral over it in closed form (stably, via the
+Faddeeva function), while :func:`lattice_overlap` exposes the direct
+adaptive-quadrature route the tests check it against.  The same
 sharp edges make every p-moment of a single lattice state diverge (its
 momentum density only decays as p^-2); the channel output's mean amplitude
 stays finite because the lattice-point momenta enter weighted by the 1/p_m^2
@@ -54,22 +55,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Lattice spacing Delta plus an optional fixed (n, m) window.
-
-    With both ranges None, :func:`decohere` sizes the window itself.
-    Ranges are inclusive (n_min, n_max) pairs.
-    """
+    """Lattice spacing Delta, which fixes the whole lattice: q_n = Delta n,
+    p_m = 2 pi m / Delta.  The lattice is infinite; :func:`decohere` picks
+    the finite (n, m) window each input needs."""
 
     delta: float = 1.0
-    n_range: tuple | None = None
-    m_range: tuple | None = None
 
     def __post_init__(self):
         if not self.delta > 0:
             raise ValueError("delta must be positive")
-        for r in (self.n_range, self.m_range):
-            if r is not None and r[1] < r[0]:
-                raise ValueError("window ranges must be nonempty")
 
     def q(self, n):
         return self.delta * np.asarray(n)
@@ -176,13 +170,10 @@ def lattice_overlap(alpha: complex, spec: LatticeSpec, n: int, m: int) -> comple
     ------
     QuadratureError
         If the integrator cannot certify 1e-10 accuracy.
-    ValueError
-        If the spec has a window and (n, m) lies outside it.
     """
     alpha = complex(alpha)
     if not (np.isfinite(alpha.real) and np.isfinite(alpha.imag)):
         raise ValueError("alpha must be finite")
-    _check_in_window(spec, n, m)
     p = 2 * np.pi * m / spec.delta
     a = spec.delta * n - spec.delta / 2
     b = spec.delta * n + spec.delta / 2
@@ -190,16 +181,8 @@ def lattice_overlap(alpha: complex, spec: LatticeSpec, n: int, m: int) -> comple
     return val / math.sqrt(spec.delta)
 
 
-def _check_in_window(spec, n, m):
-    if spec.n_range is not None and not (spec.n_range[0] <= n <= spec.n_range[1]):
-        raise ValueError(f"n={n} outside window {spec.n_range}")
-    if spec.m_range is not None and not (spec.m_range[0] <= m <= spec.m_range[1]):
-        raise ValueError(f"m={m} outside window {spec.m_range}")
-
-
 def lattice_mean_amplitude(spec: LatticeSpec, n: int, m: int) -> complex:
     """Mean coherent amplitude (q_n + i p_m)/sqrt(2) of lattice state (n, m)."""
-    _check_in_window(spec, n, m)
     return (spec.delta * n + 2j * np.pi * m / spec.delta) / math.sqrt(2)
 
 
@@ -243,40 +226,25 @@ def _window_masses(alpha, delta, ns):
 def decohere(alpha: complex, spec: LatticeSpec, mass_deficit: float = 1e-6) -> LatticeDistribution:
     """Send |alpha> through the channel: P(n, m) = |<q_n, p_m | alpha>|^2.
 
-    With no window on the spec, the window is auto-sized: boxes cover the
-    Gaussian in q to 1% of the deficit budget, and the momentum half-width
-    grows (the probability tail falls off as C/m) until the captured mass
-    reaches 1 - mass_deficit.  A fixed window is used as given and must
-    capture that mass.
+    The window is sized here: boxes cover the Gaussian in q to 1% of the
+    deficit budget, and the momentum half-width grows (the probability tail
+    falls off as C/m) until the captured mass reaches 1 - mass_deficit.
 
     Raises
     ------
     WindowError
-        If the requested mass cannot be captured (reports the achieved mass).
+        If the requested mass cannot be captured within 2^20 momentum points,
+        or the q-window alone misses it (reports the achieved mass).
     """
     alpha = complex(alpha)
     if not (np.isfinite(alpha.real) and np.isfinite(alpha.imag)):
         raise ValueError("alpha must be finite")
     if not 0 < mass_deficit < 1:
         raise ValueError("mass_deficit must be in (0, 1)")
-    if (spec.n_range is None) != (spec.m_range is None):
-        raise ValueError("give both window ranges or neither")
     delta = spec.delta
     qb, pb = _coherent_qp(alpha)
 
-    if spec.n_range is not None and spec.m_range is not None:
-        ns = np.arange(spec.n_range[0], spec.n_range[1] + 1)
-        ms = np.arange(spec.m_range[0], spec.m_range[1] + 1)
-        P = np.abs(_overlap_closed(alpha, delta, ns[:, None], ms[None, :])) ** 2
-        mass = float(P.sum())
-        if mass < 1 - mass_deficit:
-            raise WindowError(
-                f"window captured {mass:.9f} < 1 - {mass_deficit:g}; enlarge it"
-            )
-        return LatticeDistribution(delta=delta, ns=ns, ms=ms, probabilities=P,
-                                   captured_mass=mass)
-
-    # auto window: q-side gets 1% of the budget, momentum the rest
+    # q-side gets 1% of the budget, momentum the rest
     eps_n = 0.01 * mass_deficit
     r = float(erfcinv(eps_n))
     n_lo = int(np.floor((qb - r) / delta)) - 1

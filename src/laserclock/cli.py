@@ -4,9 +4,10 @@ Each subcommand runs one experiment and emits a CSV table (header row, '.'
 decimals) plus a JSON sidecar echoing the fully resolved configuration and the
 library version, so any output can be reproduced byte-for-byte from its
 sidecar alone: ``laserclock <subcommand> --config sidecar.json``.  Flags
-override config-file values; a config key that is not a flag of the
-subcommand is a usage error.  Exit status: 0 success, 2 usage/validation
-error, 3 a numerical check failed (the message names it).
+override config-file values, which are converted and checked as their flags
+would be; a config key that is not a flag of the subcommand is a usage error.
+Exit status: 0 success, 2 usage/validation error, 3 a numerical check failed
+(the message names it).
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def _require(cond, msg):
 # each returns (header, rows, resolved_config, summary)
 
 def _run_track(a):
-    mode, trials, seed, workers = a.mode, int(a.trials), int(a.seed), int(a.workers)
+    mode, trials, seed, workers = a.mode, a.trials, a.seed, a.workers
     _require(a.flux is not None and a.linewidth is not None,
              "--flux and --linewidth are required")
     beam = tr.BeamParams(f=a.flux, ell=a.linewidth)
@@ -97,7 +98,7 @@ def _run_track(a):
 def _run_sync(a):
     _require(a.kappa is not None and a.mu is not None, "--kappa and --mu are required")
     parties, regime = _ints(a.parties), a.regime.lower()
-    trials, seed, workers, dt = int(a.trials), int(a.seed), int(a.workers), _auto(a.dt)
+    trials, seed, workers, dt = a.trials, a.seed, a.workers, _auto(a.dt)
     laser = ld.LaserParams(kappa=a.kappa, mu=a.mu)
     if len(parties) >= 2:
         report = sy.run_sync_sweep(laser, parties, regime=regime, dt=dt,
@@ -138,18 +139,18 @@ def _run_linewidth(a):
             else int(a.truncation)
         le = ld.extract_linewidth(params, trunc, method="eigenvalue")
         lf = ld.extract_linewidth(params, trunc, method="decay_fit")
-        rows.append([int(a.seed), 0, 0, a.kappa, params.mu, trunc, le.value, lf.value,
+        rows.append([a.seed, 0, 0, a.kappa, params.mu, trunc, le.value, lf.value,
                      abs(le.value / lf.value - 1.0), ld.hl_linewidth(params),
                      ld.sql_linewidth(params)])
     config = dict(kappa=a.kappa, mu=",".join(repr(m) for m in mus),
-                  truncation=a.truncation, seed=int(a.seed))
+                  truncation=a.truncation, seed=a.seed)
     return header, rows, config, {}
 
 
 def _run_phasevar(a):
     mus = _floats(a.mu or "")
     _require(all(m > 0 for m in mus), "--mu entries must be positive")
-    grid = int(a.grid_size)
+    grid = a.grid_size
     _require(grid >= 256, "--grid-size must be >= 256")
     header = ["seed", "dt", "trials", "mu_photons", "grid_size", "truncation",
               "phase_variance_rad2", "coherent_limit_rad2", "rel_deviation"]
@@ -158,36 +159,32 @@ def _run_phasevar(a):
         state = fock.coherent_state(math.sqrt(mu))
         dist = fock.canonical_phase_distribution(state, grid_size=grid)
         v = fock.phase_variance(dist)
-        rows.append([int(a.seed), 0, 0, mu, grid, state.truncation, v,
+        rows.append([a.seed, 0, 0, mu, grid, state.truncation, v,
                      1.0 / (4.0 * mu), v * 4.0 * mu - 1.0])
-    config = dict(mu=",".join(repr(m) for m in mus), grid_size=grid, seed=int(a.seed))
+    config = dict(mu=",".join(repr(m) for m in mus), grid_size=grid, seed=a.seed)
     return header, rows, config, {}
 
 
 def _run_channel(a):
-    mod, arg, delta, min_prob = (float(x) for x in (a.alpha_mod, a.alpha_arg, a.delta,
-                                                     a.min_prob))
+    mod, arg, delta, min_prob = a.alpha_mod, a.alpha_arg, a.delta, a.min_prob
     # the output-amplitude contract needs captured mass >= 1 - 1e-6
-    deficit = min(float(a.mass_deficit), 1e-6)
+    deficit = min(a.mass_deficit, 1e-6)
     _require(mod >= 0, "--alpha-mod must be >= 0")
     alpha = mod * complex(math.cos(arg), math.sin(arg))
     spec = ch.LatticeSpec(delta=delta)
     dist = ch.decohere(alpha, spec, mass_deficit=deficit)
     amp = ch.output_mean_amplitude(dist, spec)
     fid = ch.coherent_fidelity(dist, alpha)
-    seed = int(a.seed)
+    seed = a.seed
     header = ["seed", "dt", "trials", "delta", "alpha_mod", "alpha_arg", "n", "m",
               "q", "p", "probability", "output_amp_re", "output_amp_im",
               "captured_mass"]
-    rows = []
     P = dist.probabilities
-    for i, n in enumerate(dist.ns):
-        for j, m in enumerate(dist.ms):
-            if P[i, j] >= min_prob:
-                rows.append([seed, 0, 0, delta, mod, arg, int(n), int(m),
-                             float(spec.q(int(n))), float(spec.p(int(m))),
-                             float(P[i, j]), amp.real, amp.imag,
-                             dist.captured_mass])
+    i, j = np.nonzero(P >= min_prob)
+    n, m = dist.ns[i], dist.ms[j]
+    rows = [[seed, 0, 0, delta, mod, arg, *cell, amp.real, amp.imag, dist.captured_mass]
+            for cell in zip(n.tolist(), m.tolist(), spec.q(n).tolist(), spec.p(m).tolist(),
+                            P[i, j].tolist())]
     config = dict(alpha_mod=mod, alpha_arg=arg, delta=delta, mass_deficit=deficit,
                   min_prob=min_prob, seed=seed)
     summary = {"output_amplitude": [amp.real, amp.imag],
@@ -211,18 +208,18 @@ def _run_limits(a):
               "physical_mse_rad2"]
     rows = []
     for m in parties:
-        rows.append([int(a.seed), 0, 0, a.mu, m,
+        rows.append([a.seed, 0, 0, a.mu, m,
                      sy.hl_sync_limit(a.mu, m), sy.sql_sync_limit(a.mu, m),
                      sy.split_variance_limit(a.mu, m), fock.clone_phase_variance(a.mu, m),
                      sy.physical_units_mse(phys, m) if phys else None])
     config = dict(mu=a.mu, parties=",".join(str(m) for m in parties),
                   power=a.power, wavelength=a.wavelength, linewidth_hz=a.linewidth_hz,
-                  seed=int(a.seed))
+                  seed=a.seed)
     return header, rows, config, {}
 
 
 def _run_sweep(a):
-    mode, trials, seed, workers = a.mode, int(a.trials), int(a.seed), int(a.workers)
+    mode, trials, seed, workers = a.mode, a.trials, a.seed, a.workers
     axis = (a.axis or "").lower()
     _require(axis in ("n", "flux", "linewidth", "bandwidth"),
              "--axis must be n, flux, linewidth or bandwidth")
@@ -279,13 +276,13 @@ def _build_parser():
     def add(name, help_, flags):
         # each flag's default is applied only after the --config merge
         sp = sub.add_parser(name, help=help_)
-        defaults = {"seed": 0}
-        for flag, kw in flags:
-            defaults[sp.add_argument(flag, **{**kw, "default": None}).dest] = kw.get("default")
         sp.add_argument("--config", default=None, help="JSON config file (flags win)")
         sp.add_argument("--out", default=None, help="CSV output path (sidecar: same stem .json)")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.set_defaults(flag_defaults=defaults)
+        flag_actions = {}
+        for flag, kw in flags + [("--seed", dict(type=int, default=0))]:
+            action = sp.add_argument(flag, **{**kw, "default": None})
+            flag_actions[action.dest] = action, kw.get("default")
+        sp.set_defaults(flag_actions=flag_actions)
         return sp
 
     f = float
@@ -344,26 +341,35 @@ def _build_parser():
     return p
 
 
-def _merge_config_file(args):
-    if not args.config:
-        return
-    with open(args.config, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if isinstance(data, dict) and "config" in data and isinstance(data["config"], dict):
-        data = data["config"]
-    _require(isinstance(data, dict), "--config must hold a JSON object")
-    unknown = [key for key in data if key.replace("-", "_") not in args.flag_defaults]
-    _require(not unknown, f"--config keys not flags of {args.cmd}: {', '.join(unknown)}")
-    for key, value in data.items():
-        attr = key.replace("-", "_")
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
-
-
-def _apply_defaults(args):
-    for attr, value in args.flag_defaults.items():
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
+def _resolve_flags(args):
+    """Set each flag not given on the command line from --config (a JSON
+    object or a sidecar), converted and checked as the flag's text would be,
+    or else, as for a null config value, from the flag's default."""
+    data = {}
+    if args.config:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise UsageError(f"--config {args.config}: {exc.strerror}") from None
+        if isinstance(data, dict) and isinstance(data.get("config"), dict):
+            data = data["config"]
+        _require(isinstance(data, dict), "--config must hold a JSON object")
+        data = {key.replace("-", "_"): value for key, value in data.items()}
+        unknown = [key for key in data if key not in args.flag_actions]
+        _require(not unknown, f"--config keys not flags of {args.cmd}: {', '.join(unknown)}")
+    for attr, (action, default) in args.flag_actions.items():
+        if getattr(args, attr) is not None:
+            continue
+        value = data.get(attr)
+        if value is not None:
+            try:
+                value = (action.type or str)(str(value))
+            except ValueError:
+                raise UsageError(f"--config key {attr}: invalid value {value!r}") from None
+            _require(action.choices is None or value in action.choices,
+                     f"--config key {attr}: {value!r} is not one of {action.choices}")
+        setattr(args, attr, default if value is None else value)
 
 
 def _csv_text(header, rows):
@@ -377,8 +383,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _merge_config_file(args)
-        _apply_defaults(args)
+        _resolve_flags(args)
         header, rows, config, summary = HANDLERS[args.cmd](args)
     except (UsageError, ValueError) as exc:
         print(f"laserclock {args.cmd}: invalid configuration: {exc}", file=sys.stderr)

@@ -16,9 +16,10 @@ conventional (noisy-gain) laser.  At finite mu it exceeds that asymptote:
 ell = kappa/(4 mu) (1 + 1/mu + O(1/mu^2)).  The expansion fails below
 mu ~ 8 (+66% at mu = 4); from mu = 4 up the linewidth is still below the SQL.
 
-Everything is computed in the frame rotating at the optical frequency: the
--i omega [a^dag a, rho] term only shifts sector-k eigenvalues by -i omega k
-and has no effect on decay rates.
+Everything is computed in the frame rotating at the optical frequency, so
+the optical frequency never enters: the lab-frame term -i omega [a^dag a, rho]
+would only shift sector-k eigenvalues by -i omega k, leaving every decay rate
+unchanged.
 """
 
 from __future__ import annotations
@@ -53,14 +54,12 @@ LINEWIDTH_METHODS = ("eigenvalue", "decay_fit")
 
 @dataclass(frozen=True)
 class LaserParams:
-    """Source laser: cavity decay rate kappa (1/s), mean photon number mu,
-    gain kind ("noiseless" or "none"), optical frequency omega (rad/s,
-    bookkeeping only)."""
+    """Source laser: cavity decay rate kappa (1/s), mean photon number mu and
+    gain kind ("noiseless" or "none")."""
 
     kappa: float
     mu: float
     gain_kind: str = "noiseless"
-    omega: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.kappa < np.inf:
@@ -114,20 +113,15 @@ def _check_truncation(params: LaserParams, truncation: int) -> None:
             )
 
 
-def build_liouvillian_sector(
-    params: LaserParams,
-    sector_offset: int,
-    truncation: int,
-    include_rotating_frame: bool = False,
-) -> LiouvillianSector:
-    """Build the sector-k generator for x_n = rho_{n, n+k}.
+def build_liouvillian_sector(params: LaserParams, sector_offset: int,
+                             truncation: int) -> LiouvillianSector:
+    """Build the sector-k generator for x_n = rho_{n, n+k}, in the rotating frame.
 
     Loss contributes kappa * [sqrt((n+1)(n+k+1)) x_{n+1} - (n + k/2) x_n].
     The noiseless gain, written as a dissipator of the raising isometry
     truncated at the top state (which keeps every sector exactly
     trace-consistent), contributes kappa*mu * [x_{n-1} - x_n] away from the
-    boundary.  With ``include_rotating_frame`` the lab-frame term
-    -i omega k x_n is added; by default it is dropped (rotating frame).
+    boundary.
 
     Raises
     ------
@@ -149,8 +143,6 @@ def build_liouvillian_sector(
         L[n[1:], n[1:] - 1] += kappa * mu
         L[n, n] -= kappa * mu * ((n <= truncation - 1).astype(float)
                                  + (n + k <= truncation - 1).astype(float)) / 2.0
-    if include_rotating_frame:
-        L[n, n] -= 1j * params.omega * k
     return LiouvillianSector(sector_offset=k, matrix=L)
 
 

@@ -77,7 +77,6 @@ class PhysicalBeam:
     linewidth_hz: float
     wavelength: float | None = None
     omega: float | None = None
-    hbar: float = HBAR
 
     def __post_init__(self):
         if (self.wavelength is None) == (self.omega is None):
@@ -92,7 +91,7 @@ class PhysicalBeam:
     @property
     def flux(self) -> float:
         """Photon flux power/(hbar omega), 1/s."""
-        return self.power / (self.hbar * self.omega)
+        return self.power / (HBAR * self.omega)
 
 
 @dataclass(frozen=True)
@@ -148,7 +147,7 @@ def physical_units_mse(beam: PhysicalBeam, m: int) -> float:
     if m < 1:
         raise ValueError("m must be >= 1")
     ell = 2 * math.pi * beam.linewidth_hz
-    return math.sqrt(beam.hbar * beam.omega * m * ell / beam.power)
+    return math.sqrt(HBAR * beam.omega * m * ell / beam.power)
 
 
 def beam_for_party(config: SyncConfig) -> BeamParams:
@@ -179,9 +178,8 @@ def _predicted(config: SyncConfig) -> float:
     return hl_sync_limit(mu, m) if config.regime == "hl" else sql_sync_limit(mu, m)
 
 
-def run_sync_experiment(config: SyncConfig, dt: float | None = None,
-                        duration: float | None = None, burn_in: float | None = None,
-                        trials: int = 200, seed: int = 0, workers: int = 1,
+def run_sync_experiment(config: SyncConfig, dt: float | None = None, trials: int = 200,
+                        seed: int = 0, workers: int = 1,
                         noise_dt: float | None = None) -> SyncReport:
     """Split the laser among M parties and track each share independently.
 
@@ -192,12 +190,11 @@ def run_sync_experiment(config: SyncConfig, dt: float | None = None,
     run.  The per-beam quality factor is N = 4 mu^2/M (HL) or 2 mu^2/M (SQL);
     it should stay above ~1e3 for the linearized filter to apply.
     """
-    return _run_sync([config], [seed], seed, dt, duration, burn_in, trials, workers, noise_dt)
+    return _run_sync([config], [seed], seed, dt, trials, workers, noise_dt)
 
 
 def run_sync_sweep(laser: LaserParams, m_values, regime: str = "hl",
-                   dt: float | None = None, duration: float | None = None,
-                   burn_in: float | None = None, trials: int = 200, seed: int = 0,
+                   dt: float | None = None, trials: int = 200, seed: int = 0,
                    workers: int = 1, noise_dt: float | None = None) -> SyncReport:
     """Sweep the party count and fit the scaling exponent of MSE vs M.
 
@@ -212,18 +209,17 @@ def run_sync_sweep(laser: LaserParams, m_values, regime: str = "hl",
         raise ValueError("sweep needs at least two M values")
     configs = [SyncConfig(laser=laser, parties=m, regime=regime) for m in m_values]
     return _run_sync(configs, [derive_seed(seed, 1000 + i) for i in range(len(configs))],
-                     seed, dt, duration, burn_in, trials, workers, noise_dt)
+                     seed, dt, trials, workers, noise_dt)
 
 
-def _run_sync(configs, config_seeds, seed, dt, duration, burn_in, trials, workers, noise_dt):
+def _run_sync(configs, config_seeds, seed, dt, trials, workers, noise_dt):
     """One batch with a point per config at its seed (the report names the
     master ``seed``); with two or more configs, fits the scaling exponent of
     the mean MSE in M."""
     mode = "adaptive" if configs[0].regime == "hl" else "heterodyne"
     batch = run_tracking_batch(mode, [(beam_for_party(c), _PartySeeds(s, c.parties), None)
                                       for c, s in zip(configs, config_seeds)],
-                               dt=dt, duration=duration, burn_in=burn_in, trials=trials,
-                               workers=workers, noise_dt=noise_dt)
+                               dt=dt, trials=trials, workers=workers, noise_dt=noise_dt)
     per_party = tuple(tuple(r.mse_wrapped for r in results) for results in batch)
     mean = tuple(sum(per) / len(per) for per in per_party)
     slope = slope_se = None

@@ -43,7 +43,7 @@ import itertools
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,10 +57,7 @@ __all__ = [
     "optimal_bandwidth",
     "loop_time_constant",
     "auto_dt",
-    "step_phase",
-    "photocurrent_increment",
     "adaptive_step",
-    "variance_ode_step",
     "derive_seed",
     "run_tracking_batch",
     "run_tracking",
@@ -186,68 +183,31 @@ def auto_dt(beam: BeamParams, mode: str = "adaptive", bandwidth: float | None = 
     return 1e-2 * loop_time_constant(beam, mode, bandwidth)
 
 
-# --- single-step reference operations --------------------------------------
+# --- single-step reference operation ---------------------------------------
 
-def step_phase(state: TrackerState, beam: BeamParams, dt: float, noise: NoiseStep) -> TrackerState:
-    """Advance the true beam phase by its diffusion increment sqrt(ell) dW.
-
-    Exact for this driftless diffusion at any dt.
-    """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    return replace(state,
-                   phi_true=state.phi_true + math.sqrt(beam.ell) * noise.dw_phase,
-                   t=state.t + dt)
-
-
-def photocurrent_increment(state: TrackerState, beam: BeamParams, dt: float,
-                           noise: NoiseStep) -> float:
-    """Homodyne photocurrent increment I dt = 2 alpha cos(Phi - phi) dt + dW_shot."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    return 2.0 * beam.alpha * math.cos(state.lo_phase - state.phi_true) * dt + noise.dw_shot
-
-
-def adaptive_step(state: TrackerState, beam: BeamParams, dt: float, noise: NoiseStep,
-                  gain: float | None = None, evolve_sigma2: bool = False) -> TrackerState:
+def adaptive_step(state: TrackerState, beam: BeamParams, dt: float,
+                  noise: NoiseStep) -> TrackerState:
     """One step of the adaptive lock: diffuse, measure at the null point, feed back.
 
     The local oscillator sits at Phi = est + pi/2, so the full nonlinear
     photocurrent is I dt = 2 alpha sin(phi - est) dt + dW_shot, and the
-    estimate moves by gain * I dt / (2 alpha) with gain = ell/sigma^2 (or the
-    explicit ``gain``, needed e.g. for ell = 0).  With ``evolve_sigma2`` the
-    error variance follows :func:`variance_ode_step`; by default it is held
-    fixed (stationary-gain operation).
+    estimate moves by gain * I dt / (2 alpha) with gain = ell/sigma^2 at the
+    state's sigma^2, which is held fixed (stationary-gain operation).  This
+    scalar step is the reference that the lockstep engine is tested against.
 
     Warns when dt exceeds one-hundredth of the loop time constant.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    g = beam.ell / state.sigma2 if gain is None else gain
+    g = beam.ell / state.sigma2
     if g > 0 and g * dt > 1e-2 * (1 + 1e-9):
         warnings.warn("dt exceeds 1e-2 of the loop relaxation time", stacklevel=2)
     phi = state.phi_true + math.sqrt(beam.ell) * noise.dw_phase
     lo = state.phi_est + math.pi / 2.0
     idt = 2.0 * beam.alpha * math.cos(lo - phi) * dt + noise.dw_shot
     est = state.phi_est + g * idt / (2.0 * beam.alpha)
-    sig2 = variance_ode_step(state.sigma2, beam, dt) if evolve_sigma2 else state.sigma2
     return TrackerState(phi_true=phi, phi_est=est, lo_phase=est + math.pi / 2.0,
-                        sigma2=sig2, t=state.t + dt)
-
-
-def variance_ode_step(sigma2: float, beam: BeamParams, dt: float) -> float:
-    """Advance the error variance: diffusion growth, then inverse-variance
-    combination with the fresh-measurement variance 1/(4 alpha^2 dt).
-
-    The continuum limit is d(sigma^2)/dt = ell - 4 f sigma^4, stationary at
-    1/(2 sqrt(N)); the combined rational form is used instead of the Euler
-    step because it stays positive and stable for any dt and any starting
-    variance.
-    """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    grown = sigma2 + beam.ell * dt
-    return grown / (1.0 + 4.0 * beam.f * dt * grown)
+                        sigma2=state.sigma2, t=state.t + dt)
 
 
 # --- Monte Carlo engine -----------------------------------------------------
@@ -296,8 +256,7 @@ def _accumulate(start, rows):
     return np.cumsum(rows, axis=1, out=rows)
 
 
-def _simulate_lanes(mode, steps, burn_steps, refine, lanes, f, ell, dt, bandwidth, phi0,
-                    gain, evolve_sigma2):
+def _simulate_lanes(mode, steps, burn_steps, refine, lanes, f, ell, dt, bandwidth, phi0, gain):
     """Simulate lanes, a list of (seed, trial) pairs with per-lane f, ell, dt and
     bandwidth arrays, in lockstep; returns per-lane (mse_wrapped, mse_unwrapped,
     slips) arrays.  A lane's values depend only on its (seed, trial) and its
@@ -360,10 +319,6 @@ def _simulate_lanes(mode, steps, burn_steps, refine, lanes, f, ell, dt, bandwidt
                 for k in range(r):
                     idt = two_alpha * np.sin(p[:, k] - est) * dt + s[:, k]
                     est = np.add(est, g * idt / two_alpha, out=states[:, k])
-                    if evolve_sigma2:
-                        grown = sig2 + ell * dt
-                        sig2 = grown / (1.0 + 4.0 * f * dt * grown)
-                        g = ell / sig2 if gain is None else g
                 est_rows = states[:, :r]
             est = est_rows[:, -1].copy()
             if k0 + r > burn_steps:
@@ -376,7 +331,7 @@ def _simulate_lanes(mode, steps, burn_steps, refine, lanes, f, ell, dt, bandwidt
 def run_tracking_batch(mode: str, points, *, dt: float | None = None,
                        duration: float | None = None, burn_in: float | None = None,
                        trials: int = 200, workers: int = 1, phi0: float = 0.0,
-                       gain: float | None = None, evolve_sigma2: bool = False,
+                       gain: float | None = None,
                        noise_dt: float | None = None) -> tuple[tuple[TrackingResult, ...], ...]:
     """Ensemble steady-state tracking error at each point of one experiment.
 
@@ -404,8 +359,8 @@ def run_tracking_batch(mode: str, points, *, dt: float | None = None,
     LANE_STEP_BUDGET lane-steps, summed over all points with each lane counted
     as at least LANE_COST lane-steps.
     """
-    return _run_batch(mode, points, dt, duration, burn_in, trials, workers, phi0, gain,
-                      evolve_sigma2, noise_dt, stacklevel=3)
+    return _run_batch(mode, points, dt, duration, burn_in, trials, workers, phi0, gain, noise_dt,
+                      stacklevel=3)
 
 
 def _resolve(mode, beam, bandwidth, dt, duration, burn_in, gain, noise_dt):
@@ -434,7 +389,7 @@ def _resolve(mode, beam, bandwidth, dt, duration, burn_in, gain, noise_dt):
 
 
 def _run_batch(mode, points, dt, duration, burn_in, trials, workers, phi0, gain,
-               evolve_sigma2, noise_dt, stacklevel):
+               noise_dt, stacklevel):
     if not points or min(len(seeds) for _, seeds, _ in points) < 1 or trials < 1 \
             or workers < 1:
         raise ValueError("points, seeds, trials and workers must each number at least 1")
@@ -473,7 +428,7 @@ def _run_batch(mode, points, dt, duration, burn_in, trials, workers, phi0, gain,
                 f, ell, lane_dt, bw = np.array([(beam.f, beam.ell, c["dt"], c["bandwidth"] or 0.0)
                                                 for *_, beam, c in group]).T.copy()
                 yield (mode, *shapes[span[0]], [lane[:2] for lane in group], f, ell, lane_dt, bw,
-                       phi0, gain, evolve_sigma2)
+                       phi0, gain)
 
     if workers == 1 or sum(n_groups) == 1:
         parts = [_simulate_lanes(*g) for g in groups()]
@@ -504,12 +459,11 @@ def run_tracking(mode: str, beam: BeamParams, dt: float | None = None,
                  duration: float | None = None, burn_in: float | None = None,
                  trials: int = 200, seed: int = 0, workers: int = 1,
                  phi0: float = 0.0, bandwidth: float | None = None,
-                 gain: float | None = None, evolve_sigma2: bool = False,
-                 noise_dt: float | None = None) -> TrackingResult:
+                 gain: float | None = None, noise_dt: float | None = None) -> TrackingResult:
     """Ensemble steady-state tracking error for one configuration: the
     one-seed case of :func:`run_tracking_batch`, which documents it."""
     return _run_batch(mode, [(beam, [seed], bandwidth)], dt, duration, burn_in, trials,
-                      workers, phi0, gain, evolve_sigma2, noise_dt, stacklevel=3)[0][0]
+                      workers, phi0, gain, noise_dt, stacklevel=3)[0][0]
 
 
 def heterodyne_bandwidth_sweep(beam: BeamParams, bandwidths, trials: int = 200,

@@ -128,18 +128,14 @@ def test_decohere_concentration():
 
 
 def test_captured_mass_monotone_in_window():
-    masses = []
-    for half in [20, 200, 2000]:
-        spec = ch.LatticeSpec(delta=1.0, n_range=(1, 13), m_range=(-half, half))
-        dist = ch.decohere(5.0, spec, mass_deficit=0.5)
-        masses.append(dist.captured_mass)
+    # a smaller mass deficit grows the momentum window, and the mass with it
+    deficits = (1e-4, 1e-5, 1e-6)
+    dists = [ch.decohere(5.0, SPEC, mass_deficit=d) for d in deficits]
+    sizes = [len(dist.ms) for dist in dists]
+    masses = [dist.captured_mass for dist in dists]
+    assert sizes[0] < sizes[1] < sizes[2]
     assert masses[0] < masses[1] < masses[2] <= 1 + 1e-9
-
-
-def test_decohere_fixed_window_too_small():
-    spec = ch.LatticeSpec(delta=1.0, n_range=(6, 8), m_range=(-5, 5))
-    with pytest.raises(WindowError, match="captured"):
-        ch.decohere(5.0, spec)
+    assert all(m >= 1 - d for m, d in zip(masses, deficits))
 
 
 def test_output_amplitude_survives_channel():
@@ -204,11 +200,6 @@ def test_coherent_fidelity_diagnostic():
 def test_window_checks_and_validation():
     with pytest.raises(ValueError):
         ch.LatticeSpec(delta=0.0)
-    with pytest.raises(ValueError):
-        ch.LatticeSpec(delta=1.0, n_range=(3, 1))
-    spec = ch.LatticeSpec(delta=1.0, n_range=(0, 4), m_range=(-2, 2))
-    with pytest.raises(ValueError, match="outside window"):
-        ch.lattice_overlap(1.0, spec, 9, 0)
     with pytest.raises(ValueError):
         ch.decohere(complex(np.nan, 0.0), SPEC)
     with pytest.raises(WindowError):

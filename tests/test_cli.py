@@ -1,9 +1,13 @@
 import json
 import math
+import tempfile
 import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from laserclock.cli import main
 
@@ -67,6 +71,58 @@ def test_sidecar_rerun_reproduces_output(tmp_path):
     assert read(out1) == read(out2)
 
 
+def _flag(name, values):
+    return values.map(lambda v: [name, v if isinstance(v, str) else repr(v)])
+
+
+def _optional(name, values):
+    return st.one_of(st.just([]), _flag(name, values))
+
+
+def _joined(*parts):
+    return st.tuples(*parts).map(lambda ps: sum(ps, []))
+
+
+def _csv(values, **size):
+    return st.lists(values, min_size=1, **size).map(lambda vs: ",".join(map(repr, vs)))
+
+
+_SEED = _optional("--seed", st.integers(0, 2 ** 32 - 1))
+_CLI_RUNS = dict(
+    limits=_joined(st.just(["limits"]), _flag("--mu", st.floats(1.0, 1e12)),
+                   _optional("--parties", _csv(st.integers(1, 64), max_size=3)),
+                   st.one_of(st.just([]),
+                             _joined(_flag("--power", st.floats(1e-6, 1.0)),
+                                     _flag("--wavelength", st.floats(4e-7, 2e-6)),
+                                     _flag("--linewidth-hz", st.floats(1.0, 1e7)))),
+                   _SEED),
+    phasevar=_joined(st.just(["phasevar"]), _flag("--mu", _csv(st.floats(1.0, 100.0), max_size=3)),
+                     _optional("--grid-size", st.integers(256, 2048)), _SEED),
+    linewidth=_joined(st.just(["linewidth"]), _flag("--kappa", st.floats(0.1, 10.0)),
+                      _flag("--mu", _csv(st.floats(4.0, 10.0), max_size=2)),
+                      _optional("--truncation", st.integers(40, 56)), _SEED),
+    track=_joined(st.just(["track"]), _flag("--mode", st.sampled_from(["adaptive", "heterodyne"])),
+                  _flag("--flux", st.floats(1e2, 1e4)), _flag("--linewidth", st.floats(0.5, 2.0)),
+                  _flag("--trials", st.integers(1, 3)), _SEED),
+)
+
+
+@pytest.mark.parametrize("cmd", sorted(_CLI_RUNS))
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_sidecar_rerun_is_byte_identical(cmd, data):
+    # any valid run reproduces its CSV and its sidecar from the sidecar alone
+    argv = data.draw(_CLI_RUNS[cmd])
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        first, again = Path(tmp) / "first.csv", Path(tmp) / "again.csv"
+        assert main(argv + ["--out", str(first)]) == 0
+        sidecar = first.with_suffix(".json")
+        assert main([argv[0], "--config", str(sidecar), "--out", str(again)]) == 0
+        assert read(again) == read(first)
+        assert read(again.with_suffix(".json")) == read(sidecar)
+
+
 def test_flags_override_config_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mu": 100.0, "parties": "4"}))
@@ -75,6 +131,17 @@ def test_flags_override_config_file(tmp_path):
     row = rows_of(out)[0]
     assert float(row["mu_photons"]) == 400.0
     assert row["parties"] == "4"
+
+
+def test_config_values_take_their_flag_type(tmp_path):
+    # a config number or string is converted as the flag's text would be
+    flag = tmp_path / "flag.csv"
+    assert main(["limits", "--mu", "100", "--out", str(flag)]) == 0
+    for i, value in enumerate((100, "100")):
+        cfg, out = tmp_path / f"c{i}.json", tmp_path / f"c{i}.csv"
+        cfg.write_text(json.dumps({"mu": value}))
+        assert main(["limits", "--config", str(cfg), "--out", str(out)]) == 0
+        assert read(out) == read(flag)
 
 
 def test_sync_sweep_exponent_column(tmp_path):
@@ -173,17 +240,27 @@ def _no_noise(*args, **kwargs):
     'track --flux 1e3 --linewidth 1 --config {"trails": 5}',
     'sync --kappa 1 --mu 100 --config {"parties": "1,4", "flux": 1e3}',
     "limits --mu 100 --config [1, 2]",
+    # a config value is converted and checked as its flag's text would be
+    'limits --config {"mu": "abc"}',
+    'limits --config {"mu": [100]}',
+    'track --flux 1e3 --linewidth 1 --config {"trials": 2.5}',
+    'track --flux 1e3 --linewidth 1 --config {"mode": "balanced"}',
+    'sync --kappa 1 --mu 100 --config {"seed": true}',
+    "limits --mu 100 --config missing",  # no such file
 ])
 def test_out_of_domain_input_is_usage_error(monkeypatch, capsys, tmp_path, argv):
     monkeypatch.setattr("laserclock.tracking._noise_columns", _no_noise)
     argv, _, config = argv.partition(" --config ")
     if config:
-        (tmp_path / "c.json").write_text(config)
+        if config != "missing":
+            (tmp_path / "c.json").write_text(config)
         argv += f" --config {tmp_path / 'c.json'}"
     assert main(argv.split()) == 2
-    if config:  # the message names --config and any key that is not a flag
+    if config:  # the message names --config and the offending key or file
         err = capsys.readouterr().err
-        assert "--config" in err and all(k in err for k in ("trails", "flux") if k in config)
+        named = [k for k in ("trails", "flux", "mu", "trials", "mode", "seed") if k in config]
+        assert "--config" in err and all(k in err for k in named)
+        assert "c.json" in err or config != "missing"
 
 
 @pytest.mark.parametrize("argv", [

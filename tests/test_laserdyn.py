@@ -130,13 +130,6 @@ def test_sql_linewidth_values():
     assert ld.sql_linewidth(ld.LaserParams(kappa=6.28e8, mu=1e8)) == pytest.approx(3.14)
 
 
-def test_rotating_frame_term_is_pure_imaginary_shift():
-    params = ld.LaserParams(kappa=1.0, mu=8.0, omega=5.0)
-    L_rot = ld.build_liouvillian_sector(params, 1, 60).matrix
-    L_lab = ld.build_liouvillian_sector(params, 1, 60, include_rotating_frame=True).matrix
-    assert np.allclose(L_lab, L_rot - 1j * 5.0 * np.eye(L_rot.shape[0]))
-
-
 def test_linewidth_requires_noiseless_gain():
     bad = ld.LaserParams(kappa=1.0, mu=8.0, gain_kind="none")
     with pytest.raises(ValueError, match="noiseless"):
