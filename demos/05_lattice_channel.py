@@ -39,7 +39,7 @@ out = ch.output_mean_amplitude(dist, spec)
 print(f"\nmean amplitude after total decoherence: {out:.6f}")
 print(f"  modulus {abs(out):.6f} (input 5), phase {math.atan2(out.imag, out.real):+.6f} rad")
 print(f"  fidelity with the original coherent state: "
-      f"{ch.coherent_fidelity(dist, alpha):.3f} (a 'fair overlap')")
+      f"{ch.coherent_fidelity(dist):.3f} (a 'fair overlap')")
 
 # the channel is covariant under phase rotations up to lattice discretization
 print("\nrotation covariance (momentum lattice spacing 2 pi/Delta quantizes <p>):")

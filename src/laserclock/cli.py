@@ -133,18 +133,22 @@ def _run_linewidth(a):
     header = ["seed", "dt", "trials", "kappa_per_s", "mu_photons", "truncation",
               "linewidth_eig_rad_per_s", "linewidth_fit_rad_per_s", "methods_rel_diff",
               "hl_limit_rad_per_s", "sql_limit_rad_per_s"]
-    rows = []
+    rows, diffs, tails = [], [], []
     for params in lasers:
         trunc = fock.default_truncation(params.mu) if _auto(a.truncation) is None \
             else int(a.truncation)
         le = ld.extract_linewidth(params, trunc, method="eigenvalue")
         lf = ld.extract_linewidth(params, trunc, method="decay_fit")
+        diffs.append(abs(le.value / lf.value - 1.0))
+        tails.append(1.0 - float(ld.poisson_weights(params.mu, trunc).sum()))
         rows.append([a.seed, 0, 0, a.kappa, params.mu, trunc, le.value, lf.value,
-                     abs(le.value / lf.value - 1.0), ld.hl_linewidth(params),
-                     ld.sql_linewidth(params)])
+                     diffs[-1], ld.hl_linewidth(params), ld.sql_linewidth(params)])
     config = dict(kappa=a.kappa, mu=",".join(repr(m) for m in mus),
                   truncation=a.truncation, seed=a.seed)
-    return header, rows, config, {}
+    summary = {"max_methods_rel_diff": max(diffs),
+               "max_stationary_tail_mass": max(tails),
+               "solvers": dict(ld.LINEWIDTH_METHODS)}
+    return header, rows, config, summary
 
 
 def _run_phasevar(a):
@@ -174,7 +178,7 @@ def _run_channel(a):
     spec = ch.LatticeSpec(delta=delta)
     dist = ch.decohere(alpha, spec, mass_deficit=deficit)
     amp = ch.output_mean_amplitude(dist, spec)
-    fid = ch.coherent_fidelity(dist, alpha)
+    fid = ch.coherent_fidelity(dist)
     seed = a.seed
     header = ["seed", "dt", "trials", "delta", "alpha_mod", "alpha_arg", "n", "m",
               "q", "p", "probability", "output_amp_re", "output_amp_im",

@@ -16,6 +16,12 @@ conventional (noisy-gain) laser.  At finite mu it exceeds that asymptote:
 ell = kappa/(4 mu) (1 + 1/mu + O(1/mu^2)).  The expansion fails below
 mu ~ 8 (+66% at mu = 4); from mu = 4 up the linewidth is still below the SQL.
 
+Each quantity takes its structured route.  The stationary state is the
+Poisson closed form (detailed balance of the k = 0 chain).  The k = 1 sector
+is real and tridiagonal, and a diagonal similarity makes it symmetric, so
+its slowest eigenvalue comes from a symmetric tridiagonal eigensolve.  The
+dense matrix-exponential decay fit is kept as the independent cross-check.
+
 Everything is computed in the frame rotating at the optical frequency, so
 the optical frequency never enters: the lab-frame term -i omega [a^dag a, rho]
 would only shift sector-k eigenvalues by -i omega k, leaving every decay rate
@@ -28,7 +34,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig, expm
+from scipy.linalg import eigh_tridiagonal, expm
 from scipy.special import gammaln
 
 from .errors import LinewidthFitError
@@ -49,7 +55,8 @@ __all__ = [
 ]
 
 GAIN_KINDS = ("noiseless", "none")
-LINEWIDTH_METHODS = ("eigenvalue", "decay_fit")
+# linewidth method -> the scipy.linalg routine that does its numerical work
+LINEWIDTH_METHODS = {"eigenvalue": "eigh_tridiagonal", "decay_fit": "expm"}
 
 
 @dataclass(frozen=True)
@@ -121,7 +128,8 @@ def build_liouvillian_sector(params: LaserParams, sector_offset: int,
     The noiseless gain, written as a dissipator of the raising isometry
     truncated at the top state (which keeps every sector exactly
     trace-consistent), contributes kappa*mu * [x_{n-1} - x_n] away from the
-    boundary.
+    boundary.  No term carries a phase in the rotating frame, so the matrix
+    is real (``float``) and tridiagonal.
 
     Raises
     ------
@@ -135,7 +143,7 @@ def build_liouvillian_sector(params: LaserParams, sector_offset: int,
     kappa, mu = params.kappa, params.mu
     dim = truncation - k + 1
     n = np.arange(dim)
-    L = np.zeros((dim, dim), dtype=complex)
+    L = np.zeros((dim, dim))
     # loss kappa (a rho a^dag - {a^dag a, rho}/2)
     L[n[:-1], n[:-1] + 1] += kappa * np.sqrt((n[:-1] + 1.0) * (n[:-1] + k + 1.0))
     L[n, n] -= kappa * (n + k / 2.0)
@@ -175,32 +183,24 @@ def full_liouvillian(params: LaserParams, truncation: int) -> np.ndarray:
 
 
 def stationary_state(params: LaserParams, truncation: int) -> DensityOperator:
-    """Stationary state of the noiseless-gain laser: the k=0 null vector.
+    """Stationary state of the noiseless-gain laser: Poisson(mu) over 0..truncation.
 
-    Solves L_0 p = 0 with the trace constraint appended; the result is
-    diagonal, equal to the Poisson(mu) number distribution up to the
-    truncated tail (detailed balance kappa*mu*P(n) = kappa*(n+1)*P(n+1)).
+    The k=0 sector is a birth-death chain on 0..truncation (birth kappa*mu
+    below the top state, death kappa*n), so detailed balance
+    kappa*mu*P(n) = kappa*(n+1)*P(n+1) fixes its null vector exactly: the
+    Poisson weights, normalized over the retained states.  The result is
+    diagonal.
 
     Raises
     ------
     ValueError
-        If gain_kind is not "noiseless", or the solve indicates the
-        truncation is too small.
+        If gain_kind is not "noiseless", or the truncation leaves stationary
+        tail mass above 1e-9.
     """
     if params.gain_kind != "noiseless":
         raise ValueError("stationary state requires gain_kind='noiseless'")
-    L0 = build_liouvillian_sector(params, 0, truncation).matrix.real
-    A = np.vstack([L0, np.ones(truncation + 1)])
-    b = np.zeros(truncation + 2)
-    b[-1] = 1.0
-    p, *_ = np.linalg.lstsq(A, b, rcond=None)
-    resid = float(np.max(np.abs(L0 @ p)))
-    if resid > 1e-9 or p.min() < -1e-12:
-        raise ValueError(
-            f"k=0 null-space solve ill-conditioned (residual {resid:.2e}); "
-            "truncation too small"
-        )
-    p = np.maximum(p, 0.0)
+    _check_truncation(params, truncation)
+    p = poisson_weights(params.mu, truncation)
     p /= p.sum()
     return DensityOperator(truncation=truncation, matrix=np.diag(p).astype(complex))
 
@@ -208,10 +208,8 @@ def stationary_state(params: LaserParams, truncation: int) -> DensityOperator:
 def _coherence_amplitude(params: LaserParams, truncation: int):
     """Initial k=1 sector vector a*rho_ss and the trace-out weights for Tr(a^dag X)."""
     p = stationary_state(params, truncation).populations()
-    n = np.arange(truncation)
-    x0 = np.sqrt(n + 1.0) * p[1:]
-    weights = np.sqrt(n + 1.0)
-    return x0.astype(complex), weights
+    weights = np.sqrt(np.arange(1.0, truncation + 1))
+    return weights * p[1:], weights
 
 
 def extract_linewidth(
@@ -222,14 +220,24 @@ def extract_linewidth(
     """FWHM linewidth of the noiseless-gain laser from the k=1 sector.
 
     method="eigenvalue"
-        ell = -2 Re(lambda_1), lambda_1 the k=1 eigenvalue of smallest
-        |Re|; the first-order coherence decays asymptotically as
-        e^{lambda_1 t} and the spectrum is Lorentzian with FWHM ell.
+        ell = -2 lambda_1, lambda_1 the k=1 eigenvalue closest to zero; the
+        first-order coherence decays asymptotically as e^{lambda_1 t} and the
+        spectrum is Lorentzian with FWHM ell.  The real tridiagonal sector
+        has diagonal d_n, gain sub-diagonal c = kappa*mu and loss
+        super-diagonal b_n = kappa*sqrt((n+1)(n+2)).  Every product
+        b_n c is positive, so the diagonal similarity D with
+        D_{n+1}/D_n = sqrt(c/b_n) turns it into the symmetric tridiagonal
+        matrix with diagonal d_n and off-diagonal sqrt(b_n c).  Its
+        eigenvalues are those of the sector, hence real (and negative, as
+        every coherence decays), and lambda_1 is the largest of them, taken
+        alone by ``scipy.linalg.eigh_tridiagonal`` (bisection).
     method="decay_fit"
         Evolve X(0) = a rho_ss under the k=1 generator by repeated
-        short-time propagators and fit the exponential decay rate r of
+        short-time dense propagators (``scipy.linalg.expm``, real
+        arithmetic) and fit the exponential decay rate r of
         |Tr(a^dag X(t))| over two slow e-folds (after the fast transients
-        have died); ell = 2 r.
+        have died); ell = 2 r.  An independent cross-check of the
+        eigenvalue route.
 
     Raises
     ------
@@ -239,12 +247,14 @@ def extract_linewidth(
     if params.gain_kind != "noiseless":
         raise ValueError("linewidth extraction requires gain_kind='noiseless'")
     if method not in LINEWIDTH_METHODS:
-        raise ValueError(f"method must be one of {LINEWIDTH_METHODS}")
+        raise ValueError(f"method must be one of {tuple(LINEWIDTH_METHODS)}")
     L1 = build_liouvillian_sector(params, 1, truncation).matrix
     if method == "eigenvalue":
-        vals = eig(L1, right=False)
-        lam1 = vals[np.argmin(np.abs(vals.real))]
-        return LinewidthEstimate(value=float(-2.0 * lam1.real), method=method,
+        off = np.sqrt(np.diag(L1, 1) * np.diag(L1, -1))
+        top = len(L1) - 1
+        lam1 = eigh_tridiagonal(np.diag(L1), off, eigvals_only=True,
+                                select="i", select_range=(top, top))[0]
+        return LinewidthEstimate(value=float(-2.0 * lam1), method=method,
                                  truncation=truncation)
 
     x, w = _coherence_amplitude(params, truncation)

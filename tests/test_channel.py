@@ -43,10 +43,42 @@ def test_quadrature_matches_closed_form(alpha, nm):
     alpha = complex(alpha)
     n, m = nm
     c_quad = ch.lattice_overlap(alpha, SPEC, n, m)
-    c_closed = complex(ch._overlap_closed(alpha, 1.0, n, m))
+    c_closed = complex(ch._overlap_closed(alpha, 1.0, np.array([n]), np.array([m]))[0, 0])
     c_erf = overlap_erf_oracle(alpha, 1.0, n, m)
     assert abs(c_quad - c_closed) < 1e-10
     assert abs(c_quad - c_erf) < 1e-10
+
+
+def per_box_overlap(alpha, delta, ns, ms):
+    """Oracle: _scaled_erf evaluated at both edges of every box separately."""
+    qb, pb = math.sqrt(2) * alpha.real, math.sqrt(2) * alpha.imag
+    dlt = pb - 2 * np.pi * ms.astype(float) / delta
+    nn = ns.astype(float)[:, None]
+    ua = (delta * nn - delta / 2 - qb) / math.sqrt(2)
+    ub = (delta * nn + delta / 2 - qb) / math.sqrt(2)
+    s = (dlt / math.sqrt(2))[None, :]
+    E = ch._scaled_erf(ub, s) - ch._scaled_erf(ua, s)
+    return (np.pi ** 0.25 / math.sqrt(2 * delta)) * np.exp(1j * dlt * qb - 1j * qb * pb / 2) * E
+
+
+@pytest.mark.parametrize("alpha, delta, shared", [
+    (5.0, 1.0, "all"),
+    (5.0 * np.exp(0.9272952180016122j), 1.7, "some"),
+    (10.0 * np.exp(0.3j), 0.8, "some"),
+])
+def test_overlap_grid_shares_edges_bitwise(alpha, delta, shared):
+    alpha = complex(alpha)
+    ns = np.arange(-3, 25)
+    ms = np.arange(-700, 701)
+    # box n's right edge is box n+1's left edge as a float at delta = 1
+    # always, at 1.7 and 0.8 only for some n
+    right = delta * ns[:-1] + delta / 2
+    left = delta * ns[1:] - delta / 2
+    n_shared = int(np.sum(right == left))
+    assert n_shared == len(ns) - 1 if shared == "all" else 0 < n_shared < len(ns) - 1
+    got = ch._overlap_closed(alpha, delta, ns, ms)
+    assert got.shape == (len(ns), len(ms))
+    assert got.tobytes() == per_box_overlap(alpha, delta, ns, ms).tobytes()
 
 
 def test_overlap_global_phase_convention_invariance():
@@ -189,12 +221,22 @@ def test_rotated_output_phase_frozen_value():
 
 def test_coherent_fidelity_diagnostic():
     dist = ch.decohere(5.0, SPEC)
-    fid = ch.coherent_fidelity(dist, 5.0)
+    fid = ch.coherent_fidelity(dist)
     assert 0.0 < fid <= 1.0
     # "fair overlap" with the nearest coherent state: 0.356 at alpha=5, Delta=1
     assert fid == pytest.approx(0.35613, abs=5e-4)
     # rotating the probe away drops the overlap
-    assert ch.coherent_fidelity(dist, 5.0 * np.exp(1j * 0.5)) < fid / 3
+    rotated = np.abs(ch._overlap_closed(5.0 * np.exp(1j * 0.5), 1.0, dist.ns, dist.ms)) ** 2
+    assert np.sum(dist.probabilities * rotated) < fid / 3
+
+
+@pytest.mark.parametrize("alpha, delta", [(5.0, 1.0), (3 + 4j, 1.0), (3 + 4j, 1.7),
+                                          (10 * np.exp(0.3j), 0.8)])
+def test_coherent_fidelity_is_overlap_with_the_input(alpha, delta):
+    # sum P |<n,m|alpha>|^2 with the overlap recomputed at the input alpha
+    dist = ch.decohere(alpha, ch.LatticeSpec(delta=delta), mass_deficit=1e-4)
+    overlap = np.abs(ch._overlap_closed(complex(alpha), delta, dist.ns, dist.ms)) ** 2
+    assert ch.coherent_fidelity(dist) == float(np.sum(dist.probabilities * overlap))
 
 
 def test_window_checks_and_validation():
@@ -202,5 +244,12 @@ def test_window_checks_and_validation():
         ch.LatticeSpec(delta=0.0)
     with pytest.raises(ValueError):
         ch.decohere(complex(np.nan, 0.0), SPEC)
-    with pytest.raises(WindowError):
+    # the first size estimate already jumps past the cap, so the message
+    # names the one window evaluated (1025 points) and the estimate
+    with pytest.raises(WindowError) as info:
         ch.decohere(5.0, SPEC, mass_deficit=1e-12)
+    msg = str(info.value)
+    assert "last window evaluated had 1025 points and captured mass 0.999956302" in msg
+    needed = int(msg.split(" needs about ")[1].split()[0])
+    assert needed > 2 ** 21 + 1
+    assert f"more than the {2 ** 21 + 1} allowed" in msg

@@ -342,3 +342,7 @@ def test_linewidth_subcommand(tmp_path):
         assert float(r["methods_rel_diff"]) < 0.02
     assert float(rows[0]["linewidth_eig_rad_per_s"]) == pytest.approx(0.03712959, rel=1e-4)
     assert float(rows[0]["sql_limit_rad_per_s"]) == pytest.approx(1 / 16)
+    results = json.loads((tmp_path / "lw.json").read_text())["results"]
+    assert results["max_methods_rel_diff"] == max(float(r["methods_rel_diff"]) for r in rows)
+    assert abs(results["max_stationary_tail_mass"]) <= 1e-12
+    assert results["solvers"] == {"eigenvalue": "eigh_tridiagonal", "decay_fit": "expm"}

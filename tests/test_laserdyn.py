@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import eig, expm
 
 from laserclock import fock, laserdyn as ld
+
+EPS = np.finfo(float).eps
 
 
 def detailed_balance_poisson(mu, trunc):
@@ -12,6 +17,24 @@ def detailed_balance_poisson(mu, trunc):
     for n in range(trunc):
         p[n + 1] = p[n] * mu / (n + 1)
     return p / p.sum()
+
+
+def lstsq_stationary_populations(params, trunc):
+    # oracle: the k=0 null vector by least squares, the trace constraint
+    # appended as an extra row
+    L0 = ld.build_liouvillian_sector(params, 0, trunc).matrix
+    A = np.vstack([L0, np.ones(trunc + 1)])
+    b = np.zeros(trunc + 2)
+    b[-1] = 1.0
+    p, *_ = np.linalg.lstsq(A, b, rcond=None)
+    return p
+
+
+def smallest_accepted_truncation(mu):
+    trunc = 2
+    while 1.0 - ld.poisson_weights(mu, trunc).sum() > 1e-9:
+        trunc += 1
+    return trunc
 
 
 def test_pure_loss_sector0_trace_preserving():
@@ -56,6 +79,26 @@ def test_stationary_detailed_balance_invariant():
                          - params.kappa * (n + 1) * p[1:])) < 1e-10
 
 
+@pytest.mark.parametrize("mu", [0.5, 3.0, 8.0, 30.0, 100.0, 250.0])
+def test_stationary_closed_form_matches_lstsq_oracle(mu):
+    # at the smallest truncation the tail check accepts, the Poisson tail is
+    # 1.7e-10 to 9.9e-10, so the normalization over 0..T moves the weights by
+    # 2.5e-11 or more: far above the 1e-12 asserted here
+    params = ld.LaserParams(kappa=1.7, mu=mu)
+    trunc = smallest_accepted_truncation(mu)
+    p = ld.stationary_state(params, trunc).populations()
+    assert np.max(np.abs(p - lstsq_stationary_populations(params, trunc))) <= 1e-12
+    assert abs(p.sum() - 1.0) <= 4 * EPS
+    # detailed balance kappa mu P(n) = kappa (n+1) P(n+1) on every link, to
+    # the rounding of the log-space exponent -mu + n log mu - lgamma(n+1),
+    # whose absolute error is a few eps times the size of its terms
+    n = np.arange(trunc)
+    gain = params.kappa * params.mu * p[:-1]
+    loss = params.kappa * (n + 1) * p[1:]
+    scale = mu + trunc * abs(math.log(mu)) + math.lgamma(trunc + 1)
+    assert np.max(np.abs(gain - loss)) <= 4 * EPS * scale * gain.max()
+
+
 def test_stationary_requires_noiseless_gain():
     with pytest.raises(ValueError):
         ld.stationary_state(ld.LaserParams(kappa=1.0, mu=8.0, gain_kind="none"), 60)
@@ -94,6 +137,32 @@ def test_linewidth_mu8ts_frozen_value():
     params = ld.LaserParams(kappa=1.0, mu=8.0)
     est = ld.extract_linewidth(params, 60)
     assert est.value == pytest.approx(0.03712959, rel=1e-5)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mu=st.floats(0.5, 64.0), kappa=st.floats(0.1, 10.0))
+def test_tridiagonal_eigenvalue_matches_dense_eig(mu, kappa):
+    # Both routes are backward stable: each returns an exact eigenvalue of a
+    # matrix within a small multiple of eps*||L1|| of the sector.  The
+    # symmetric tridiagonal solve has eigenvalue condition number 1; the
+    # dense nonsymmetric eig multiplies its backward error by cond(lambda_1)
+    # (2 to 6 over this range), computed here from its left and right
+    # eigenvectors.  So |delta lambda|/|lambda_1| <= c (1 + cond) eps
+    # ||L1|| / |lambda_1|, with the stated safety factor c = 10 for the
+    # backward-error constants of the two solvers.
+    params = ld.LaserParams(kappa=kappa, mu=mu)
+    trunc = fock.default_truncation(mu)
+    L1 = ld.build_liouvillian_sector(params, 1, trunc).matrix
+    w, vl, vr = eig(L1, left=True, right=True)
+    i = int(np.argmax(w.real))
+    x, y = vr[:, i], vl[:, i]
+    cond = np.linalg.norm(x) * np.linalg.norm(y) / abs(np.vdot(y, x))
+    lam_dense = w[i].real
+    lam = -ld.extract_linewidth(params, trunc, "eigenvalue").value / 2
+    assert lam < 0
+    rel_bound = 10 * (1 + cond) * EPS * np.linalg.norm(L1, 2) / abs(lam_dense)
+    assert abs(lam / lam_dense - 1) <= rel_bound
+    assert abs(w[i].imag) <= rel_bound * abs(lam_dense)
 
 
 def test_linewidth_methods_agree():
