@@ -15,24 +15,25 @@ import numpy as np
 
 from laserclock import tracking as tr
 
-# one visible trajectory, driven step by step through the public operations
+# one visible trajectory: the beam phase diffuses, the photocurrent is read
+# at the null point Phi = est + pi/2 and fed back with gain ell/sigma^2
 beam = tr.BeamParams(f=1e3, ell=1.0)
-dt = tr.auto_dt(beam)
+dt = 1e-2 * tr.loop_time_constant(beam, "adaptive")
+sigma2 = tr.adaptive_mse_limit(beam.N)  # stationary error variance
+sqdt = math.sqrt(dt)
 rng_phase = np.random.default_rng(1)
 rng_shot = np.random.default_rng(2)
-state = tr.TrackerState(phi_true=0.0, phi_est=0.0, lo_phase=np.pi / 2,
-                        sigma2=beam.stationary_sigma2())
-ts, truth, est = [], [], []
-for _ in range(4000):
-    noise = tr.NoiseStep(dw_phase=rng_phase.standard_normal() * math.sqrt(dt),
-                         dw_shot=rng_shot.standard_normal() * math.sqrt(dt))
-    state = tr.adaptive_step(state, beam, dt, noise)
-    ts.append(state.t)
-    truth.append(state.phi_true)
-    est.append(state.phi_est)
+phi = phi_est = 0.0
+ts, truth, est = dt * np.arange(1, 4001), [], []
+for _ in ts:
+    phi += math.sqrt(beam.ell) * rng_phase.standard_normal() * sqdt
+    idt = 2 * beam.alpha * math.sin(phi - phi_est) * dt + rng_shot.standard_normal() * sqdt
+    phi_est += beam.ell / sigma2 * idt / (2 * beam.alpha)
+    truth.append(phi)
+    est.append(phi_est)
 err = np.array(truth) - np.array(est)
 print(f"single trajectory over {ts[-1]:.2f} s: rms error {np.sqrt(np.mean(err**2)):.4f} rad "
-      f"(stationary prediction {math.sqrt(beam.stationary_sigma2()):.4f})")
+      f"(stationary prediction {math.sqrt(sigma2):.4f})")
 
 try:
     import matplotlib
@@ -65,8 +66,10 @@ print(f"adaptive/heterodyne at N=1e4: {ra.mse_wrapped / rh.mse_wrapped:.3f}"
 beam = tr.BeamParams(f=1e3, ell=1.0)
 lam_star = tr.optimal_bandwidth(beam)
 print(f"\nbandwidth sweep at N={beam.N:.0f} (optimum sqrt(2 f ell) = {lam_star:.1f}):")
-for lam, res in tr.heterodyne_bandwidth_sweep(
-        beam, lam_star * np.logspace(-0.5, 0.5, 5), trials=100, seed=3):
+grid = [float(lam) for lam in lam_star * np.logspace(-0.5, 0.5, 5)]
+batch = tr.run_tracking_batch("heterodyne", [(beam, [tr.derive_seed(3, i)], lam)
+                                             for i, lam in enumerate(grid)], trials=100)
+for lam, (res,) in zip(grid, batch):
     marker = " <- optimum" if abs(lam - lam_star) < 1e-9 else ""
     print(f"  lambda={lam:7.1f}: mse={res.mse_wrapped:.5e} "
           f"(lag+noise model {beam.ell/(2*lam)+lam/(4*beam.f):.5e}){marker}")

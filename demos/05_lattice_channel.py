@@ -15,14 +15,10 @@ from laserclock.errors import WindowError
 
 spec = ch.LatticeSpec(delta=1.0)
 
-# the lattice really is orthonormal
-print(f"orthonormality defect over a 5x5 window: "
-      f"{ch.orthonormality_defect(spec):.1e}")
-
 # push |alpha = 5> through the channel
 alpha = 5.0
 dist = ch.decohere(alpha, spec)
-print(f"\ndecohere alpha={alpha}: window {len(dist.ns)} x {len(dist.ms)} lattice states, "
+print(f"decohere alpha={alpha}: window {len(dist.ns)} x {len(dist.ms)} lattice states, "
       f"captured mass {dist.captured_mass:.9f}")
 print(f"most likely lattice state: (n, m) = {dist.argmax()}  "
       f"[q_bar = sqrt(2)*5 = {math.sqrt(2)*5:.2f}]")

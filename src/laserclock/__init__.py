@@ -1,7 +1,8 @@
 """laserclock: quantum limits of a laser used as a shared clock.
 
-Subpackages
------------
+Each module holds only the production route to its quantities; the general
+numerics that cross-check them are test oracles (tests/oracles.py).
+
 fock
     Truncated Fock-space states, canonical phase distributions, wrapped
     phase variances, optimal-cloning variance.

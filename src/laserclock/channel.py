@@ -20,8 +20,8 @@ Overlaps fall off only as 1/p_m^2 in probability (the boxcar edges), so
 capturing all but 1e-6 of the mass needs momentum windows of order 1e4
 points; ``decohere`` sizes that window itself for the requested mass and
 evaluates the overlap integral over it in closed form (stably, via the
-Faddeeva function), while :func:`lattice_overlap` exposes the direct
-adaptive-quadrature route the tests check it against.  The same
+Faddeeva function).  The tests check that closed form, and the lattice's
+orthonormality, against adaptive quadrature of the boxcar integrals.  The same
 sharp edges make every p-moment of a single lattice state diverge (its
 momentum density only decays as p^-2); the channel output's mean amplitude
 stays finite because the lattice-point momenta enter weighted by the 1/p_m^2
@@ -35,18 +35,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import dawsn, erf, erfcinv, wofz
 
-from .errors import QuadratureError, WindowError
+from .errors import WindowError
 
 __all__ = [
     "LatticeSpec",
     "LatticeDistribution",
-    "lattice_overlap",
-    "lattice_mean_amplitude",
-    "lattice_state_overlap",
-    "orthonormality_defect",
     "decohere",
     "output_mean_amplitude",
     "coherent_fidelity",
@@ -104,11 +99,6 @@ def _coherent_qp(alpha: complex):
     return math.sqrt(2) * alpha.real, math.sqrt(2) * alpha.imag
 
 
-def _coherent_wavefunction(q, alpha: complex):
-    qb, pb = _coherent_qp(alpha)
-    return np.pi ** -0.25 * np.exp(-(q - qb) ** 2 / 2 + 1j * pb * q - 1j * qb * pb / 2)
-
-
 def _scaled_erf(u, s):
     """e^{-s^2} erf(u - i s) without overflow, for real arrays u, s.
 
@@ -154,74 +144,6 @@ def _overlap_closed(alpha: complex, delta: float, ns, ms):
     E -= F[at[:len(nn)]]
     pref = (np.pi ** 0.25 / math.sqrt(2 * delta)) * np.exp(1j * dlt * qb - 1j * qb * pb / 2)
     return np.multiply(pref, E, out=E)
-
-
-def _quad_complex(fun, a, b, epsabs=1e-12):
-    re, re_err = quad(lambda q: fun(q).real, a, b, epsabs=epsabs, epsrel=0.0, limit=400)[:2]
-    im, im_err = quad(lambda q: fun(q).imag, a, b, epsabs=epsabs, epsrel=0.0, limit=400)[:2]
-    if max(re_err, im_err) > 1e-10:
-        raise QuadratureError(
-            f"overlap quadrature error estimate {max(re_err, im_err):.2e} above 1e-10"
-        )
-    return re + 1j * im
-
-
-def lattice_overlap(alpha: complex, spec: LatticeSpec, n: int, m: int) -> complex:
-    """<q_n, p_m | alpha> by adaptive quadrature of the boxcar integral.
-
-        Delta^{-1/2} * int_{q_n - Delta/2}^{q_n + Delta/2}
-            exp(-i q p_m) psi_alpha(q) dq
-
-    converged to 1e-10 absolute.  Single-pair reference implementation; the
-    channel operation itself uses the equivalent closed form.
-
-    Raises
-    ------
-    QuadratureError
-        If the integrator cannot certify 1e-10 accuracy.
-    """
-    alpha = complex(alpha)
-    if not (np.isfinite(alpha.real) and np.isfinite(alpha.imag)):
-        raise ValueError("alpha must be finite")
-    p = 2 * np.pi * m / spec.delta
-    a = spec.delta * n - spec.delta / 2
-    b = spec.delta * n + spec.delta / 2
-    val = _quad_complex(lambda q: np.exp(-1j * q * p) * _coherent_wavefunction(q, alpha), a, b)
-    return val / math.sqrt(spec.delta)
-
-
-def lattice_mean_amplitude(spec: LatticeSpec, n: int, m: int) -> complex:
-    """Mean coherent amplitude (q_n + i p_m)/sqrt(2) of lattice state (n, m)."""
-    return (spec.delta * n + 2j * np.pi * m / spec.delta) / math.sqrt(2)
-
-
-def lattice_state_overlap(spec: LatticeSpec, nm1: tuple, nm2: tuple) -> complex:
-    """<q_n1, p_m1 | q_n2, p_m2> by quadrature over the support intersection.
-
-    Distinct n means disjoint boxes, hence exactly zero; equal n reduces to the
-    boxcar Fourier integral, which is delta_{m1 m2}.
-    """
-    (n1, m1), (n2, m2) = nm1, nm2
-    if n1 != n2:
-        return 0.0 + 0.0j
-    dp = 2 * np.pi * (m2 - m1) / spec.delta
-    a = spec.delta * n1 - spec.delta / 2
-    b = spec.delta * n1 + spec.delta / 2
-    return _quad_complex(lambda q: np.exp(1j * q * dp) + 0j, a, b) / spec.delta
-
-
-def orthonormality_defect(spec: LatticeSpec, n_span: int = 2, m_span: int = 2) -> float:
-    """Max elementwise deviation of the lattice Gram matrix from the identity,
-    over the window |n| <= n_span, |m| <= m_span (quadrature route)."""
-    states = [(n, m) for n in range(-n_span, n_span + 1)
-              for m in range(-m_span, m_span + 1)]
-    worst = 0.0
-    for i, s1 in enumerate(states):
-        for s2 in states[i:]:
-            g = lattice_state_overlap(spec, s1, s2)
-            target = 1.0 if s1 == s2 else 0.0
-            worst = max(worst, abs(g - target))
-    return worst
 
 
 def _window_masses(alpha, delta, ns):

@@ -9,9 +9,5 @@ class LinewidthFitError(NumericalCheckError):
     """Coherence decay was not exponential to within the fit tolerance."""
 
 
-class QuadratureError(NumericalCheckError):
-    """An overlap integral did not converge to the requested accuracy."""
-
-
 class WindowError(NumericalCheckError):
     """A lattice window did not capture the requested probability mass."""

@@ -21,6 +21,9 @@ Poisson closed form (detailed balance of the k = 0 chain).  The k = 1 sector
 is real and tridiagonal, and a diagonal similarity makes it symmetric, so
 its slowest eigenvalue comes from a symmetric tridiagonal eigensolve.  The
 dense matrix-exponential decay fit is kept as the independent cross-check.
+The general routes (the dense (T+1)^2 x (T+1)^2 superoperator, a
+least-squares null vector, the pure-loss sectors) live in the tests, which
+hold the sectors and the stationary state to them.
 
 Everything is computed in the frame rotating at the optical frequency, so
 the optical frequency never enters: the lab-frame term -i omega [a^dag a, rho]
@@ -46,7 +49,6 @@ __all__ = [
     "LinewidthEstimate",
     "poisson_weights",
     "build_liouvillian_sector",
-    "full_liouvillian",
     "stationary_state",
     "extract_linewidth",
     "sql_linewidth",
@@ -54,27 +56,23 @@ __all__ = [
     "loss_only_variance_growth",
 ]
 
-GAIN_KINDS = ("noiseless", "none")
 # linewidth method -> the scipy.linalg routine that does its numerical work
 LINEWIDTH_METHODS = {"eigenvalue": "eigh_tridiagonal", "decay_fit": "expm"}
 
 
 @dataclass(frozen=True)
 class LaserParams:
-    """Source laser: cavity decay rate kappa (1/s), mean photon number mu and
-    gain kind ("noiseless" or "none")."""
+    """Source laser with noiseless gain: cavity decay rate kappa (1/s) and
+    mean photon number mu."""
 
     kappa: float
     mu: float
-    gain_kind: str = "noiseless"
 
     def __post_init__(self):
         if not 0 < self.kappa < np.inf:
             raise ValueError("kappa must be positive and finite")
         if not 0 < self.mu < np.inf:
             raise ValueError("mu must be positive and finite")
-        if self.gain_kind not in GAIN_KINDS:
-            raise ValueError(f"gain_kind must be one of {GAIN_KINDS}")
 
 
 @dataclass(frozen=True)
@@ -112,12 +110,11 @@ def _check_truncation(params: LaserParams, truncation: int) -> None:
         raise ValueError("truncation must be >= 2")
     if truncation > 512:
         raise ValueError("dense sector solvers are capped at truncation 512")
-    if params.gain_kind == "noiseless":
-        tail = 1.0 - float(poisson_weights(params.mu, truncation).sum())
-        if tail > 1e-9:
-            raise ValueError(
-                f"truncation {truncation} too small: stationary tail mass {tail:.2e} > 1e-9"
-            )
+    tail = 1.0 - float(poisson_weights(params.mu, truncation).sum())
+    if tail > 1e-9:
+        raise ValueError(
+            f"truncation {truncation} too small: stationary tail mass {tail:.2e} > 1e-9"
+        )
 
 
 def build_liouvillian_sector(params: LaserParams, sector_offset: int,
@@ -147,39 +144,10 @@ def build_liouvillian_sector(params: LaserParams, sector_offset: int,
     # loss kappa (a rho a^dag - {a^dag a, rho}/2)
     L[n[:-1], n[:-1] + 1] += kappa * np.sqrt((n[:-1] + 1.0) * (n[:-1] + k + 1.0))
     L[n, n] -= kappa * (n + k / 2.0)
-    if params.gain_kind == "noiseless":
-        L[n[1:], n[1:] - 1] += kappa * mu
-        L[n, n] -= kappa * mu * ((n <= truncation - 1).astype(float)
-                                 + (n + k <= truncation - 1).astype(float)) / 2.0
+    L[n[1:], n[1:] - 1] += kappa * mu
+    L[n, n] -= kappa * mu * ((n <= truncation - 1).astype(float)
+                             + (n + k <= truncation - 1).astype(float)) / 2.0
     return LiouvillianSector(sector_offset=k, matrix=L)
-
-
-def full_liouvillian(params: LaserParams, truncation: int) -> np.ndarray:
-    """Dense superoperator on row-major vectorized rho, for small truncations.
-
-    Diagnostic companion to :func:`build_liouvillian_sector`: applying it to a
-    basis matrix E_{n, n+k} must give support only on offset k, and the
-    extracted blocks must equal the sector matrices.  Dimension grows as
-    (truncation+1)^4, so the truncation is capped at 64.
-    """
-    if truncation > 64:
-        raise ValueError("full superoperator capped at truncation 64")
-    _check_truncation(params, truncation)
-    d = truncation + 1
-    a = np.diag(np.sqrt(np.arange(1.0, d)), k=1).astype(complex)
-    I = np.eye(d, dtype=complex)
-
-    def dissipator(c, rate):
-        cd = c.conj().T
-        cdc = cd @ c
-        # row-major vec: vec(L X R) = (L kron R^T) vec(X)
-        return rate * (np.kron(c, cd.T) - 0.5 * np.kron(cdc, I) - 0.5 * np.kron(I, cdc.T))
-
-    L = dissipator(a, params.kappa)
-    if params.gain_kind == "noiseless":
-        raise_iso = np.diag(np.ones(d - 1), k=-1).astype(complex)
-        L = L + dissipator(raise_iso, params.kappa * params.mu)
-    return L
 
 
 def stationary_state(params: LaserParams, truncation: int) -> DensityOperator:
@@ -194,22 +162,12 @@ def stationary_state(params: LaserParams, truncation: int) -> DensityOperator:
     Raises
     ------
     ValueError
-        If gain_kind is not "noiseless", or the truncation leaves stationary
-        tail mass above 1e-9.
+        If the truncation leaves stationary tail mass above 1e-9.
     """
-    if params.gain_kind != "noiseless":
-        raise ValueError("stationary state requires gain_kind='noiseless'")
     _check_truncation(params, truncation)
     p = poisson_weights(params.mu, truncation)
     p /= p.sum()
     return DensityOperator(truncation=truncation, matrix=np.diag(p).astype(complex))
-
-
-def _coherence_amplitude(params: LaserParams, truncation: int):
-    """Initial k=1 sector vector a*rho_ss and the trace-out weights for Tr(a^dag X)."""
-    p = stationary_state(params, truncation).populations()
-    weights = np.sqrt(np.arange(1.0, truncation + 1))
-    return weights * p[1:], weights
 
 
 def extract_linewidth(
@@ -244,8 +202,6 @@ def extract_linewidth(
     LinewidthFitError
         If the decay-fit residual shows the decay is not exponential.
     """
-    if params.gain_kind != "noiseless":
-        raise ValueError("linewidth extraction requires gain_kind='noiseless'")
     if method not in LINEWIDTH_METHODS:
         raise ValueError(f"method must be one of {tuple(LINEWIDTH_METHODS)}")
     L1 = build_liouvillian_sector(params, 1, truncation).matrix
@@ -257,7 +213,9 @@ def extract_linewidth(
         return LinewidthEstimate(value=float(-2.0 * lam1), method=method,
                                  truncation=truncation)
 
-    x, w = _coherence_amplitude(params, truncation)
+    # X(0) = a rho_ss in the k=1 sector; w are the weights of Tr(a^dag X)
+    w = np.sqrt(np.arange(1.0, truncation + 1))
+    x = w * stationary_state(params, truncation).populations()[1:]
     kappa, mu = params.kappa, params.mu
     # fast transients decay at O(kappa); the slow mode at ~kappa/(8 mu)
     t_start = 8.0 / kappa

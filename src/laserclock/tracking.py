@@ -19,22 +19,25 @@ Two estimators are provided:
   at lambda = sqrt(2 f ell), where the error is 1/sqrt(2N) -- worse than
   adaptive by sqrt(2).
 
-Monte Carlo runs advance lanes, the trials of one or more seeds, in lockstep
-groups of at most LANE_GROUP lanes.  One batch runs every point (beam, seeds,
-bandwidth) of an experiment; consecutive points of one shape (steps, burn-in
-steps, noise refinement) share groups, each lane carrying its own f, ell, dt
-and bandwidth.  Every lane owns two Gaussian increment streams (phase and shot
-noise) seeded [seed, trial, 0|1], drawn in place in blocks of
-NOISE_BLOCK // (group lanes) draws a stream.  The tracking errors are observed in
-chunks of OBS_CHUNK steps: the wrap, the squared sums (still added one step at
-a time, in step order) and the cycle-slip count run once per chunk, with the
-modulo and the winding number evaluated only where they can differ from the
-identity and from 0.  So neither the other lanes, the block or chunk length
-nor the worker count can change any result.  Passing ``noise_dt`` draws the
-increments on a finer grid and sums them per step, which lets two runs at
-different dt share identical Wiener paths for time-step convergence checks.
-A batch is refused before any noise is drawn when it comes to over 2**30
-lane-steps, with each lane counted as at least LANE_COST of them.
+The lockstep kernel below is the one stepping route; the tests hold it to
+scalar one-step filters of both estimators.  Monte Carlo runs advance lanes,
+the trials of one or more seeds, in lockstep groups of at most LANE_GROUP
+lanes.  One batch runs every point (beam, seeds, bandwidth) of an experiment;
+consecutive points of one shape (steps, burn-in steps, noise refinement) share
+groups, each lane carrying its own f, ell, dt and bandwidth.  Every lane owns
+two Gaussian increment streams (phase and shot noise) seeded [seed, trial,
+0|1], drawn in place in blocks of NOISE_BLOCK // (group lanes) draws a stream.
+The tracking errors are observed in chunks of OBS_CHUNK steps: the wrap, the
+squared sums (still added one step at a time, in step order) and the
+cycle-slip count run once per chunk, with the modulo and the winding number
+evaluated only where they can differ from the identity and from 0.  So neither
+the other lanes, the block or chunk length nor the worker count can change any
+result.  Passing ``noise_dt`` draws the increments on a finer grid and sums
+them per step, which lets two runs at different dt share identical Wiener
+paths for time-step convergence checks.  A batch is refused before any noise
+is drawn when it comes to over 2**30 lane-steps, with each lane counted as at
+least LANE_COST of them, or when a point's predicted error is too small for
+the wrap to resolve (WRAP_MSE_FLOOR).
 """
 
 from __future__ import annotations
@@ -49,19 +52,14 @@ import numpy as np
 
 __all__ = [
     "BeamParams",
-    "TrackerState",
-    "NoiseStep",
     "TrackingResult",
     "adaptive_mse_limit",
     "heterodyne_mse_limit",
     "optimal_bandwidth",
     "loop_time_constant",
-    "auto_dt",
-    "adaptive_step",
     "derive_seed",
     "run_tracking_batch",
     "run_tracking",
-    "heterodyne_bandwidth_sweep",
 ]
 
 MODES = ("adaptive", "heterodyne")
@@ -72,6 +70,13 @@ LANE_GROUP = 1024  # lanes in lockstep at once: bounds generators, keeps blocks 
 OBS_CHUNK = 16  # steps whose errors are observed at once: bounds their temporaries
 LANE_STEP_BUDGET = 2 ** 30  # largest run accepted, in lane-steps
 LANE_COST = 300  # a lane's least cost in lane-steps: its set-up takes about 48 us
+# Smallest linearized steady-state MSE accepted.  _wrap forms fl(e + pi) - pi,
+# so it rounds each error e to a multiple of ulp(pi) = 2**-51: the subtraction
+# is exact, the addition errs by r, uniform on +-ulp(pi)/2 once |e| spans a
+# few ulps.  The wrapped MSE then carries the bias E[r^2] = ulp(pi)^2/12, and
+# holding that to 1% of the MSE needs MSE >= 100 ulp(pi)^2/12 (1.6e-30).
+# Far below it every error rounds to 0 and the MSE reads 0.
+WRAP_MSE_FLOOR = 100 * math.ulp(math.pi) ** 2 / 12
 
 
 @dataclass(frozen=True)
@@ -96,40 +101,6 @@ class BeamParams:
     def N(self) -> float:
         """Photons per coherence time, f/ell (inf for a static phase)."""
         return self.f / self.ell if self.ell > 0 else math.inf
-
-    def stationary_sigma2(self) -> float:
-        """Stationary error variance 1/(2 sqrt(N)) of the adaptive filter."""
-        if self.ell == 0:
-            return 0.0
-        return 1.0 / (2.0 * math.sqrt(self.N))
-
-
-@dataclass(frozen=True)
-class TrackerState:
-    """One locking loop: true phase, estimate, LO phase, error variance, time.
-
-    Phases are unwrapped (radians); in adaptive mode lo_phase is maintained at
-    phi_est + pi/2 after every step.
-    """
-
-    phi_true: float
-    phi_est: float
-    lo_phase: float
-    sigma2: float
-    t: float = 0.0
-
-    def __post_init__(self):
-        if not self.sigma2 > 0:
-            raise ValueError("sigma2 must be positive")
-
-
-@dataclass(frozen=True)
-class NoiseStep:
-    """Wiener increments for one step: dw_phase drives the beam phase,
-    dw_shot the photocurrent shot noise.  Each has variance dt."""
-
-    dw_phase: float
-    dw_shot: float
 
 
 @dataclass(frozen=True)
@@ -176,38 +147,6 @@ def loop_time_constant(beam: BeamParams, mode: str, bandwidth: float | None = No
             raise ValueError("bandwidth must be positive")
         return 1.0 / lam
     raise ValueError(f"mode must be one of {MODES}")
-
-
-def auto_dt(beam: BeamParams, mode: str = "adaptive", bandwidth: float | None = None) -> float:
-    """Default time step: one-hundredth of the loop time constant."""
-    return 1e-2 * loop_time_constant(beam, mode, bandwidth)
-
-
-# --- single-step reference operation ---------------------------------------
-
-def adaptive_step(state: TrackerState, beam: BeamParams, dt: float,
-                  noise: NoiseStep) -> TrackerState:
-    """One step of the adaptive lock: diffuse, measure at the null point, feed back.
-
-    The local oscillator sits at Phi = est + pi/2, so the full nonlinear
-    photocurrent is I dt = 2 alpha sin(phi - est) dt + dW_shot, and the
-    estimate moves by gain * I dt / (2 alpha) with gain = ell/sigma^2 at the
-    state's sigma^2, which is held fixed (stationary-gain operation).  This
-    scalar step is the reference that the lockstep engine is tested against.
-
-    Warns when dt exceeds one-hundredth of the loop time constant.
-    """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    g = beam.ell / state.sigma2
-    if g > 0 and g * dt > 1e-2 * (1 + 1e-9):
-        warnings.warn("dt exceeds 1e-2 of the loop relaxation time", stacklevel=2)
-    phi = state.phi_true + math.sqrt(beam.ell) * noise.dw_phase
-    lo = state.phi_est + math.pi / 2.0
-    idt = 2.0 * beam.alpha * math.cos(lo - phi) * dt + noise.dw_shot
-    est = state.phi_est + g * idt / (2.0 * beam.alpha)
-    return TrackerState(phi_true=phi, phi_est=est, lo_phase=est + math.pi / 2.0,
-                        sigma2=state.sigma2, t=state.t + dt)
 
 
 # --- Monte Carlo engine -----------------------------------------------------
@@ -306,8 +245,8 @@ def _simulate_lanes(mode, steps, burn_steps, refine, lanes, f, ell, dt, bandwidt
         for c in range(0, phis.shape[1], OBS_CHUNK):
             p, s = phis[:, c:c + OBS_CHUNK], dws[:, c:c + OBS_CHUNK]
             r = p.shape[1]
-            # each update keeps the operand order of adaptive_step and of the
-            # filter A = A + lam (dZ - A dt), so every result is bitwise fixed
+            # each update keeps one operand order, est + g I dt / (2 alpha)
+            # and A = A + lam (dZ - A dt), so every result is bitwise fixed
             if heterodyne:
                 dZ = s2a[:, None] * np.exp(1j * p) * dt[:, None] + s
                 for k in range(r):
@@ -355,7 +294,8 @@ def run_tracking_batch(mode: str, points, *, dt: float | None = None,
 
     Raises ValueError before any seed is iterated or any noise is drawn for no
     points or seeds, a dt or duration that is not positive and finite, a
-    negative burn_in, trials or workers below 1, or a batch over
+    negative burn_in, trials or workers below 1, a point whose linearized
+    steady-state MSE is below WRAP_MSE_FLOOR, or a batch over
     LANE_STEP_BUDGET lane-steps, summed over all points with each lane counted
     as at least LANE_COST lane-steps.
     """
@@ -372,6 +312,12 @@ def _resolve(mode, beam, bandwidth, dt, duration, burn_in, gain, noise_dt):
         tau = 1.0 / gain
     else:  # also rejects an unknown mode, a bandwidth <= 0 and ell = 0 without a gain
         tau = loop_time_constant(beam, mode, bandwidth)
+    # linearized steady state: lag ell tau/2 plus shot noise 1/(8 f tau)
+    # adaptive, 1/(4 f tau) heterodyne
+    mse = beam.ell * tau / 2 + 1 / ((8 if mode == "adaptive" else 4) * beam.f * tau)
+    if not mse >= WRAP_MSE_FLOOR:
+        raise ValueError(f"predicted steady-state MSE {mse:.3g} is below {WRAP_MSE_FLOOR:.3g}, "
+                         "the least that the error wrap resolves to 1%")
     if dt is None:
         dt = 1e-2 * tau
     if burn_in is None:
@@ -465,14 +411,3 @@ def run_tracking(mode: str, beam: BeamParams, dt: float | None = None,
     return _run_batch(mode, [(beam, [seed], bandwidth)], dt, duration, burn_in, trials,
                       workers, phi0, gain, noise_dt, stacklevel=3)[0][0]
 
-
-def heterodyne_bandwidth_sweep(beam: BeamParams, bandwidths, trials: int = 200,
-                               seed: int = 0, workers: int = 1):
-    """Run the dual-quadrature tracker at each bandwidth, as the points of one
-    batch; returns [(bandwidth, TrackingResult)] in input order (per-bandwidth
-    seeds are derived from the master seed and the sweep index)."""
-    bandwidths = [float(lam) for lam in bandwidths]
-    batch = run_tracking_batch("heterodyne", [(beam, [derive_seed(seed, i)], lam)
-                                              for i, lam in enumerate(bandwidths)],
-                               trials=trials, workers=workers)
-    return [(lam, res) for lam, (res,) in zip(bandwidths, batch)]

@@ -21,6 +21,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from conftest import record_acceptance
 
 from laserclock import channel as ch
@@ -53,7 +54,9 @@ def adaptive_results():
 def heterodyne_sweep():
     beam = tr.BeamParams(f=1e4, ell=1.0)
     grid = tr.optimal_bandwidth(beam) * np.logspace(-0.45, 0.45, 7)
-    return grid, tr.heterodyne_bandwidth_sweep(beam, grid, trials=200, seed=SEED + 2)
+    points = [(beam, [tr.derive_seed(SEED + 2, i)], float(lam)) for i, lam in enumerate(grid)]
+    batch = tr.run_tracking_batch("heterodyne", points, trials=200)
+    return grid, [(float(lam), res) for lam, (res,) in zip(grid, batch)]
 
 
 def test_criterion_1_adaptive_mse(adaptive_results):
@@ -207,7 +210,7 @@ def test_criterion_7_sql_synchronization(sql_sync_results):
 
 def test_criterion_8_classical_channel():
     spec = ch.LatticeSpec(delta=1.0)
-    defect = ch.orthonormality_defect(spec, n_span=2, m_span=2)
+    defect = oracles.orthonormality_defect(spec, n_span=2, m_span=2)
     dist = ch.decohere(5.0, spec)
     out = ch.output_mean_amplitude(dist, spec)
     mod_err = abs(abs(out) - 5.0)
@@ -242,7 +245,7 @@ def test_criterion_9_physical_units_example():
 
 
 def _crn_pair(mode, beam, trials, seed, bandwidth=None):
-    dt = tr.auto_dt(beam, mode, bandwidth)
+    dt = 1e-2 * tr.loop_time_constant(beam, mode, bandwidth)
     coarse = tr.run_tracking(mode, beam, dt=dt, trials=trials, seed=seed,
                              bandwidth=bandwidth, noise_dt=dt / 2)
     fine = tr.run_tracking(mode, beam, dt=dt / 2, trials=trials, seed=seed,
@@ -255,7 +258,7 @@ def _sync_crn_pair(m, regime, trials, seed):
     cfg = sync.SyncConfig(laser=laser, parties=m, regime=regime)
     beam = sync.beam_for_party(cfg)
     mode = "adaptive" if regime == "hl" else "heterodyne"
-    dt = tr.auto_dt(beam, mode)
+    dt = 1e-2 * tr.loop_time_constant(beam, mode)
     coarse = sync.run_sync_experiment(cfg, dt=dt, trials=trials, seed=seed,
                                       noise_dt=dt / 2)
     fine = sync.run_sync_experiment(cfg, dt=dt / 2, trials=trials, seed=seed,

@@ -4,8 +4,14 @@ The benchmark harness lives outside the test suite, so a pruning of the
 library that drops one of these names would break its traced passes without
 failing any test here.
 """
+import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import laserclock
 from laserclock import channel, laserdyn, tracking
 
 
@@ -31,3 +37,23 @@ def test_traced_module_attributes_exist():
     beam = tracking.BeamParams(f=1e3, ell=1.0)
     assert tracking.loop_time_constant(beam, "heterodyne", None) > 0
     assert inspect.isclass(tracking.ProcessPoolExecutor)
+
+
+def test_every_public_name_resolves():
+    # tracing wraps each name of a module's __all__ through getattr, so a
+    # stale entry would crash every traced pass
+    for short in ("cli", "sync", "tracking", "laserdyn", "fock", "channel"):
+        mod = importlib.import_module(f"laserclock.{short}")
+        for name in mod.__all__:
+            assert hasattr(mod, name), f"laserclock.{short}.{name}"
+
+
+def test_cli_import_leaves_general_numerics_unloaded():
+    # the production path needs only scipy.linalg and scipy.special; the
+    # quadrature, optimization and sparse packages stay with the test oracles
+    code = ("import sys, laserclock.cli; print(sorted(m for m in sys.modules if m.startswith("
+            "('scipy.integrate', 'scipy.optimize', 'scipy.sparse'))))")
+    src = str(Path(laserclock.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eig, expm
 
+import oracles
 from laserclock import fock, laserdyn as ld
 
 EPS = np.finfo(float).eps
@@ -38,8 +39,7 @@ def smallest_accepted_truncation(mu):
 
 
 def test_pure_loss_sector0_trace_preserving():
-    params = ld.LaserParams(kappa=1.3, mu=8.0, gain_kind="none")
-    L = ld.build_liouvillian_sector(params, 0, 40).matrix
+    L = oracles.loss_sector(1.3, 0, 40)
     assert np.max(np.abs(L.sum(axis=0))) < 1e-12
 
 
@@ -99,11 +99,6 @@ def test_stationary_closed_form_matches_lstsq_oracle(mu):
     assert np.max(np.abs(gain - loss)) <= 4 * EPS * scale * gain.max()
 
 
-def test_stationary_requires_noiseless_gain():
-    with pytest.raises(ValueError):
-        ld.stationary_state(ld.LaserParams(kappa=1.0, mu=8.0, gain_kind="none"), 60)
-
-
 def test_truncation_too_small_rejected():
     params = ld.LaserParams(kappa=1.0, mu=8.0)
     with pytest.raises(ValueError, match="truncation"):
@@ -112,22 +107,26 @@ def test_truncation_too_small_rejected():
 
 def test_sector_blocks_match_full_superoperator():
     # the full generator must map rho_{n, n+k} strictly within offset k, and
-    # its blocks must reproduce the sector matrices exactly
-    params = ld.LaserParams(kappa=1.0, mu=2.0)
+    # its blocks must reproduce the sector matrices exactly: the production
+    # sectors with noiseless gain (mu = 2), the loss-only oracle sectors at
+    # mu = 0
     T = 16
-    Lfull = ld.full_liouvillian(params, T)
     d = T + 1
-    sectors = {k: ld.build_liouvillian_sector(params, k, T).matrix for k in range(T + 1)}
-    for k in [0, 1, 5]:
-        for n in range(d - k):
-            E = np.zeros((d, d), dtype=complex)
-            E[n, n + k] = 1.0
-            out = (Lfull @ E.reshape(-1)).reshape(d, d)
-            mask = np.zeros((d, d), dtype=bool)
-            idx = np.arange(d - k)
-            mask[idx, idx + k] = True
-            assert np.all(out[~mask] == 0.0), "cross-sector coupling"
-            assert np.allclose(out[idx, idx + k], sectors[k][:, n], atol=1e-13)
+    params = ld.LaserParams(kappa=1.0, mu=2.0)
+    for mu, sector in [(2.0, lambda k: ld.build_liouvillian_sector(params, k, T).matrix),
+                       (0.0, lambda k: oracles.loss_sector(1.0, k, T))]:
+        Lfull = oracles.full_liouvillian(1.0, mu, T)
+        for k in [0, 1, 5]:
+            L = sector(k)
+            for n in range(d - k):
+                E = np.zeros((d, d), dtype=complex)
+                E[n, n + k] = 1.0
+                out = (Lfull @ E.reshape(-1)).reshape(d, d)
+                mask = np.zeros((d, d), dtype=bool)
+                idx = np.arange(d - k)
+                mask[idx, idx + k] = True
+                assert np.all(out[~mask] == 0.0), "cross-sector coupling"
+                assert np.allclose(out[idx, idx + k], L[:, n], atol=1e-13)
 
 
 def test_linewidth_mu8ts_frozen_value():
@@ -199,10 +198,7 @@ def test_sql_linewidth_values():
     assert ld.sql_linewidth(ld.LaserParams(kappa=6.28e8, mu=1e8)) == pytest.approx(3.14)
 
 
-def test_linewidth_requires_noiseless_gain():
-    bad = ld.LaserParams(kappa=1.0, mu=8.0, gain_kind="none")
-    with pytest.raises(ValueError, match="noiseless"):
-        ld.extract_linewidth(bad, 60, "decay_fit")
+def test_linewidth_rejects_unknown_method():
     with pytest.raises(ValueError, match="method"):
         ld.extract_linewidth(ld.LaserParams(kappa=1.0, mu=8.0), 60, "spectral")
 
@@ -221,11 +217,10 @@ def test_loss_only_variance_growth_against_fock_evolution():
     T = fock.default_truncation(mu)
     psi = fock.coherent_state(np.sqrt(mu), T)
     a = psi.amplitudes
-    params = ld.LaserParams(kappa=kappa, mu=mu, gain_kind="none")
     rho_t = np.zeros((T + 1, T + 1), dtype=complex)
     for k in range(T + 1):
         x0 = a[:T + 1 - k] * np.conj(a[k:])
-        L = ld.build_liouvillian_sector(params, k, T).matrix
+        L = oracles.loss_sector(kappa, k, T)
         xt = expm(L * t) @ x0
         idx = np.arange(T + 1 - k)
         rho_t[idx, idx + k] = xt
@@ -243,5 +238,3 @@ def test_laser_params_validation():
         ld.LaserParams(kappa=0.0, mu=1.0)
     with pytest.raises(ValueError):
         ld.LaserParams(kappa=1.0, mu=-1.0)
-    with pytest.raises(ValueError):
-        ld.LaserParams(kappa=1.0, mu=1.0, gain_kind="standard")

@@ -7,16 +7,16 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.stats import ks_2samp
 
+import oracles
 from laserclock import tracking as tr
 
 
 def test_step_phase_static_when_ell_zero():
     beam = tr.BeamParams(f=100.0, ell=0.0)
-    s = tr.TrackerState(phi_true=0.3, phi_est=0.3, lo_phase=0.3 + np.pi / 2, sigma2=0.1)
+    phi, est = 0.3, 0.3
     for _ in range(10):
-        s = tr.adaptive_step(s, beam, 0.5, tr.NoiseStep(dw_phase=1.7, dw_shot=0.0))
-    assert s.phi_true == 0.3
-    assert s.t == pytest.approx(5.0)
+        phi, est = oracles.adaptive_step(phi, est, beam, 0.1, 0.5, dw_phase=1.7, dw_shot=0.0)
+    assert phi == 0.3
 
 
 def test_phase_diffusion_variance_and_coherence():
@@ -28,19 +28,18 @@ def test_phase_diffusion_variance_and_coherence():
     rng = np.random.default_rng(42)
     phis = np.empty(trials)
     for i in range(trials):
-        s = tr.TrackerState(phi_true=0.0, phi_est=0.0, lo_phase=np.pi / 2, sigma2=1e3)
-        s = tr.adaptive_step(s, beam, t, tr.NoiseStep(
-            dw_phase=rng.standard_normal() * math.sqrt(t), dw_shot=0.0))
-        phis[i] = s.phi_true
+        phis[i], _ = oracles.adaptive_step(0.0, 0.0, beam, 1e3, t,
+                                           dw_phase=rng.standard_normal() * math.sqrt(t),
+                                           dw_shot=0.0)
     assert np.var(phis) == pytest.approx(ell * t, rel=0.05)
     assert abs(np.mean(np.exp(1j * phis))) == pytest.approx(math.exp(-ell * t / 2), rel=0.03)
 
 
-def _photocurrent(state, beam, dt, dw_shot):
-    """The photocurrent I dt that moved adaptive_step's estimate by
+def _photocurrent(phi, est, beam, sigma2, dt, dw_shot):
+    """The photocurrent I dt that moved the adaptive step's estimate by
     (ell/sigma2) I dt / (2 alpha); no phase noise, so phi stays put."""
-    after = tr.adaptive_step(state, beam, dt, tr.NoiseStep(0.0, dw_shot))
-    return (after.phi_est - state.phi_est) * 2 * beam.alpha * state.sigma2 / beam.ell
+    _, after = oracles.adaptive_step(phi, est, beam, sigma2, dt, 0.0, dw_shot)
+    return (after - est) * 2 * beam.alpha * sigma2 / beam.ell
 
 
 def test_photocurrent_trivial_points():
@@ -48,19 +47,17 @@ def test_photocurrent_trivial_points():
     # the photocurrent is 2 alpha dt, at the null point (phi = est) it is 0
     beam = tr.BeamParams(f=25.0, ell=1.0)
     dt = 1e-3
-    locked = tr.TrackerState(phi_true=0.4 + np.pi / 2, phi_est=0.4, lo_phase=0.4 + np.pi / 2,
-                             sigma2=100.0)
-    assert _photocurrent(locked, beam, dt, 0.0) == pytest.approx(2 * 5.0 * dt)
-    null = tr.TrackerState(phi_true=0.4, phi_est=0.4, lo_phase=0.4 + np.pi / 2, sigma2=100.0)
-    assert abs(_photocurrent(null, beam, dt, 0.0)) < 1e-15
+    assert _photocurrent(0.4 + np.pi / 2, 0.4, beam, 100.0, dt, 0.0) == \
+        pytest.approx(2 * 5.0 * dt)
+    assert abs(_photocurrent(0.4, 0.4, beam, 100.0, dt, 0.0)) < 1e-15
 
 
 def test_photocurrent_linearization():
     # near the null point: I dt ~ 2 alpha e dt + dW
     beam = tr.BeamParams(f=100.0, ell=1.0)
     dt, e = 1e-3, 1e-3
-    s = tr.TrackerState(phi_true=0.0, phi_est=-e, lo_phase=-e + np.pi / 2, sigma2=100.0)
-    assert _photocurrent(s, beam, dt, 0.25) == pytest.approx(2 * 10.0 * e * dt + 0.25, rel=1e-5)
+    assert _photocurrent(0.0, -e, beam, 100.0, dt, 0.25) == \
+        pytest.approx(2 * 10.0 * e * dt + 0.25, rel=1e-5)
 
 
 def test_adaptive_noise_free_decay_rate():
@@ -70,14 +67,13 @@ def test_adaptive_noise_free_decay_rate():
     beam = tr.BeamParams(f=f, ell=ell)
     g = 2 * ell * math.sqrt(beam.N)
     dt = 1e-2 / g
-    s = tr.TrackerState(phi_true=0.1, phi_est=0.0, lo_phase=np.pi / 2,
-                        sigma2=beam.stationary_sigma2())
+    phi, est = 0.1, 0.0
     # suppress the diffusion: zero noise in both streams
-    ts, es = [], []
-    for k in range(300):
-        s = tr.adaptive_step(s, beam, dt, tr.NoiseStep(0.0, 0.0))
-        ts.append(s.t)
-        es.append(s.phi_true - s.phi_est)
+    ts, es = dt * np.arange(1, 301), []
+    for _ in ts:
+        phi, est = oracles.adaptive_step(phi, est, beam, tr.adaptive_mse_limit(beam.N), dt,
+                                         0.0, 0.0)
+        es.append(phi - est)
     rate = -np.polyfit(ts, np.log(np.abs(es)), 1)[0]
     sol = solve_ivp(lambda t, y: -g * np.sin(y), [0, ts[-1]], [0.1], rtol=1e-10)
     oracle_rate = -np.log(sol.y[0, -1] / 0.1) / ts[-1]
@@ -114,8 +110,8 @@ def test_variance_ode_convergence_against_ivp_oracle():
         t_end = 20 / (2 * ell * math.sqrt(beam.N))
         sol = solve_ivp(lambda t, y: ell - 4 * f * y ** 2, [0, t_end], [1.0],
                         method="LSODA", rtol=1e-12, atol=1e-14)
-        assert beam.stationary_sigma2() == pytest.approx(float(sol.y[0, -1]), rel=0.01)
-    assert tr.BeamParams(f=1e4, ell=1.0).stationary_sigma2() == pytest.approx(0.005)
+        assert tr.adaptive_mse_limit(beam.N) == pytest.approx(float(sol.y[0, -1]), rel=0.01)
+    assert tr.adaptive_mse_limit(tr.BeamParams(f=1e4, ell=1.0).N) == pytest.approx(0.005)
 
 
 def test_heterodyne_minimum_matches_limit():
@@ -130,7 +126,9 @@ def test_heterodyne_optimal_bandwidth_location():
     beam = tr.BeamParams(f=1e3, ell=1.0)
     lam_star = tr.optimal_bandwidth(beam)
     grid = lam_star * np.logspace(-0.6, 0.6, 7)
-    results = tr.heterodyne_bandwidth_sweep(beam, grid, trials=100, seed=2)
+    batch = tr.run_tracking_batch("heterodyne", [(beam, [tr.derive_seed(2, i)], float(lam))
+                                                 for i, lam in enumerate(grid)], trials=100)
+    results = [(lam, res) for lam, (res,) in zip(grid, batch)]
     mses = [r.mse_wrapped for _, r in results]
     for (lam, r) in results:
         analytic = beam.ell / (2 * lam) + lam / (4 * beam.f)
@@ -167,31 +165,48 @@ def test_worker_count_does_not_change_results():
     assert r1 == r2
 
 
-def test_vectorized_engine_matches_single_step_ops():
-    # one trial driven by the public per-step operations must reproduce the
-    # Monte Carlo engine's wrapped MSE
-    beam = tr.BeamParams(f=400.0, ell=1.0)
-    dt = tr.auto_dt(beam)
-    steps, burn = 400, 150
+def _one_trial(mode, beam, steps, burn, seed):
+    """run_tracking's trials=1 wrapped MSE over steps, after burn, at 1e-2
+    loop time constants a step."""
+    dt = 1e-2 * tr.loop_time_constant(beam, mode)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        res = tr.run_tracking("adaptive", beam, dt=dt, duration=steps * dt,
-                              burn_in=burn * dt, trials=1, seed=21)
-    rp = np.random.default_rng([21, 0, 0])
-    rs = np.random.default_rng([21, 0, 1])
-    dwp = rp.standard_normal(steps) * math.sqrt(dt)
-    dws = rs.standard_normal(steps) * math.sqrt(dt)
-    s = tr.TrackerState(phi_true=0.0, phi_est=0.0, lo_phase=np.pi / 2,
-                        sigma2=beam.stationary_sigma2())
-    acc, nobs = 0.0, 0
+        return dt, tr.run_tracking(mode, beam, dt=dt, duration=steps * dt, burn_in=burn * dt,
+                                   trials=1, seed=seed).mse_wrapped
+
+
+def test_vectorized_engine_matches_single_step_ops():
+    # one trial driven by the scalar adaptive step must reproduce the
+    # Monte Carlo engine's wrapped MSE
+    beam, steps, burn = tr.BeamParams(f=400.0, ell=1.0), 400, 150
+    dt, mse = _one_trial("adaptive", beam, steps, burn, seed=21)
+    dwp = np.random.default_rng([21, 0, 0]).standard_normal(steps) * math.sqrt(dt)
+    dws = np.random.default_rng([21, 0, 1]).standard_normal(steps) * math.sqrt(dt)
+    phi, est, acc = 0.0, 0.0, 0.0
     for k in range(steps):
-        s = tr.adaptive_step(s, beam, dt, tr.NoiseStep(dwp[k], dws[k]))
+        phi, est = oracles.adaptive_step(phi, est, beam, tr.adaptive_mse_limit(beam.N), dt,
+                                         dwp[k], dws[k])
         if k >= burn:
-            e = (s.phi_true - s.phi_est + np.pi) % (2 * np.pi) - np.pi
-            acc += e * e
-            nobs += 1
-    assert res.mse_wrapped == pytest.approx(acc / nobs, rel=1e-8)
-    assert s.lo_phase == pytest.approx(s.phi_est + np.pi / 2)
+            acc += oracles.wrap(phi - est) ** 2
+    assert mse == pytest.approx(acc / (steps - burn), rel=1e-8)
+
+
+def test_heterodyne_engine_matches_single_step_filter():
+    # one trial of the scalar dual-quadrature filter, its complex shot noise
+    # drawn through the float view as the engine draws it, reproduces the
+    # engine's wrapped MSE
+    beam, steps, burn = tr.BeamParams(f=400.0, ell=1.0), 400, 150
+    dt, mse = _one_trial("heterodyne", beam, steps, burn, seed=23)
+    dwp = np.random.default_rng([23, 0, 0]).standard_normal(steps) * math.sqrt(dt)
+    dzs = np.random.default_rng([23, 0, 1]).standard_normal(2 * steps).view(complex) \
+        * math.sqrt(dt)
+    phi, A, est, acc = 0.0, math.sqrt(2.0) * beam.alpha + 0j, 0.0, 0.0
+    for k in range(steps):
+        phi, A, est = oracles.heterodyne_step(phi, A, est, beam, tr.optimal_bandwidth(beam), dt,
+                                              dwp[k], dzs[k])
+        if k >= burn:
+            acc += oracles.wrap(phi - est) ** 2
+    assert mse == pytest.approx(acc / (steps - burn), rel=1e-8)
 
 
 def test_phase_offset_invariance():
@@ -207,8 +222,8 @@ def test_phase_offset_invariance():
 
 
 def _per_trial_mses(beam, seed, phi0, trials):
-    dt = tr.auto_dt(beam)
     tau = tr.loop_time_constant(beam, "adaptive")
+    dt = 1e-2 * tau
     lane = np.ones(trials)
     w, _, _ = tr._simulate_lanes("adaptive", int(round(30 * tau / dt)),
                                  int(round(10 * tau / dt)), 1,
@@ -236,7 +251,7 @@ def test_adaptive_mse_scales_as_inverse_sqrt_N():
 
 def test_dt_halving_with_shared_noise():
     beam = tr.BeamParams(f=1e3, ell=1.0)
-    dt = tr.auto_dt(beam)
+    dt = 1e-2 * tr.loop_time_constant(beam, "adaptive")
     coarse = tr.run_tracking("adaptive", beam, dt=dt, trials=100, seed=8, noise_dt=dt / 2)
     fine = tr.run_tracking("adaptive", beam, dt=dt / 2, trials=100, seed=8, noise_dt=dt / 2)
     assert coarse.mse_wrapped == pytest.approx(fine.mse_wrapped, rel=0.02)
@@ -293,7 +308,7 @@ def test_noise_block_length_changes_no_result(monkeypatch):
     # 7-step noise blocks, aligned with neither burn-in nor the run's end,
     # reproduce the single-block default exactly
     beam = tr.BeamParams(f=1e3, ell=1.0)
-    dt = tr.auto_dt(beam)
+    dt = 1e-2 * tr.loop_time_constant(beam, "adaptive")
     configs = [dict(mode="adaptive"), dict(mode="heterodyne"),
                dict(mode="adaptive", dt=dt, noise_dt=dt / 2)]
 
@@ -311,7 +326,7 @@ def test_batch_equals_one_seed_runs():
                                      workers=2)
     assert batch == tuple(tr.run_tracking("heterodyne", beam, trials=100, seed=s)
                           for s in (3, 8))
-    assert batch[0].dt == tr.auto_dt(beam, "heterodyne")
+    assert batch[0].dt == 1e-2 * tr.loop_time_constant(beam, "heterodyne")
     assert batch[0].bandwidth == tr.optimal_bandwidth(beam)
     with pytest.raises(ValueError):
         tr.run_tracking_batch("heterodyne", [(beam, [], None)])
@@ -379,7 +394,7 @@ def test_lane_groups_are_capped_and_change_no_result(monkeypatch):
 
 def test_warnings_name_the_caller():
     beam = tr.BeamParams(f=1e3, ell=1.0)
-    dt = tr.auto_dt(beam)
+    dt = 1e-2 * tr.loop_time_constant(beam, "adaptive")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         tr.run_tracking("adaptive", beam, trials=2, burn_in=0.0, duration=10 * dt)
@@ -389,6 +404,10 @@ def test_warnings_name_the_caller():
     assert {w.filename for w in caught} == {__file__}
 
 
+def _no_noise(*args, **kw):
+    raise AssertionError("noise drawn")
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(dt=0.0), dict(dt=-1e-4), dict(dt=math.inf), dict(dt=math.nan),
     dict(duration=0.0), dict(duration=math.inf), dict(burn_in=-0.01),
@@ -396,12 +415,25 @@ def test_warnings_name_the_caller():
     dict(dt=1e-12),                      # 200 x 1.5e10 lane-steps
 ])
 def test_run_tracking_refuses_before_drawing_noise(monkeypatch, kwargs):
-    def no_noise(*args, **kw):
-        raise AssertionError("noise drawn")
-
-    monkeypatch.setattr(tr, "_noise_columns", no_noise)
+    monkeypatch.setattr(tr, "_noise_columns", _no_noise)
     with pytest.raises(ValueError):
         tr.run_tracking("adaptive", tr.BeamParams(f=1e3, ell=1.0), **kwargs)
+
+
+def test_errors_below_the_wrap_resolution_are_refused(monkeypatch):
+    # N = 1e50 predicts MSE 5e-26 (adaptive), far above WRAP_MSE_FLOOR, and
+    # runs on its prediction; at N = 1e300 every error would round to 0 in
+    # fl(e + pi) - pi, so the run is refused before any noise is drawn
+    for mode, limit in [("adaptive", tr.adaptive_mse_limit),
+                        ("heterodyne", tr.heterodyne_mse_limit)]:
+        res = tr.run_tracking(mode, tr.BeamParams(f=1e50, ell=1.0), trials=100, seed=3)
+        assert res.mse_wrapped == pytest.approx(limit(1e50), rel=0.15)
+    monkeypatch.setattr(tr, "_noise_columns", _no_noise)
+    for mode in tr.MODES:
+        with pytest.raises(ValueError, match="error wrap"):
+            tr.run_tracking(mode, tr.BeamParams(f=1e300, ell=1.0))
+    with pytest.raises(ValueError, match="error wrap"):
+        tr.run_tracking("adaptive", tr.BeamParams(f=1e3, ell=0.0), gain=1e-40)
 
 
 def test_observation_chunk_changes_no_result(monkeypatch):
@@ -409,7 +441,8 @@ def test_observation_chunk_changes_no_result(monkeypatch):
     # nor the noise block) reproduce the default chunk exactly, in both modes,
     # with cycle slips, a finer noise grid, an explicit gain at ell = 0 and a
     # phase offset
-    beam, dt = tr.BeamParams(f=1e3, ell=1.0), tr.auto_dt(tr.BeamParams(f=1e3, ell=1.0))
+    beam = tr.BeamParams(f=1e3, ell=1.0)
+    dt = 1e-2 * tr.loop_time_constant(beam, "adaptive")
     configs = [dict(mode="adaptive"), dict(mode="heterodyne"),
                dict(mode="adaptive", beam=tr.BeamParams(f=2.0, ell=1.0)),
                dict(mode="adaptive", beam=tr.BeamParams(f=4.0, ell=1.0)),
