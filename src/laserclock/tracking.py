@@ -25,19 +25,21 @@ the trials of one or more seeds, in lockstep groups of at most LANE_GROUP
 lanes.  One batch runs every point (beam, seeds, bandwidth) of an experiment;
 consecutive points of one shape (steps, burn-in steps, noise refinement) share
 groups, each lane carrying its own f, ell, dt and bandwidth.  Every lane owns
-two Gaussian increment streams (phase and shot noise) seeded [seed, trial,
-0|1], drawn in place in blocks of NOISE_BLOCK // (group lanes) draws a stream.
-The tracking errors are observed in chunks of OBS_CHUNK steps: the wrap, the
-squared sums (still added one step at a time, in step order) and the
-cycle-slip count run once per chunk, with the modulo and the winding number
-evaluated only where they can differ from the identity and from 0.  So neither
-the other lanes, the block or chunk length nor the worker count can change any
-result.  Passing ``noise_dt`` draws the increments on a finer grid and sums
-them per step, which lets two runs at different dt share identical Wiener
-paths for time-step convergence checks.  A batch is refused before any noise
-is drawn when it comes to over 2**30 lane-steps, with each lane counted as at
-least LANE_COST of them, or when a point's predicted error is too small for
-the wrap to resolve (WRAP_MSE_FLOOR).
+two Gaussian increment streams (phase and shot noise), bitwise numpy's
+default_rng([seed, trial, 0|1]); a group hashes all its seed sequences at once
+by numpy's SeedSequence rule and draws in place, NOISE_BLOCK // (group lanes)
+draws a stream at a time.  Steps run step major in chunks of OBS_CHUNK steps,
+as (steps, lanes) arrays, and the errors are observed once per chunk: the wrap,
+the squared sums (still added one step at a time, in step order) and the
+cycle-slip count, with the modulo and the winding number evaluated only where
+they can differ from the identity and from 0.  So neither the other lanes, the
+block or chunk length nor the worker count can change any result.  Passing
+``noise_dt`` draws the increments on a finer grid and sums them per step, which
+lets two runs at different dt share identical Wiener paths for time-step
+convergence checks.  A batch is refused before any noise is drawn when it comes
+to over 2**30 lane-steps, with each lane counted as at least LANE_COST of them,
+or when a point's predicted error is too small for the wrap to resolve
+(WRAP_MSE_FLOOR).
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = [
     "BeamParams",
@@ -69,7 +72,7 @@ NOISE_BLOCK = 300_000
 LANE_GROUP = 1024  # lanes in lockstep at once: bounds generators, keeps blocks long
 OBS_CHUNK = 16  # steps whose errors are observed at once: bounds their temporaries
 LANE_STEP_BUDGET = 2 ** 30  # largest run accepted, in lane-steps
-LANE_COST = 300  # a lane's least cost in lane-steps: its set-up takes about 48 us
+LANE_COST = 300  # a lane's least cost in lane-steps: its set-up takes about 15 us
 # Smallest linearized steady-state MSE accepted.  _wrap forms fl(e + pi) - pi,
 # so it rounds each error e to a multiple of ulp(pi) = 2**-51: the subtraction
 # is exact, the addition errs by r, uniform on +-ulp(pi)/2 once |e| spans a
@@ -77,6 +80,9 @@ LANE_COST = 300  # a lane's least cost in lane-steps: its set-up takes about 48 
 # holding that to 1% of the MSE needs MSE >= 100 ulp(pi)^2/12 (1.6e-30).
 # Far below it every error rounds to 0 and the MSE reads 0.
 WRAP_MSE_FLOOR = 100 * math.ulp(math.pi) ** 2 / 12
+# numpy's SeedSequence constants: pool hashing (A), state output (B), mixing
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
 @dataclass(frozen=True)
@@ -157,6 +163,48 @@ def derive_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
 
 
+@dataclass(frozen=True)
+class _Words(ISeedSequence):
+    """A seed sequence that hands a bit generator its precomputed state words."""
+
+    words: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _streams(lanes):
+    """Each lane's (phase, shot) generators, bitwise default_rng([seed, trial, 0|1])."""
+
+    def hashmix(v, mult=_MULT_A):
+        v = v ^ np.uint32(h[0])
+        h[0] = h[0] * mult & 0xFFFFFFFF
+        v *= np.uint32(h[0])
+        return v ^ v >> 16
+
+    def mix(x, y):
+        r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+        return r ^ r >> 16
+
+    seed_words = {seed: [seed >> k & 0xFFFFFFFF for k in range(0, max(seed.bit_length(), 1), 32)]
+                  for seed in dict.fromkeys(int(s) for s, _ in lanes)}
+    entropy = [[*seed_words[seed], trial, s] for seed, trial in lanes for s in (0, 1)]
+    words = np.empty((len(entropy), 8), np.uint32)
+    for width in {len(e) for e in entropy}:
+        rows = [i for i, e in enumerate(entropy) if len(e) == width]
+        cols = list(np.array([entropy[i] for i in rows], np.uint32).T)
+        h = [_INIT_A]  # SeedSequence: hashmix into a pool of 4, mix the pool, hash out
+        pool = [hashmix(v) for v in (cols + [np.zeros(len(rows), np.uint32)] * 4)[:4]]
+        for i, j in itertools.permutations(range(4), 2):
+            pool[j] = mix(pool[j], hashmix(pool[i]))
+        for v, j in itertools.product(cols[4:], range(4)):
+            pool[j] = mix(pool[j], hashmix(v))
+        h[0] = _INIT_B
+        words[rows] = np.stack([hashmix(pool[k % 4], _MULT_B) for k in range(8)], axis=1)
+    return [[np.random.Generator(np.random.PCG64(_Words(w))) for w in pair]
+            for pair in words.view("<u8").reshape(-1, 2, 4)]
+
+
 def _noise_columns(lanes, steps: int, refine: int, noise_dt, pair: bool):
     """Yield the lanes' (phase, shot) increments as (lanes, steps) blocks of
     NOISE_BLOCK // (len(lanes) * refine) steps that continue each lane's
@@ -164,7 +212,7 @@ def _noise_columns(lanes, steps: int, refine: int, noise_dt, pair: bool):
     sqrt(noise_dt); a complex shot pair is drawn through its float view, and
     with ``refine`` > 1 each step sums ``refine`` draws."""
     n = len(lanes)
-    streams = [[np.random.default_rng([seed, trial, s]) for s in (0, 1)] for seed, trial in lanes]
+    streams = _streams(lanes)
     block = max(1, min(steps, NOISE_BLOCK // (n * refine)))
     raw = np.empty((n, block * refine)), np.empty((n, block * refine), complex if pair else float)
     scale = np.sqrt(noise_dt)[:, None]
@@ -189,10 +237,10 @@ def _wrap(x):
 
 
 def _accumulate(start, rows):
-    """Every partial sum start + rows[:, 0] + rows[:, 1] + ..., added one
-    step (column) at a time in step order, in place of rows."""
-    rows[:, 0] += start
-    return np.cumsum(rows, axis=1, out=rows)
+    """Every partial sum start + rows[0] + rows[1] + ..., added one step (row)
+    at a time in step order, in place of rows."""
+    rows[0] += start
+    return np.cumsum(rows, axis=0, out=rows)
 
 
 def _simulate_lanes(mode, steps, burn_steps, refine, lanes, f, ell, dt, bandwidth, phi0, gain):
@@ -203,39 +251,39 @@ def _simulate_lanes(mode, steps, burn_steps, refine, lanes, f, ell, dt, bandwidt
     OBS_CHUNK steps whose errors are observed at once."""
     n = len(lanes)
     sl, alpha = np.sqrt(ell), np.sqrt(f)
-    phi = np.full(n, phi0)
+    phi, est = np.full(n, phi0), np.full(n, phi0)
     sq_w, sq_u = np.zeros(n), np.zeros(n)
     slips, winding = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     heterodyne = mode == "heterodyne"
-    states = np.empty((n, OBS_CHUNK), complex if heterodyne else float)
+    states = np.empty((OBS_CHUNK, n), complex if heterodyne else float)
 
     def observe(e):
         nonlocal sq_w, sq_u
         w = _wrap(e)
-        sq_w = _accumulate(sq_w, np.multiply(w, w, out=w))[:, -1]
+        sq_w = _accumulate(sq_w, np.multiply(w, w, out=w))[-1]
         u = e * e
         # round(e / 2 pi) is 0 where e^2 < 9 (|e| < 3 < pi): only lanes with a
         # larger or nan error in the chunk, or a nonzero winding, can slip
-        hot = ~(u.max(axis=1) < 9.0) | (winding != 0)
-        sq_u = _accumulate(sq_u, u)[:, -1]
+        hot = ~(u.max(axis=0) < 9.0) | (winding != 0)
+        sq_u = _accumulate(sq_u, u)[-1]
         if hot.any():
-            wind = np.round(e[hot] / (2 * np.pi)).astype(np.int64)
-            slips[hot] += np.abs(np.diff(wind, axis=1, prepend=winding[hot, None])).sum(axis=1)
-            winding[hot] = wind[:, -1]
+            wind = np.round(e[:, hot] / (2 * np.pi)).astype(np.int64)
+            slips[hot] += np.abs(np.diff(wind, axis=0, prepend=winding[None, hot])).sum(axis=0)
+            winding[hot] = wind[-1]
 
     if heterodyne:
         s2a = math.sqrt(2.0) * alpha
         A = s2a * np.exp(1j * phi)
-        # angle(A) is wrapped; accumulate its increments to keep the estimate
-        # unwrapped alongside phi
-        prev_ang = np.angle(A)
-        lam, dtc = bandwidth.astype(complex), dt.astype(complex)
+        prev_ang = np.angle(A)  # wrapped: est sums its wrapped increments
+        # lam and dt are real: A steps on its float view, bitwise the complex form
+        A, lam, dt2 = A.view(float), np.repeat(bandwidth, 2), np.repeat(dt, 2)
+        out = states.view(float)
     else:
         two_alpha = 2.0 * alpha
         with np.errstate(divide="ignore"):
             sig2 = np.where(ell > 0, 1.0 / (2.0 * np.sqrt(f / ell)), 1.0)
         g = ell / sig2 if gain is None else np.full(n, gain)
-    est = np.full(n, phi0)
+    t = np.empty(2 * n if heterodyne else n)  # one step's scratch row
     k0 = 0
     for dwp, dws in _noise_columns(lanes, steps, refine, dt / refine, heterodyne):
         dwp *= sl[:, None]
@@ -243,26 +291,33 @@ def _simulate_lanes(mode, steps, burn_steps, refine, lanes, f, ell, dt, bandwidt
         phis = np.cumsum(dwp, axis=1, out=dwp)  # phi = phi + sqrt(ell) dW, per step
         phi = phis[:, -1].copy()
         for c in range(0, phis.shape[1], OBS_CHUNK):
-            p, s = phis[:, c:c + OBS_CHUNK], dws[:, c:c + OBS_CHUNK]
-            r = p.shape[1]
+            p, s = phis[:, c:c + OBS_CHUNK].T.copy(), dws[:, c:c + OBS_CHUNK].T.copy()
+            r = len(p)
             # each update keeps one operand order, est + g I dt / (2 alpha)
             # and A = A + lam (dZ - A dt), so every result is bitwise fixed
             if heterodyne:
-                dZ = s2a[:, None] * np.exp(1j * p) * dt[:, None] + s
+                dZ = (s2a * np.exp(1j * p) * dt + s).view(float)
                 for k in range(r):
-                    A = np.add(A, lam * (dZ[:, k] - A * dtc), out=states[:, k])
-                ang = np.angle(states[:, :r])
-                est_rows = _accumulate(est, _wrap(np.diff(ang, axis=1, prepend=prev_ang[:, None])))
-                prev_ang = ang[:, -1]
+                    np.subtract(dZ[k], np.multiply(A, dt2, out=t), out=t)
+                    t *= lam
+                    A = np.add(A, t, out=out[k])
+                ang = np.angle(states[:r])
+                est_rows = _accumulate(est, _wrap(np.diff(ang, axis=0, prepend=prev_ang[None])))
+                prev_ang = ang[-1]
             else:
                 for k in range(r):
-                    idt = two_alpha * np.sin(p[:, k] - est) * dt + s[:, k]
-                    est = np.add(est, g * idt / two_alpha, out=states[:, k])
-                est_rows = states[:, :r]
-            est = est_rows[:, -1].copy()
+                    np.sin(np.subtract(p[k], est, out=t), out=t)
+                    t *= two_alpha
+                    t *= dt
+                    t += s[k]
+                    t *= g
+                    t /= two_alpha
+                    est = np.add(est, t, out=states[k])
+                est_rows = states[:r]
+            est = est_rows[-1].copy()
             if k0 + r > burn_steps:
                 first = max(0, burn_steps - k0)
-                observe(p[:, first:] - est_rows[:, first:])
+                observe(p[first:] - est_rows[first:])
             k0 += r
     return sq_w / (steps - burn_steps), sq_u / (steps - burn_steps), slips
 
@@ -294,18 +349,20 @@ def run_tracking_batch(mode: str, points, *, dt: float | None = None,
 
     Raises ValueError before any seed is iterated or any noise is drawn for no
     points or seeds, a dt or duration that is not positive and finite, a
-    negative burn_in, trials or workers below 1, a point whose linearized
-    steady-state MSE is below WRAP_MSE_FLOOR, or a batch over
-    LANE_STEP_BUDGET lane-steps, summed over all points with each lane counted
-    as at least LANE_COST lane-steps.
+    negative burn_in, trials or workers below 1, a gain that is not positive
+    and finite, a point whose linearized steady-state MSE is below
+    WRAP_MSE_FLOOR, or a batch over LANE_STEP_BUDGET lane-steps, summed over
+    all points with each lane counted as at least LANE_COST lane-steps; and
+    before any noise is drawn for a seed that is not a nonnegative integer.
     """
-    return _run_batch(mode, points, dt, duration, burn_in, trials, workers, phi0, gain, noise_dt,
-                      stacklevel=3)
+    return _run_batch(mode, points, dt, duration, burn_in, trials, workers, phi0, gain, noise_dt)
 
 
 def _resolve(mode, beam, bandwidth, dt, duration, burn_in, gain, noise_dt):
     """A point's loop time constant, its resolved dt, burn_in, duration and
     bandwidth (as TrackingResult fields), and its noise refinement."""
+    if gain is not None and not 0 < gain < math.inf:
+        raise ValueError(f"gain must be positive and finite, not {gain!r}")
     if mode == "heterodyne" and bandwidth is None:
         bandwidth = optimal_bandwidth(beam)
     if mode == "adaptive" and gain is not None:
@@ -334,17 +391,16 @@ def _resolve(mode, beam, bandwidth, dt, duration, burn_in, gain, noise_dt):
     return tau, dict(dt=dt, burn_in=burn_in, duration=duration, bandwidth=bandwidth), refine
 
 
-def _run_batch(mode, points, dt, duration, burn_in, trials, workers, phi0, gain,
-               noise_dt, stacklevel):
+def _run_batch(mode, points, dt, duration, burn_in, trials, workers, phi0, gain, noise_dt):
     if not points or min(len(seeds) for _, seeds, _ in points) < 1 or trials < 1 \
             or workers < 1:
         raise ValueError("points, seeds, trials and workers must each number at least 1")
     runs = [_resolve(mode, beam, bandwidth, dt, duration, burn_in, gain, noise_dt)
             for beam, _, bandwidth in points]
     if trials < 100:
-        warnings.warn("fewer than 100 trials: MSE estimate will be noisy", stacklevel=stacklevel)
+        warnings.warn("fewer than 100 trials: MSE estimate will be noisy", stacklevel=3)
     if any(c["duration"] < c["burn_in"] + 20.0 * tau * (1 - 1e-9) for tau, c, _ in runs):
-        warnings.warn("duration below burn_in + 20 loop time constants", stacklevel=stacklevel)
+        warnings.warn("duration below burn_in + 20 loop time constants", stacklevel=3)
     n_lanes = [len(seeds) * trials for _, seeds, _ in points]
     lane_steps = sum(n * max(c["duration"] / c["dt"] * refine, LANE_COST)
                      for n, (_, c, refine) in zip(n_lanes, runs))
@@ -356,6 +412,10 @@ def _run_batch(mode, points, dt, duration, burn_in, trials, workers, phi0, gain,
              for _, c, _ in runs]
     if any(n <= burn for n, burn in steps):
         raise ValueError("duration leaves no observation steps after burn_in")
+    # the stream hash reads a seed's uint32 words, which a negative int lacks
+    for seed in itertools.chain.from_iterable(seeds for _, seeds, _ in points):
+        if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+            raise ValueError(f"seed {seed!r} is not a nonnegative integer")
 
     # consecutive points of one shape (steps, burn_steps, refine) share groups
     # of at most LANE_GROUP lanes, a multiple of workers of them; each group
@@ -409,5 +469,5 @@ def run_tracking(mode: str, beam: BeamParams, dt: float | None = None,
     """Ensemble steady-state tracking error for one configuration: the
     one-seed case of :func:`run_tracking_batch`, which documents it."""
     return _run_batch(mode, [(beam, [seed], bandwidth)], dt, duration, burn_in, trials,
-                      workers, phi0, gain, noise_dt, stacklevel=3)[0][0]
+                      workers, phi0, gain, noise_dt)[0][0]
 

@@ -219,6 +219,7 @@ def _no_noise(*args, **kwargs):
     "track --flux 1e3 --linewidth nan",
     "track --flux 1e3 --linewidth 1 --dt inf",
     "track --flux 1e3 --linewidth 1 --dt nan",
+    "track --flux 1e3 --linewidth 1 --seed -1",
     "sync --kappa inf --mu 100",
     "sync --kappa 1 --mu inf",
     "sync --kappa 1 --mu nan --parties 1,4",

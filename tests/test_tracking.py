@@ -413,11 +413,25 @@ def _no_noise(*args, **kw):
     dict(duration=0.0), dict(duration=math.inf), dict(burn_in=-0.01),
     dict(burn_in=math.nan), dict(trials=0), dict(workers=0),
     dict(dt=1e-12),                      # 200 x 1.5e10 lane-steps
+    dict(gain=0.0), dict(gain=-1.0), dict(gain=math.nan), dict(gain=math.inf),
+    dict(seed=-1), dict(seed=2.0),
 ])
 def test_run_tracking_refuses_before_drawing_noise(monkeypatch, kwargs):
     monkeypatch.setattr(tr, "_noise_columns", _no_noise)
     with pytest.raises(ValueError):
         tr.run_tracking("adaptive", tr.BeamParams(f=1e3, ell=1.0), **kwargs)
+
+
+def test_bad_gain_and_seeds_are_named_before_drawing_noise(monkeypatch):
+    monkeypatch.setattr(tr, "_noise_columns", _no_noise)
+    beam = tr.BeamParams(f=1e3, ell=1.0)
+    for gain in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="gain"):
+            tr.run_tracking("adaptive", beam, gain=gain)
+    with pytest.raises(ValueError, match="seed -1 "):
+        tr.run_tracking("adaptive", beam, seed=-1)
+    with pytest.raises(ValueError, match="seed -1 "):
+        tr.run_tracking_batch("heterodyne", [(beam, [3], None), (beam, [3, -1], None)])
 
 
 def test_errors_below_the_wrap_resolution_are_refused(monkeypatch):
@@ -507,3 +521,74 @@ def test_wrap_is_bitwise_the_modulo_wrap(xs, two_rows):
         got = tr._wrap(x)
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+_BEAM = tr.BeamParams(f=1e3, ell=1.0)
+_DT = 1e-2 * tr.loop_time_constant(_BEAM, "adaptive")
+_SLIPPING = tr.BeamParams(f=1.0, ell=1.0)
+# float.hex() of (mse_wrapped, mse_unwrapped, stderr, cycle_slip_rate) of
+# 20-trial runs, pinned so that a one-ulp drift of the kernel fails
+_GOLDEN = [
+    (dict(mode="adaptive", beam=_BEAM, seed=5),
+     ("0x1.12f40df56305ap-6", "0x1.12f40df56305ap-6", "0x1.ec345acd3b2e6p-11", "0x0.0p+0")),
+    (dict(mode="heterodyne", beam=_BEAM, seed=5),
+     ("0x1.5656a15dc83aep-6", "0x1.5656a15dc83aep-6", "0x1.f1e8127fc6dc5p-10", "0x0.0p+0")),
+    (dict(mode="adaptive", beam=_BEAM, dt=_DT, noise_dt=_DT / 2, seed=5),
+     ("0x1.02c2b7a6c0300p-6", "0x1.02c2b7a6c02ffp-6", "0x1.23fa67be2c2ddp-10", "0x0.0p+0")),
+    (dict(mode="heterodyne", beam=_BEAM, dt=_DT, noise_dt=_DT / 2, seed=5),
+     ("0x1.77dd9d82f5de8p-6", "0x1.77dd9d82f5de8p-6", "0x1.b7092ed96c208p-10", "0x0.0p+0")),
+    (dict(mode="adaptive", beam=_SLIPPING, seed=5),
+     ("0x1.b44b2d78cbf62p-1", "0x1.3843d88db5da0p+1", "0x1.864e4baf13511p-4",
+      "0x1.7ae147ae147aep-3")),
+    (dict(mode="heterodyne", beam=_SLIPPING, seed=5),
+     ("0x1.21c0170d7b1cap+0", "0x1.58c6cb9426187p+5", "0x1.6f3db8a7d23cep-4",
+      "0x1.7fc2d063f3008p-1")),
+    (dict(mode="adaptive", beam=_BEAM, seed=2 ** 40 + 7),  # a 2-word seed
+     ("0x1.1527ffa461adap-6", "0x1.1527ffa461adap-6", "0x1.1c159b0093df9p-10", "0x0.0p+0")),
+    (dict(mode="heterodyne", beam=_BEAM, seed=2 ** 64 + 3),  # a 3-word seed
+     ("0x1.5607d4fd14f41p-6", "0x1.5607d4fd14f41p-6", "0x1.1cfb364aede76p-10", "0x0.0p+0")),
+]
+# 7-trial batches whose one group mixes seeds of 1, 2 and 3 words
+_GOLDEN_MIXED = {
+    "adaptive": [
+        ("0x1.0266c2096e1eep-6", "0x1.0266c2096e1efp-6", "0x1.8e372d6aefdc3p-10", "0x0.0p+0"),
+        ("0x1.121dbd6841984p-6", "0x1.121dbd6841985p-6", "0x1.404ea58c8ca54p-9", "0x0.0p+0"),
+        ("0x1.ea117f83a3e1dp-7", "0x1.ea117f83a3e1bp-7", "0x1.aa2e0008977b0p-10", "0x0.0p+0")],
+    "heterodyne": [
+        ("0x1.74eaafeb34820p-6", "0x1.74eaafeb3481fp-6", "0x1.9bff531e82f96p-9", "0x0.0p+0"),
+        ("0x1.4ea413e80c3e2p-6", "0x1.4ea413e80c3e2p-6", "0x1.22311d188ce2ep-9", "0x0.0p+0"),
+        ("0x1.5ec117669e9c7p-6", "0x1.5ec117669e9c8p-6", "0x1.19b1526f0a622p-9", "0x0.0p+0")],
+}
+
+
+def _bits(r):
+    return tuple(v.hex() for v in (r.mse_wrapped, r.mse_unwrapped, r.stderr, r.cycle_slip_rate))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("config, bits", _GOLDEN)
+def test_results_are_bitwise_pinned(config, bits):
+    assert _bits(tr.run_tracking(**config, trials=20)) == bits
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("mode", tr.MODES)
+def test_mixed_seed_widths_are_bitwise_pinned(mode):
+    (batch,) = tr.run_tracking_batch(mode, [(_BEAM, [5, 2 ** 40 + 7, 2 ** 64 + 3], None)],
+                                     trials=7)
+    assert [_bits(r) for r in batch] == _GOLDEN_MIXED[mode]
+
+
+# seeds of 1 to 5 uint32 words, mixed in every batch
+_EDGE_LANES = [(0, 0), (2 ** 32 - 1, 1), (2 ** 32, 2 ** 32 - 1), (2 ** 64 + 3, 5), (2 ** 130 - 1, 0)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 2 ** 32 - 1) | st.integers(0, 2 ** 130 - 1),
+                          st.integers(0, 2 ** 32 - 1)), max_size=8))
+def test_streams_are_bitwise_default_rng(lanes):
+    # the group-hashed seeding reproduces numpy's own seeding of both streams
+    lanes = _EDGE_LANES + lanes
+    for (seed, trial), pair in zip(lanes, tr._streams(lanes), strict=True):
+        assert [rng.bit_generator.state for rng in pair] == \
+            [np.random.default_rng([seed, trial, s]).bit_generator.state for s in (0, 1)]
