@@ -237,10 +237,12 @@ def _wrap(x):
 
 
 def _accumulate(start, rows):
-    """Every partial sum start + rows[0] + rows[1] + ..., added one step (row)
-    at a time in step order, in place of rows."""
+    """Every partial sum start + rows[0] + rows[1] + ..., in place of rows: a row
+    loop adds one step at a time, in step order, faster than cumsum."""
     rows[0] += start
-    return np.cumsum(rows, axis=0, out=rows)
+    for k in range(1, len(rows)):
+        np.add(rows[k - 1], rows[k], out=rows[k])
+    return rows
 
 
 def _simulate_lanes(mode, steps, burn_steps, refine, lanes, f, ell, dt, bandwidth, phi0, gain):
@@ -252,20 +254,20 @@ def _simulate_lanes(mode, steps, burn_steps, refine, lanes, f, ell, dt, bandwidt
     n = len(lanes)
     sl, alpha = np.sqrt(ell), np.sqrt(f)
     phi, est = np.full(n, phi0), np.full(n, phi0)
-    sq_w, sq_u = np.zeros(n), np.zeros(n)
+    sq = np.zeros((2, n))  # wrapped and unwrapped squared-error sums
     slips, winding = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     heterodyne = mode == "heterodyne"
     states = np.empty((OBS_CHUNK, n), complex if heterodyne else float)
 
     def observe(e):
-        nonlocal sq_w, sq_u
-        w = _wrap(e)
-        sq_w = _accumulate(sq_w, np.multiply(w, w, out=w))[-1]
-        u = e * e
+        squares = np.empty((len(e), 2, n))
+        np.square(_wrap(e), out=squares[:, 0])
+        np.square(e, out=squares[:, 1])
+        for row in squares:  # one step at a time, in step order
+            np.add(sq, row, out=sq)
         # round(e / 2 pi) is 0 where e^2 < 9 (|e| < 3 < pi): only lanes with a
         # larger or nan error in the chunk, or a nonzero winding, can slip
-        hot = ~(u.max(axis=0) < 9.0) | (winding != 0)
-        sq_u = _accumulate(sq_u, u)[-1]
+        hot = ~(squares[:, 1].max(axis=0) < 9.0) | (winding != 0)
         if hot.any():
             wind = np.round(e[:, hot] / (2 * np.pi)).astype(np.int64)
             slips[hot] += np.abs(np.diff(wind, axis=0, prepend=winding[None, hot])).sum(axis=0)
@@ -287,11 +289,9 @@ def _simulate_lanes(mode, steps, burn_steps, refine, lanes, f, ell, dt, bandwidt
     k0 = 0
     for dwp, dws in _noise_columns(lanes, steps, refine, dt / refine, heterodyne):
         dwp *= sl[:, None]
-        dwp[:, 0] += phi
-        phis = np.cumsum(dwp, axis=1, out=dwp)  # phi = phi + sqrt(ell) dW, per step
-        phi = phis[:, -1].copy()
-        for c in range(0, phis.shape[1], OBS_CHUNK):
-            p, s = phis[:, c:c + OBS_CHUNK].T.copy(), dws[:, c:c + OBS_CHUNK].T.copy()
+        for c in range(0, dwp.shape[1], OBS_CHUNK):
+            p, s = dwp[:, c:c + OBS_CHUNK].T.copy(), dws[:, c:c + OBS_CHUNK].T.copy()
+            phi = _accumulate(phi, p)[-1]  # phi = phi + sqrt(ell) dW, per step
             r = len(p)
             # each update keeps one operand order, est + g I dt / (2 alpha)
             # and A = A + lam (dZ - A dt), so every result is bitwise fixed
@@ -319,7 +319,7 @@ def _simulate_lanes(mode, steps, burn_steps, refine, lanes, f, ell, dt, bandwidt
                 first = max(0, burn_steps - k0)
                 observe(p[first:] - est_rows[first:])
             k0 += r
-    return sq_w / (steps - burn_steps), sq_u / (steps - burn_steps), slips
+    return sq[0] / (steps - burn_steps), sq[1] / (steps - burn_steps), slips
 
 
 def run_tracking_batch(mode: str, points, *, dt: float | None = None,
