@@ -72,7 +72,7 @@ NOISE_BLOCK = 300_000
 LANE_GROUP = 1024  # lanes in lockstep at once: bounds generators, keeps blocks long
 OBS_CHUNK = 16  # steps whose errors are observed at once: bounds their temporaries
 LANE_STEP_BUDGET = 2 ** 30  # largest run accepted, in lane-steps
-LANE_COST = 300  # a lane's least cost in lane-steps: its set-up takes about 15 us
+LANE_COST = 300  # a lane's least cost in lane-steps: its set-up takes about 16 us
 # Smallest linearized steady-state MSE accepted.  _wrap forms fl(e + pi) - pi,
 # so it rounds each error e to a multiple of ulp(pi) = 2**-51: the subtraction
 # is exact, the addition errs by r, uniform on +-ulp(pi)/2 once |e| spans a
