@@ -2,6 +2,8 @@
 
 Each module holds only the production route to its quantities; the general
 numerics that cross-check them are test oracles (tests/oracles.py).
+scipy is imported inside the functions that need it, so importing the
+package, and the Monte Carlo and closed-form paths, load numpy only.
 
 fock
     Truncated Fock-space states, canonical phase distributions, wrapped

@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import dawsn, erf, erfcinv, wofz
 
 from .errors import WindowError
 
@@ -105,6 +104,8 @@ def _scaled_erf(u, s):
     Uses erfc(z) = e^{-z^2} w(iz) (upper half plane) and the Dawson function
     on the imaginary axis.
     """
+    from scipy.special import dawsn, wofz
+
     u = np.asarray(u, dtype=float)
     s = np.asarray(s, dtype=float)
     u, s = np.broadcast_arrays(u, s)
@@ -148,6 +149,8 @@ def _overlap_closed(alpha: complex, delta: float, ns, ms):
 
 def _window_masses(alpha, delta, ns):
     """Exact per-box full-momentum mass int_box |psi_alpha|^2 dq (Parseval)."""
+    from scipy.special import erf
+
     qb, _ = _coherent_qp(alpha)
     a = delta * ns - delta / 2
     b = delta * ns + delta / 2
@@ -168,6 +171,8 @@ def decohere(alpha: complex, spec: LatticeSpec, mass_deficit: float = 1e-6) -> L
         message names the last window evaluated, its mass and the estimated
         window needed), or the q-window alone misses it.
     """
+    from scipy.special import erfcinv
+
     alpha = complex(alpha)
     if not (np.isfinite(alpha.real) and np.isfinite(alpha.imag)):
         raise ValueError("alpha must be finite")

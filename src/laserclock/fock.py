@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "FockVector",
@@ -167,6 +166,8 @@ def coherent_state(alpha: complex, truncation: int | None = None) -> FockVector:
         amps = np.zeros(truncation + 1, dtype=complex)
         amps[0] = 1.0
     else:
+        from scipy.special import gammaln
+
         # log-space magnitudes to stay finite at large n
         logmag = -mu / 2 + n * np.log(np.abs(alpha)) - 0.5 * gammaln(n + 1)
         amps = np.exp(logmag) * np.exp(1j * n * np.angle(alpha))

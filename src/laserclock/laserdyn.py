@@ -33,12 +33,11 @@ unchanged.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, expm
-from scipy.special import gammaln
 
 from .errors import LinewidthFitError
 from .fock import DensityOperator
@@ -101,6 +100,8 @@ class LinewidthEstimate:
 
 def poisson_weights(mu: float, truncation: int) -> np.ndarray:
     """Poisson(mu) probabilities for n = 0 .. truncation (log-space, unnormalized tail)."""
+    from scipy.special import gammaln
+
     n = np.arange(truncation + 1)
     return np.exp(-mu + n * np.log(mu) - gammaln(n + 1))
 
@@ -191,11 +192,12 @@ def extract_linewidth(
         alone by ``scipy.linalg.eigh_tridiagonal`` (bisection).
     method="decay_fit"
         Evolve X(0) = a rho_ss under the k=1 generator by repeated
-        short-time dense propagators (``scipy.linalg.expm``, real
-        arithmetic) and fit the exponential decay rate r of
-        |Tr(a^dag X(t))| over two slow e-folds (after the fast transients
-        have died); ell = 2 r.  An independent cross-check of the
-        eigenvalue route.
+        application of one dense short-time propagator
+        U = expm(L1 dt) (``scipy.linalg.expm``, real arithmetic), and fit
+        the exponential decay rate r of |Tr(a^dag X(t))| over two slow
+        e-folds; ell = 2 r.  The fit starts at the first multiple of dt at
+        or after 8/kappa, once the fast transients have died.  An
+        independent cross-check of the eigenvalue route.
 
     Raises
     ------
@@ -204,6 +206,8 @@ def extract_linewidth(
     """
     if method not in LINEWIDTH_METHODS:
         raise ValueError(f"method must be one of {tuple(LINEWIDTH_METHODS)}")
+    from scipy.linalg import eigh_tridiagonal, expm
+
     L1 = build_liouvillian_sector(params, 1, truncation).matrix
     if method == "eigenvalue":
         off = np.sqrt(np.diag(L1, 1) * np.diag(L1, -1))
@@ -216,15 +220,16 @@ def extract_linewidth(
     # X(0) = a rho_ss in the k=1 sector; w are the weights of Tr(a^dag X)
     w = np.sqrt(np.arange(1.0, truncation + 1))
     x = w * stationary_state(params, truncation).populations()[1:]
-    kappa, mu = params.kappa, params.mu
-    # fast transients decay at O(kappa); the slow mode at ~kappa/(8 mu)
-    t_start = 8.0 / kappa
-    t_span = 16.0 * mu / kappa
+    # fast transients decay at O(kappa), by t = 8/kappa; the slow mode at
+    # ~kappa/(8 mu), sampled over t_span = 16 mu/kappa in nsteps steps
     nsteps = 60
-    dt = t_span / nsteps
-    x = expm(L1 * t_start) @ x
+    dt = 16.0 * params.mu / params.kappa / nsteps
+    # first multiple of dt at or after 8/kappa: (8/kappa)/dt = 30/mu exactly
+    skip = math.ceil(30.0 / params.mu)
     U = expm(L1 * dt)
-    ts = t_start + dt * np.arange(nsteps + 1)
+    for _ in range(skip):
+        x = U @ x
+    ts = dt * np.arange(skip, skip + nsteps + 1)
     g = np.empty(nsteps + 1)
     for i in range(nsteps + 1):
         g[i] = np.abs(w @ x)

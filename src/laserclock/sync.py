@@ -205,8 +205,8 @@ def run_sync_sweep(laser: LaserParams, m_values, regime: str = "hl",
     predict slope 1/2.
     """
     m_values = [int(m) for m in m_values]
-    if len(m_values) < 2:
-        raise ValueError("sweep needs at least two M values")
+    if len(set(m_values)) < 2:
+        raise ValueError("sweep needs at least two distinct M values")
     configs = [SyncConfig(laser=laser, parties=m, regime=regime) for m in m_values]
     return _run_sync(configs, [derive_seed(seed, 1000 + i) for i in range(len(configs))],
                      seed, dt, trials, workers, noise_dt)

@@ -30,6 +30,9 @@ def test_limits_values(tmp_path, capsys):
     assert float(row["sql_mse_rad2"]) == pytest.approx(2e-6)
     for col in ("seed", "dt", "trials"):
         assert col in row
+    # splitting one coherent state 16 ways is sqrt(16) worse than the HL laser
+    results = json.loads(out.with_suffix(".json").read_text())["results"]
+    assert results["min_split_over_hl_mse"] == pytest.approx(4.0)
 
 
 def test_limits_prints_table_without_out(capsys):
@@ -104,6 +107,20 @@ _CLI_RUNS = dict(
     track=_joined(st.just(["track"]), _flag("--mode", st.sampled_from(["adaptive", "heterodyne"])),
                   _flag("--flux", st.floats(1e2, 1e4)), _flag("--linewidth", st.floats(0.5, 2.0)),
                   _flag("--trials", st.integers(1, 3)), _SEED),
+    sync=_joined(st.just(["sync"]), _flag("--kappa", st.floats(0.5, 2.0)),
+                 _flag("--mu", st.floats(1e2, 1e5)),
+                 _optional("--parties", st.lists(st.integers(1, 3), min_size=1, max_size=3,
+                                                 unique=True).map(lambda ms: ",".join(map(str, ms)))),
+                 _optional("--regime", st.sampled_from(["hl", "sql"])),
+                 _flag("--trials", st.integers(1, 3)), _SEED),
+    sweep=st.one_of(
+        _joined(st.just(["sweep", "--axis"]), st.sampled_from([["n"], ["flux"]]),
+                _flag("--values", _csv(st.floats(1e2, 1e4), max_size=3))),
+        _joined(st.just(["sweep", "--axis", "linewidth"]), _flag("--flux", st.floats(1e2, 1e4)),
+                _flag("--values", _csv(st.floats(0.5, 2.0), max_size=3))),
+    ).flatmap(lambda head: _joined(
+        st.just(head), _optional("--mode", st.sampled_from(["adaptive", "heterodyne"])),
+        _flag("--trials", st.integers(1, 3)), _SEED)),
 )
 
 
@@ -212,6 +229,10 @@ def _no_noise(*args, **kwargs):
     raise AssertionError("noise drawn")
 
 
+def _no_window(*args, **kwargs):
+    raise AssertionError("channel window evaluated")
+
+
 @pytest.mark.parametrize("argv", [
     "track --flux inf --linewidth 1",
     "track --flux nan --linewidth 1",
@@ -224,6 +245,8 @@ def _no_noise(*args, **kwargs):
     "sync --kappa 1 --mu inf",
     "sync --kappa 1 --mu nan --parties 1,4",
     "sync --kappa 1 --mu 100 --parties 1,0",
+    # a sweep needs two distinct M values to fit its exponent
+    "sync --kappa 1 --mu 100 --parties 2,2",
     "linewidth --kappa inf --mu 8",
     "linewidth --kappa 1 --mu 8,inf",
     "linewidth --kappa 1 --mu 8,-1",
@@ -235,6 +258,8 @@ def _no_noise(*args, **kwargs):
     # an explicit 0 is used as given, never replaced by the default
     "channel --delta 0",
     "channel --mass-deficit 0",
+    # above the 1e-6 that the output amplitude needs: refused, not replaced
+    "channel --alpha-mod 2 --mass-deficit 1e-3",
     "phasevar --mu 100 --grid-size 0",
     "linewidth --kappa 1 --mu 16 --truncation 0",
     # a --config key that is not a flag of the subcommand is named and refused
@@ -255,6 +280,7 @@ def _no_noise(*args, **kwargs):
 ])
 def test_out_of_domain_input_is_usage_error(monkeypatch, capsys, tmp_path, argv):
     monkeypatch.setattr("laserclock.tracking._noise_columns", _no_noise)
+    monkeypatch.setattr("laserclock.channel.decohere", _no_window)
     argv, _, config = argv.partition(" --config ")
     if config:
         if config != "missing":
@@ -314,10 +340,16 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert "WindowError" in err
 
 
+def test_channel_mass_deficit_names_the_amplitude_bound(capsys):
+    assert main(["channel", "--alpha-mod", "2", "--mass-deficit", "1e-3"]) == 2
+    err = capsys.readouterr().err
+    assert "--mass-deficit" in err and "1e-6" in err
+
+
 def test_channel_output(tmp_path):
     out = tmp_path / "chan.csv"
     assert main(["channel", "--alpha-mod", "5", "--alpha-arg", "0",
-                 "--delta", "1", "--mass-deficit", "1e-4",
+                 "--delta", "1", "--mass-deficit", "1e-6",
                  "--min-prob", "1e-4", "--out", str(out)]) == 0
     rows = rows_of(out)
     best = max(rows, key=lambda r: float(r["probability"]))
@@ -330,10 +362,13 @@ def test_channel_output(tmp_path):
 
 def test_phasevar_matches_library(tmp_path):
     out = tmp_path / "pv.csv"
-    assert main(["phasevar", "--mu", "25", "--out", str(out)]) == 0
-    row = rows_of(out)[0]
-    assert float(row["phase_variance_rad2"]) == pytest.approx(0.0102117757, rel=1e-6)
-    assert float(row["coherent_limit_rad2"]) == pytest.approx(0.01)
+    assert main(["phasevar", "--mu", "25,100", "--out", str(out)]) == 0
+    rows = rows_of(out)
+    assert float(rows[0]["phase_variance_rad2"]) == pytest.approx(0.0102117757, rel=1e-6)
+    assert float(rows[0]["coherent_limit_rad2"]) == pytest.approx(0.01)
+    results = json.loads(out.with_suffix(".json").read_text())["results"]
+    assert results["max_abs_rel_deviation"] == max(abs(float(r["rel_deviation"])) for r in rows)
+    assert results["truncations"] == [int(r["truncation"]) for r in rows]
 
 
 def test_linewidth_subcommand(tmp_path):

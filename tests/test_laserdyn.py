@@ -173,6 +173,29 @@ def test_linewidth_methods_agree():
         assert abs(v_eig / v_fit - 1) < 0.02
 
 
+@pytest.mark.parametrize("mu", [4.0, 16.0, 64.0])
+def test_decay_fit_is_one_propagator_past_the_transients(monkeypatch, mu):
+    # the fit builds one dense expm(L1 dt) and samples from the first
+    # multiple of dt at or after the 8/kappa the fast transients need; it
+    # agrees with the eigenvalue to the 1e-7 the README states
+    import scipy.linalg
+
+    kappa = 0.5
+    expm, polyfit = scipy.linalg.expm, np.polyfit
+    built, sampled = [], []
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: built.append(a) or expm(a))
+    monkeypatch.setattr(np, "polyfit", lambda x, y, deg: sampled.append(x) or polyfit(x, y, deg))
+    params = ld.LaserParams(kappa=kappa, mu=mu)
+    trunc = fock.default_truncation(mu)
+    fit = ld.extract_linewidth(params, trunc, "decay_fit").value
+    assert len(built) == 1
+    (ts,) = sampled
+    dt = ts[1] - ts[0]
+    assert ts[0] >= 8 / kappa > ts[0] - dt
+    eig = ld.extract_linewidth(params, trunc, "eigenvalue").value
+    assert abs(fit / eig - 1) <= 1e-7
+
+
 def test_linewidth_linearity_in_kappa():
     ref = ld.extract_linewidth(ld.LaserParams(kappa=1.0, mu=8.0), 60).value
     for c in [0.5, 2.0]:
