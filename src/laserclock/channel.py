@@ -99,28 +99,25 @@ def _coherent_qp(alpha: complex):
 
 
 def _scaled_erf(u, s):
-    """e^{-s^2} erf(u - i s) without overflow, for real arrays u, s.
+    """e^{-s^2} erf(u_i - i s_j) without overflow, on the grid of sorted 1-D u
+    and 1-D s.
 
-    Uses erfc(z) = e^{-z^2} w(iz) (upper half plane) and the Dawson function
-    on the imaginary axis.
+    Returns the (len(u), len(s)) array.  Uses erfc(z) = e^{-z^2} w(iz)
+    (upper half plane) and the Dawson function on the imaginary axis.  As u
+    is sorted, u < 0, u == 0 and u > 0 are row slices, and e^{-s^2} and the
+    u == 0 row are computed once per column.
     """
     from scipy.special import dawsn, wofz
 
     u = np.asarray(u, dtype=float)
     s = np.asarray(s, dtype=float)
-    u, s = np.broadcast_arrays(u, s)
-    out = np.empty(u.shape, dtype=complex)
-    pos = u > 0
-    neg = u < 0
-    zer = ~(pos | neg)
-    if pos.any():
-        up, sp = u[pos], s[pos]
-        out[pos] = np.exp(-sp ** 2) - np.exp(-up ** 2 + 2j * up * sp) * wofz(sp + 1j * up)
-    if neg.any():
-        un, sn = u[neg], s[neg]
-        out[neg] = -np.exp(-sn ** 2) + np.exp(-un ** 2 + 2j * un * sn) * wofz(-sn - 1j * un)
-    if zer.any():
-        out[zer] = -2j / math.sqrt(math.pi) * dawsn(s[zer])
+    lo, hi = np.searchsorted(u, 0.0, "left"), np.searchsorted(u, 0.0, "right")
+    es = np.exp(-s ** 2)
+    out = np.empty((len(u), len(s)), dtype=complex)
+    un, up = u[:lo, None], u[hi:, None]
+    out[:lo] = -es + np.exp(-un ** 2 + 2j * un * s) * wofz(-s - 1j * un)
+    out[lo:hi] = -2j / math.sqrt(math.pi) * dawsn(s)
+    out[hi:] = es - np.exp(-up ** 2 + 2j * up * s) * wofz(s + 1j * up)
     return out
 
 
@@ -140,7 +137,7 @@ def _overlap_closed(alpha: complex, delta: float, ns, ms):
     ua = (delta * nn - delta / 2 - qb) / math.sqrt(2)
     ub = (delta * nn + delta / 2 - qb) / math.sqrt(2)
     edges, at = np.unique(np.concatenate([ua, ub]), return_inverse=True)
-    F = _scaled_erf(edges[:, None], dlt / math.sqrt(2))
+    F = _scaled_erf(edges, dlt / math.sqrt(2))
     E = F[at[len(nn):]]
     E -= F[at[:len(nn)]]
     pref = (np.pi ** 0.25 / math.sqrt(2 * delta)) * np.exp(1j * dlt * qb - 1j * qb * pb / 2)

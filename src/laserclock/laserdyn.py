@@ -19,8 +19,12 @@ mu ~ 8 (+66% at mu = 4); from mu = 4 up the linewidth is still below the SQL.
 Each quantity takes its structured route.  The stationary state is the
 Poisson closed form (detailed balance of the k = 0 chain).  The k = 1 sector
 is real and tridiagonal, and a diagonal similarity makes it symmetric, so
-its slowest eigenvalue comes from a symmetric tridiagonal eigensolve.  The
-dense matrix-exponential decay fit is kept as the independent cross-check.
+its slowest eigenvalue comes from a symmetric tridiagonal eigensolve on its
+three diagonals.  The dense matrix-exponential decay fit is kept as the
+independent cross-check: expm's Pade step on the scaled generator, then
+squarings in scipy's BLAS with entries below 2^-500 flushed to zero, so the
+fit neither crosses between numpy's and scipy's OpenBLAS thread pools nor
+runs on subnormal numbers.
 The general routes (the dense (T+1)^2 x (T+1)^2 superoperator, a
 least-squares null vector, the pure-loss sectors) live in the tests, which
 hold the sectors and the stationary state to them.
@@ -57,6 +61,10 @@ __all__ = [
 
 # linewidth method -> the scipy.linalg routine that does its numerical work
 LINEWIDTH_METHODS = {"eigenvalue": "eigh_tridiagonal", "decay_fit": "expm"}
+# decay-fit propagator: the 1-norm up to which expm's degree-13 Pade step
+# needs no squaring (Al-Mohy and Higham 2009), and the flush threshold
+THETA_13 = 5.371920351148152
+FLUSH_BELOW = 2.0 ** -500
 
 
 @dataclass(frozen=True)
@@ -118,6 +126,20 @@ def _check_truncation(params: LaserParams, truncation: int) -> None:
         )
 
 
+def _sector_diagonals(params: LaserParams, k: int, truncation: int):
+    """(sub, diag, super) diagonals of the sector-k generator; see
+    :func:`build_liouvillian_sector`."""
+    _check_truncation(params, truncation)
+    kappa, mu = params.kappa, params.mu
+    n = np.arange(truncation - k + 1)
+    # loss kappa (a rho a^dag - {a^dag a, rho}/2); gain kappa*mu, truncated
+    # at the top state
+    sup = kappa * np.sqrt((n[:-1] + 1.0) * (n[:-1] + k + 1.0))
+    diag = -kappa * (n + k / 2.0) - kappa * mu * ((n <= truncation - 1).astype(float)
+                                                   + (n + k <= truncation - 1).astype(float)) / 2.0
+    return np.full(len(n) - 1, kappa * mu), diag, sup
+
+
 def build_liouvillian_sector(params: LaserParams, sector_offset: int,
                              truncation: int) -> LiouvillianSector:
     """Build the sector-k generator for x_n = rho_{n, n+k}, in the rotating frame.
@@ -137,17 +159,10 @@ def build_liouvillian_sector(params: LaserParams, sector_offset: int,
     k = int(sector_offset)
     if k < 0 or k > truncation:
         raise ValueError("sector_offset must be in [0, truncation]")
-    _check_truncation(params, truncation)
-    kappa, mu = params.kappa, params.mu
-    dim = truncation - k + 1
-    n = np.arange(dim)
-    L = np.zeros((dim, dim))
-    # loss kappa (a rho a^dag - {a^dag a, rho}/2)
-    L[n[:-1], n[:-1] + 1] += kappa * np.sqrt((n[:-1] + 1.0) * (n[:-1] + k + 1.0))
-    L[n, n] -= kappa * (n + k / 2.0)
-    L[n[1:], n[1:] - 1] += kappa * mu
-    L[n, n] -= kappa * mu * ((n <= truncation - 1).astype(float)
-                             + (n + k <= truncation - 1).astype(float)) / 2.0
+    sub, diag, sup = _sector_diagonals(params, k, truncation)
+    L = np.diag(diag)
+    np.fill_diagonal(L[:, 1:], sup)
+    np.fill_diagonal(L[1:], sub)
     return LiouvillianSector(sector_offset=k, matrix=L)
 
 
@@ -189,15 +204,26 @@ def extract_linewidth(
         matrix with diagonal d_n and off-diagonal sqrt(b_n c).  Its
         eigenvalues are those of the sector, hence real (and negative, as
         every coherence decays), and lambda_1 is the largest of them, taken
-        alone by ``scipy.linalg.eigh_tridiagonal`` (bisection).
+        alone by ``scipy.linalg.eigh_tridiagonal`` (bisection); the three
+        diagonals are built directly, never the dense sector.
     method="decay_fit"
         Evolve X(0) = a rho_ss under the k=1 generator by repeated
-        application of one dense short-time propagator
-        U = expm(L1 dt) (``scipy.linalg.expm``, real arithmetic), and fit
-        the exponential decay rate r of |Tr(a^dag X(t))| over two slow
+        application of one dense short-time propagator U = exp(L1 dt), and
+        fit the exponential decay rate r of |Tr(a^dag X(t))| over two slow
         e-folds; ell = 2 r.  The fit starts at the first multiple of dt at
         or after 8/kappa, once the fast transients have died.  An
-        independent cross-check of the eigenvalue route.
+        independent cross-check of the eigenvalue route.  U is
+        ``scipy.linalg.expm``'s Pade step on L1 dt / 2^s followed by s
+        squarings in ``scipy.linalg.blas.dgemm``, entries below 2^-500
+        zeroed before each, and it is applied by ``dgemv`` (real
+        arithmetic throughout).  So every matrix product of the fit runs in
+        scipy's bundled OpenBLAS; ``expm``'s own squarings and numpy's
+        ``@`` would run in numpy's separate OpenBLAS, whose thread pool
+        contends with scipy's on a small host.  Unflushed, the early
+        squarings run on thousands of subnormal entries at T ~ 400, each
+        several times slower than a normal one.  X(0) is built from the
+        normalized Poisson weights, the populations of
+        :func:`stationary_state`.
 
     Raises
     ------
@@ -206,34 +232,36 @@ def extract_linewidth(
     """
     if method not in LINEWIDTH_METHODS:
         raise ValueError(f"method must be one of {tuple(LINEWIDTH_METHODS)}")
-    from scipy.linalg import eigh_tridiagonal, expm
+    from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg.blas import dgemv
 
-    L1 = build_liouvillian_sector(params, 1, truncation).matrix
     if method == "eigenvalue":
-        off = np.sqrt(np.diag(L1, 1) * np.diag(L1, -1))
-        top = len(L1) - 1
-        lam1 = eigh_tridiagonal(np.diag(L1), off, eigvals_only=True,
+        sub, diag, sup = _sector_diagonals(params, 1, truncation)
+        top = len(diag) - 1
+        lam1 = eigh_tridiagonal(diag, np.sqrt(sup * sub), eigvals_only=True,
                                 select="i", select_range=(top, top))[0]
         return LinewidthEstimate(value=float(-2.0 * lam1), method=method,
                                  truncation=truncation)
 
+    L1 = build_liouvillian_sector(params, 1, truncation).matrix
     # X(0) = a rho_ss in the k=1 sector; w are the weights of Tr(a^dag X)
     w = np.sqrt(np.arange(1.0, truncation + 1))
-    x = w * stationary_state(params, truncation).populations()[1:]
+    p = poisson_weights(params.mu, truncation)
+    x = w * (p / p.sum())[1:]
     # fast transients decay at O(kappa), by t = 8/kappa; the slow mode at
     # ~kappa/(8 mu), sampled over t_span = 16 mu/kappa in nsteps steps
     nsteps = 60
     dt = 16.0 * params.mu / params.kappa / nsteps
     # first multiple of dt at or after 8/kappa: (8/kappa)/dt = 30/mu exactly
     skip = math.ceil(30.0 / params.mu)
-    U = expm(L1 * dt)
+    U = _propagator(L1 * dt)
     for _ in range(skip):
-        x = U @ x
+        x = dgemv(1.0, U, x)
     ts = dt * np.arange(skip, skip + nsteps + 1)
     g = np.empty(nsteps + 1)
     for i in range(nsteps + 1):
         g[i] = np.abs(w @ x)
-        x = U @ x
+        x = dgemv(1.0, U, x)
     slope, intercept = np.polyfit(ts, np.log(g), 1)
     resid = np.max(np.abs(np.log(g) - (slope * ts + intercept)))
     if resid > 1e-3:
@@ -241,6 +269,29 @@ def extract_linewidth(
             f"coherence decay not exponential: max log-residual {resid:.2e} > 1e-3"
         )
     return LinewidthEstimate(value=float(-2.0 * slope), method=method, truncation=truncation)
+
+
+def _propagator(A: np.ndarray) -> np.ndarray:
+    """exp(A) for the real k=1 generator times dt, in Fortran order.
+
+    ``scipy.linalg.expm`` takes its Pade step on A / 2^s, with
+    s = ceil(log2(||A||_1 / THETA_13)); the s squarings then run through
+    ``scipy.linalg.blas.dgemm``, the BLAS that step used.  Before each
+    squaring, entries below FLUSH_BELOW are set to zero.  exp(L1 t) is
+    entrywise nonnegative with column sums at most 1 (L1 has nonnegative
+    off-diagonals and nonpositive column sums), so a dropped product is
+    below 2^-500 against entries of order 1; the tests find the squared
+    propagator bitwise unchanged.
+    """
+    from scipy.linalg import expm
+    from scipy.linalg.blas import dgemm
+
+    s = max(0, math.ceil(math.log2(np.linalg.norm(A, 1) / THETA_13)))
+    U = np.asfortranarray(expm(A / 2.0 ** s))
+    for _ in range(s):
+        U[np.abs(U) < FLUSH_BELOW] = 0.0
+        U = dgemm(1.0, U, U)
+    return U
 
 
 def sql_linewidth(params: LaserParams) -> float:

@@ -51,19 +51,21 @@ def test_quadrature_matches_closed_form(alpha, nm):
 
 
 def per_box_overlap(alpha, delta, ns, ms):
-    """Oracle: _scaled_erf evaluated at both edges of every box separately."""
+    """Oracle: the masked scaled erf evaluated at both edges of every box
+    separately."""
     qb, pb = math.sqrt(2) * alpha.real, math.sqrt(2) * alpha.imag
     dlt = pb - 2 * np.pi * ms.astype(float) / delta
     nn = ns.astype(float)[:, None]
     ua = (delta * nn - delta / 2 - qb) / math.sqrt(2)
     ub = (delta * nn + delta / 2 - qb) / math.sqrt(2)
     s = (dlt / math.sqrt(2))[None, :]
-    E = ch._scaled_erf(ub, s) - ch._scaled_erf(ua, s)
+    E = oracles.scaled_erf_masked(ub, s) - oracles.scaled_erf_masked(ua, s)
     return (np.pi ** 0.25 / math.sqrt(2 * delta)) * np.exp(1j * dlt * qb - 1j * qb * pb / 2) * E
 
 
 @pytest.mark.parametrize("alpha, delta, shared", [
     (5.0, 1.0, "all"),
+    (0.5 / math.sqrt(2), 1.0, "all"),   # box 0's right edge sits at u = 0
     (5.0 * np.exp(0.9272952180016122j), 1.7, "some"),
     (10.0 * np.exp(0.3j), 0.8, "some"),
 ])
@@ -79,6 +81,7 @@ def test_overlap_grid_shares_edges_bitwise(alpha, delta, shared):
     assert n_shared == len(ns) - 1 if shared == "all" else 0 < n_shared < len(ns) - 1
     got = ch._overlap_closed(alpha, delta, ns, ms)
     assert got.shape == (len(ns), len(ms))
+    # the row slices of the sorted edges give bitwise the masked gathers
     assert got.tobytes() == per_box_overlap(alpha, delta, ns, ms).tobytes()
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eig, expm
+from scipy.linalg.blas import dgemm
 
 import oracles
 from laserclock import fock, laserdyn as ld
@@ -175,9 +176,10 @@ def test_linewidth_methods_agree():
 
 @pytest.mark.parametrize("mu", [4.0, 16.0, 64.0])
 def test_decay_fit_is_one_propagator_past_the_transients(monkeypatch, mu):
-    # the fit builds one dense expm(L1 dt) and samples from the first
-    # multiple of dt at or after the 8/kappa the fast transients need; it
-    # agrees with the eigenvalue to the 1e-7 the README states
+    # the fit calls expm once, on L1 dt / 2^s with the least s that brings
+    # the 1-norm to THETA_13 or below, and samples from the first multiple
+    # of dt at or after the 8/kappa the fast transients need; it agrees with
+    # the eigenvalue to the 1e-7 the README states
     import scipy.linalg
 
     kappa = 0.5
@@ -188,12 +190,88 @@ def test_decay_fit_is_one_propagator_past_the_transients(monkeypatch, mu):
     params = ld.LaserParams(kappa=kappa, mu=mu)
     trunc = fock.default_truncation(mu)
     fit = ld.extract_linewidth(params, trunc, "decay_fit").value
-    assert len(built) == 1
+    (scaled,) = built
     (ts,) = sampled
-    dt = ts[1] - ts[0]
-    assert ts[0] >= 8 / kappa > ts[0] - dt
+    dt = 16.0 * mu / kappa / 60
+    assert ts[0] >= 8 / kappa > ts[0] - (ts[1] - ts[0])
+    A = ld.build_liouvillian_sector(params, 1, trunc).matrix * dt
+    s = round(math.log2(np.linalg.norm(A, 1) / np.linalg.norm(scaled, 1)))
+    assert np.array_equal(scaled * 2.0 ** s, A)
+    assert ld.THETA_13 / 2 < np.linalg.norm(scaled, 1) <= ld.THETA_13
     eig = ld.extract_linewidth(params, trunc, "eigenvalue").value
     assert abs(fit / eig - 1) <= 1e-7
+
+
+def scaled_step(mu):
+    """L1 dt of the decay fit at kappa = 1, its size n and its scaling s."""
+    params = ld.LaserParams(kappa=1.0, mu=mu)
+    trunc = fock.default_truncation(mu)
+    A = ld.build_liouvillian_sector(params, 1, trunc).matrix * (16.0 * mu / 60)
+    return A, trunc, max(0, math.ceil(math.log2(np.linalg.norm(A, 1) / ld.THETA_13)))
+
+
+def gamma(n):
+    # Higham's gamma_n = n u / (1 - n u), u = eps / 2: the relative bound on
+    # the rounding of an n-term inner product
+    return n * EPS / 2 / (1 - n * EPS / 2)
+
+
+@pytest.mark.parametrize("mu", [64.0, 128.0, 256.0])
+def test_flushed_squaring_is_bitwise_unflushed(mu):
+    # zeroing the entries below FLUSH_BELOW before each squaring changes no
+    # bit of the propagator, although it zeroes thousands of them
+    A, _, s = scaled_step(mu)
+    U = np.asfortranarray(expm(A / 2.0 ** s))
+    flushed = 0
+    for _ in range(s):
+        flushed += int(np.count_nonzero((U != 0) & (np.abs(U) < ld.FLUSH_BELOW)))
+        U = dgemm(1.0, U, U)
+    assert flushed > 1000
+    assert np.array_equal(ld._propagator(A), U)
+
+
+@pytest.mark.parametrize("mu", [64.0, 128.0, 256.0])
+def test_propagator_within_squaring_error_of_expm(mu):
+    # At these mu scipy's expm(A) picks the same scaling s, so both routes
+    # square the same Pade result s times and differ by the squarings'
+    # rounding.  exp(L1 t) is entrywise nonnegative with 1-norm at most 1,
+    # so a squaring X -> fl(X X) errs by at most gamma_n ||X||_1^2 <= gamma_n,
+    # and an error E in X becomes E X + X E, at most doubled: after s
+    # squarings each route is within (2^s - 1) gamma_n of the exact power
+    # (Higham 2005).  The flush adds at most n 2^-500 per squaring, also
+    # doubled by each later one.
+    A, n, s = scaled_step(mu)
+    U = ld._propagator(A)
+    assert U.min() >= 0 and np.linalg.norm(U, 1) <= 1
+    bound = 2 * (2 ** s - 1) * gamma(n) + 2 ** s * s * n * ld.FLUSH_BELOW
+    assert np.linalg.norm(U - expm(A), 1) <= bound
+
+
+@pytest.mark.parametrize("mu", [64.0, 128.0, 256.0])
+def test_decay_fit_agrees_with_dense_expm_route(mu):
+    # The replaced route (oracles.decay_fit_dense_expm) applies
+    # U' = expm(L1 dt) with numpy's @.  With delta = ||U - U'||_1,
+    # ||U||_1 <= 1 and each matrix-vector product rounding by at most
+    # gamma_n ||x||_1, the two state vectors differ after i steps by at most
+    # i (delta + 2 gamma_n) ||x_0||_1 in the 1-norm; a sample g = |w . x|
+    # then moves by ||w||_inf times that, plus the rounding of both dot
+    # products, and log g by that over g.  The least-squares slope moves by
+    # at most sum |t - t_mean| |d log g| / sum (t - t_mean)^2, and the
+    # linewidth is -2 slope.  The roundings of log and polyfit are a few eps,
+    # far below these terms.
+    params = ld.LaserParams(kappa=1.0, mu=mu)
+    A, n, _ = scaled_step(mu)
+    ell_old, ts, g = oracles.decay_fit_dense_expm(params, n)
+    ell = ld.extract_linewidth(params, n, "decay_fit").value
+    delta = np.linalg.norm(ld._propagator(A) - expm(A), 1)
+    w = np.sqrt(np.arange(1.0, n + 1))
+    p = ld.poisson_weights(mu, n)
+    x0_norm = np.sum(w * (p / p.sum())[1:])
+    steps = math.ceil(30.0 / mu) + np.arange(len(ts))
+    d_log_g = w.max() * x0_norm * (steps * (delta + 2 * gamma(n)) + 2 * gamma(n)) / g
+    tc = ts - ts.mean()
+    bound = np.sum(np.abs(tc) * d_log_g) / np.sum(tc ** 2) / (ell_old / 2)
+    assert abs(ell / ell_old - 1) <= bound
 
 
 def test_linewidth_linearity_in_kappa():
