@@ -232,9 +232,9 @@ def test_flushed_squaring_is_bitwise_unflushed(mu):
 
 @pytest.mark.parametrize("mu", [64.0, 128.0, 256.0])
 def test_propagator_within_squaring_error_of_expm(mu):
-    # At these mu scipy's expm(A) picks the same scaling s, so both routes
-    # square the same Pade result s times and differ by the squarings'
-    # rounding.  exp(L1 t) is entrywise nonnegative with 1-norm at most 1,
+    # At these mu scipy's expm(A) picks the same scaling s (scipy 1.17), so
+    # both routes square the same Pade result s times and differ by the
+    # squarings' rounding.  exp(L1 t) is entrywise nonnegative with 1-norm at most 1,
     # so a squaring X -> fl(X X) errs by at most gamma_n ||X||_1^2 <= gamma_n,
     # and an error E in X becomes E X + X E, at most doubled: after s
     # squarings each route is within (2^s - 1) gamma_n of the exact power
