@@ -20,7 +20,8 @@ alpha = 5.0
 dist = ch.decohere(alpha, spec)
 print(f"decohere alpha={alpha}: window {len(dist.ns)} x {len(dist.ms)} lattice states, "
       f"captured mass {dist.captured_mass:.9f}")
-print(f"most likely lattice state: (n, m) = {dist.argmax()}  "
+i, j = np.unravel_index(dist.probabilities.argmax(), dist.probabilities.shape)
+print(f"most likely lattice state: (n, m) = {(int(dist.ns[i]), int(dist.ms[j]))}  "
       f"[q_bar = sqrt(2)*5 = {math.sqrt(2)*5:.2f}]")
 
 print("\nprobabilities near the peak (rows n, columns m):")

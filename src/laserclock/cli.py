@@ -176,7 +176,9 @@ def _run_channel(a):
     deficit = a.mass_deficit
     _require(0 < deficit <= 1e-6, "--mass-deficit must be in (0, 1e-6]: "
                                   "output_mean_amplitude needs captured mass >= 1 - 1e-6")
-    _require(mod >= 0, "--alpha-mod must be >= 0")
+    _require(0 <= mod < math.inf, "--alpha-mod must be finite and >= 0")
+    _require(math.isfinite(arg), "--alpha-arg must be finite")
+    _require(0 <= min_prob <= 1, "--min-prob must be in [0, 1]")
     alpha = mod * complex(math.cos(arg), math.sin(arg))
     spec = ch.LatticeSpec(delta=delta)
     dist = ch.decohere(alpha, spec, mass_deficit=deficit)

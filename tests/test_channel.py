@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,7 +145,8 @@ def test_decohere_captured_mass_and_argmax():
     assert dist.captured_mass >= 1 - 1e-6
     assert dist.captured_mass <= 1 + 1e-9
     # q_bar = sqrt(2)*5 = 7.07: the box at n=7, m=0 dominates
-    assert dist.argmax() == (7, 0)
+    i, j = np.unravel_index(dist.probabilities.argmax(), dist.probabilities.shape)
+    assert (dist.ns[i], dist.ms[j]) == (7, 0)
 
 
 def test_decohere_probabilities_match_quadrature():
@@ -264,3 +266,101 @@ def test_window_checks_and_validation():
     needed = int(msg.split(" needs about ")[1].split()[0])
     assert needed > 2 ** 21 + 1
     assert f"more than the {2 ** 21 + 1} allowed" in msg
+
+
+GRID_CASES = [(5.0, 1.0), (3 + 4j, 1.0), (2 + 1j, 1.0), (3 + 4j, 1.7), (10 * np.exp(0.3j), 0.8),
+              (5j, 1.0), (0.0, 1.0), (1.5, 0.05), (5.0, 0.01)]
+
+
+def _single_call_grid(alpha, delta, dist):
+    return np.abs(ch._overlap_closed(complex(alpha), delta, dist.ns, dist.ms)) ** 2
+
+
+@pytest.mark.parametrize("alpha, delta", GRID_CASES)
+def test_blocked_grid_is_bitwise_the_single_call(alpha, delta):
+    # at mass deficit 1e-5 the single call's complex temporaries stay under
+    # about 100 MB; the windows span 1 to 12 column blocks
+    dist = ch.decohere(alpha, ch.LatticeSpec(delta=delta), mass_deficit=1e-5)
+    assert dist.probabilities.tobytes() == _single_call_grid(alpha, delta, dist).tobytes()
+    assert dist.captured_mass == float(dist.probabilities.sum())
+
+
+@pytest.mark.parametrize("alpha, delta", [(3 + 4j, 1.0), (3 + 4j, 1.7), (1.5, 0.05)])
+def test_block_width_changes_no_probability(monkeypatch, alpha, delta):
+    # blocks of 1 column, of 7 and 8 columns (neither divides the 1025 of the
+    # window) and wider than the grid; at Delta = 0.05 the 166 rows exceed a
+    # 100-cell block, which then still holds one column
+    spec = ch.LatticeSpec(delta=delta)
+    ref = ch.decohere(alpha, spec, mass_deficit=0.05)
+    rows, cols = ref.probabilities.shape
+    assert cols == 1025
+    widths = []
+    overlap = ch._overlap_closed
+
+    def recording(alpha, delta, ns, ms):
+        widths.append(len(ms))
+        return overlap(alpha, delta, ns, ms)
+
+    monkeypatch.setattr(ch, "_overlap_closed", recording)
+    for cells in (1, 100, 7 * rows, 2 ** 40):
+        step = min(cols, max(1, cells // rows))
+        monkeypatch.setattr(ch, "GRID_BLOCK_CELLS", cells)
+        widths.clear()
+        dist = ch.decohere(alpha, spec, mass_deficit=0.05)
+        assert widths == [step] * (cols // step) + [cols % step] * (cols % step > 0)
+        assert dist.probabilities.tobytes() == ref.probabilities.tobytes()
+    monkeypatch.setattr(ch, "_overlap_closed", overlap)
+    assert ref.probabilities.tobytes() == _single_call_grid(alpha, delta, ref).tobytes()
+
+
+def test_grid_working_set_is_one_block():
+    # beyond P itself (float64) and ms (int64), a block holds the edge grid F
+    # of _scaled_erf, with at most rows + 1 rows at Delta = 1 (shared edges),
+    # and at most three temporaries as large as F while one of its row slices
+    # is filled; after F is freed, _overlap_closed's E and its gather are two
+    # blocks.  So four F-sized complex arrays, under 5 complex blocks.
+    ch.decohere(3 + 4j, SPEC, mass_deficit=1e-3)  # scipy loaded, caches warm
+    tracemalloc.start()
+    try:
+        dist = ch.decohere(3 + 4j, SPEC)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = len(dist.ns)
+    block_bytes = 16 * (ch.GRID_BLOCK_CELLS // rows) * rows
+    assert dist.probabilities.shape == (12, 97121)
+    # the whole-grid evaluation peaked at 56.4 MiB for this 8.9 MiB P
+    assert peak <= dist.probabilities.nbytes + dist.ms.nbytes + 5 * block_bytes
+
+
+def test_grid_over_budget_is_refused_before_it_is_evaluated(monkeypatch):
+    # Delta = 1e-4 needs 81049 boxes x 1025 momentum points: refused before
+    # the boxes are even listed
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"more than the {ch.GRID_BUDGET_CELLS} cells"):
+            ch.decohere(5.0, ch.LatticeSpec(delta=1e-4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
+    with pytest.raises(ValueError, match="needs inf boxes"):
+        ch.decohere(5.0, ch.LatticeSpec(delta=5e-324))
+    # a later window over the budget: the first 12 x 1025 window fits, the
+    # 58173 points that alpha = 5 needs do not
+    evaluated = []
+    probabilities = ch._probabilities
+
+    def recording(alpha, delta, ns, ms):
+        evaluated.append(len(ns) * len(ms))
+        return probabilities(alpha, delta, ns, ms)
+
+    monkeypatch.setattr(ch, "_probabilities", recording)
+    monkeypatch.setattr(ch, "GRID_BUDGET_CELLS", 4 * 12 * 1025)
+    with pytest.raises(WindowError) as info:
+        ch.decohere(5.0, SPEC)
+    assert evaluated == [12 * 1025]
+    msg = str(info.value)
+    cells = int(msg.split(" needs a window of ")[1].split()[0])
+    assert cells > 4 * 12 * 1025 and f"more than the {4 * 12 * 1025} allowed" in msg
+    assert "last window evaluated had 1025 points" in msg

@@ -258,6 +258,14 @@ def _no_window(*args, **kwargs):
     # an explicit 0 is used as given, never replaced by the default
     "channel --delta 0",
     "channel --mass-deficit 0",
+    "channel --delta inf",
+    "channel --delta nan",
+    "channel --alpha-arg inf",
+    "channel --alpha-arg nan",
+    "channel --alpha-mod inf",
+    "channel --min-prob nan",
+    "channel --min-prob -1",
+    "channel --min-prob 2",
     # above the 1e-6 that the output amplitude needs: refused, not replaced
     "channel --alpha-mod 2 --mass-deficit 1e-3",
     "phasevar --mu 100 --grid-size 0",
@@ -329,6 +337,12 @@ def test_each_experiment_is_one_batch(monkeypatch):
     sync.run_sync_experiment(sync.SyncConfig(laser=laser, parties=3), trials=2)
     sync.run_sync_sweep(laser, [1, 2, 4], trials=2)
     assert calls == [3, 1, 3]
+
+
+def test_channel_grid_over_budget_is_refused_at_once(capsys):
+    # 8.1e300 boxes: refused by the cell budget before np.arange lists them
+    assert main(["channel", "--delta", "1e-300"]) == 2
+    assert "more than the 33554432 cells allowed" in capsys.readouterr().err
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):
