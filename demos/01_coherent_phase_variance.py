@@ -14,7 +14,8 @@ alpha = 5.0
 state = fock.coherent_state(alpha)
 mu = abs(alpha) ** 2
 print(f"coherent state alpha={alpha}: mean photon number = "
-      f"{state.mean_photon_number():.6f} (mu = {mu})")
+      f"{np.sum(np.arange(state.truncation + 1) * np.abs(state.amplitudes) ** 2):.6f} "
+      f"(mu = {mu})")
 print(f"truncation {state.truncation}, norm deficit {state.norm_deficit:.2e}")
 
 # its canonical phase distribution is sharply peaked at arg(alpha) = 0

@@ -32,7 +32,7 @@ for n in range(5, 10):
     row = [dist.probabilities[ni.index(n), mi.index(m)] for m in range(-2, 3)]
     print(f"  {n:4d} " + "".join(f"{p:9.4f}" for p in row))
 
-out = ch.output_mean_amplitude(dist, spec)
+out = ch.output_mean_amplitude(dist)
 print(f"\nmean amplitude after total decoherence: {out:.6f}")
 print(f"  modulus {abs(out):.6f} (input 5), phase {math.atan2(out.imag, out.real):+.6f} rad")
 print(f"  fidelity with the original coherent state: "
@@ -42,7 +42,7 @@ print(f"  fidelity with the original coherent state: "
 print("\nrotation covariance (momentum lattice spacing 2 pi/Delta quantizes <p>):")
 for chi in [np.pi / 2, np.pi / 4]:
     a = alpha * np.exp(1j * chi)
-    o = ch.output_mean_amplitude(ch.decohere(a, spec), spec)
+    o = ch.output_mean_amplitude(ch.decohere(a, spec))
     print(f"  chi={chi:.4f}: output phase {math.atan2(o.imag, o.real):+.4f} "
           f"(bias {math.atan2(o.imag, o.real)-chi:+.4f} rad)")
 

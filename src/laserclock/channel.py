@@ -33,9 +33,10 @@ written straight into the float array of probabilities, so no complex array
 of the whole window ever exists: at alpha = 3+4i the traced peak is 12.9 MiB
 for the 8.9 MiB of probabilities, where the whole-window evaluation took 56.4.
 No window may exceed ``GRID_BUDGET_CELLS`` cells (256 MiB of probabilities);
-a lattice too fine for even the first window is refused with ValueError
-before any box is listed, a later window with WindowError before it is
-evaluated.
+a lattice too fine for even the first window, or an input whose lattice
+indices pass 2^52 (float64 no longer holds every integer there), is refused
+with ValueError before any box is listed, a later window with WindowError
+before it is evaluated.
 """
 
 from __future__ import annotations
@@ -197,7 +198,9 @@ def decohere(alpha: complex, spec: LatticeSpec, mass_deficit: float = 1e-6) -> L
     ------
     ValueError
         If the boxes times the first window's 1025 momentum points exceed
-        ``GRID_BUDGET_CELLS``; checked before any box is listed or evaluated.
+        ``GRID_BUDGET_CELLS``, or a box or momentum index of any window could
+        exceed 2^52 in modulus, where float64 stops holding every integer;
+        both are checked before any box is listed or evaluated.
     WindowError
         If the requested mass needs a momentum half-width above 2^20 (the
         message names the last window evaluated, its mass and the estimated
@@ -226,13 +229,17 @@ def decohere(alpha: complex, spec: LatticeSpec, mass_deficit: float = 1e-6) -> L
         raise ValueError(
             f"delta = {delta:g} needs {boxes:g} boxes x {2 * m_half + 1} momentum points, "
             f"more than the {GRID_BUDGET_CELLS} cells allowed")
+    m_c = np.round(pb * delta / (2 * np.pi))
+    if max(-lo, hi) + 1 > 2 ** 52 or abs(m_c) + 2 ** 20 > 2 ** 52:
+        raise ValueError(f"alpha = {alpha:g} at delta = {delta:g} needs lattice indices "
+                         f"beyond 2^52, where float64 no longer holds every integer")
     ns = np.arange(int(lo) - 1, int(hi) + 2)
     w_total = float(_window_masses(alpha, delta, ns).sum())
     budget_m = mass_deficit - (1.0 - w_total)
     if budget_m <= 0:
         raise WindowError(f"q-window captured only {w_total:.9f}")
 
-    m_c = int(np.round(pb * delta / (2 * np.pi)))
+    m_c = int(m_c)
     while m_half <= 2 ** 20:
         cells = len(ns) * (2 * m_half + 1)
         if cells > GRID_BUDGET_CELLS:  # never the first window: checked above
@@ -258,19 +265,18 @@ def decohere(alpha: complex, spec: LatticeSpec, mass_deficit: float = 1e-6) -> L
     )
 
 
-def output_mean_amplitude(dist: LatticeDistribution, spec: LatticeSpec) -> complex:
-    """Coherent amplitude sum P(n,m) (q_n + i p_m)/sqrt(2) after the channel.
+def output_mean_amplitude(dist: LatticeDistribution) -> complex:
+    """Coherent amplitude sum P(n,m) (q_n + i p_m)/sqrt(2) after the channel,
+    on the lattice of spacing ``dist.delta``.
 
     This is what survives complete decoherence: for |alpha| >> 1 it stays
     within a fraction of alpha in modulus and a few hundredths of a radian in
     phase (exactly how close is set by the lattice discretization).
     """
-    if abs(dist.delta - spec.delta) > 1e-12 * spec.delta:
-        raise ValueError("distribution and spec disagree on delta")
     if dist.captured_mass < 1 - 1e-6:
         raise ValueError(f"captured mass {dist.captured_mass:.9f} below 1 - 1e-6")
-    qn = spec.q(dist.ns).astype(float)
-    pm = spec.p(dist.ms).astype(float)
+    qn = dist.delta * dist.ns
+    pm = 2 * np.pi * dist.ms / dist.delta
     wq = dist.probabilities.sum(axis=1) @ qn
     wp = dist.probabilities.sum(axis=0) @ pm
     return (wq + 1j * wp) / math.sqrt(2)

@@ -139,9 +139,9 @@ def _run_linewidth(a):
             else int(a.truncation)
         le = ld.extract_linewidth(params, trunc, method="eigenvalue")
         lf = ld.extract_linewidth(params, trunc, method="decay_fit")
-        diffs.append(abs(le.value / lf.value - 1.0))
+        diffs.append(abs(le / lf - 1.0))
         tails.append(1.0 - float(ld.poisson_weights(params.mu, trunc).sum()))
-        rows.append([a.seed, 0, 0, a.kappa, params.mu, trunc, le.value, lf.value,
+        rows.append([a.seed, 0, 0, a.kappa, params.mu, trunc, le, lf,
                      diffs[-1], ld.hl_linewidth(params), ld.sql_linewidth(params)])
     config = dict(kappa=a.kappa, mu=",".join(repr(m) for m in mus),
                   truncation=a.truncation, seed=a.seed)
@@ -156,6 +156,9 @@ def _run_phasevar(a):
     _require(all(m > 0 for m in mus), "--mu entries must be positive")
     grid = a.grid_size
     _require(grid >= 256, "--grid-size must be >= 256")
+    for mu, trunc in zip(mus, map(fock.default_truncation, mus)):
+        _require(grid > trunc, f"--grid-size {grid} must exceed the truncation {trunc} "
+                               f"of --mu {mu!r}")
     header = ["seed", "dt", "trials", "mu_photons", "grid_size", "truncation",
               "phase_variance_rad2", "coherent_limit_rad2", "rel_deviation"]
     rows = []
@@ -182,7 +185,7 @@ def _run_channel(a):
     alpha = mod * complex(math.cos(arg), math.sin(arg))
     spec = ch.LatticeSpec(delta=delta)
     dist = ch.decohere(alpha, spec, mass_deficit=deficit)
-    amp = ch.output_mean_amplitude(dist, spec)
+    amp = ch.output_mean_amplitude(dist)
     fid = ch.coherent_fidelity(dist)
     seed = a.seed
     header = ["seed", "dt", "trials", "delta", "alpha_mod", "alpha_arg", "n", "m",

@@ -1,11 +1,13 @@
-"""Truncated Fock-space numerics: coherent states, the canonical phase
-distribution, and wrapped phase variances.
+"""Truncated Fock-space numerics of pure states: coherent states, the
+canonical phase distribution, and wrapped phase variances.
 
 The phase statistics of a state with number-basis amplitudes a_n are those of
 the canonical phase measurement, P(theta) = |sum_n a_n e^{-i n theta}|^2 / 2pi.
 For a coherent state of mean photon number mu this distribution has wrapped
 variance 1/(4 mu) in the large-mu limit, which is the elementary scale against
 which all the tracking and synchronization limits in this package are set.
+The density is one FFT of the amplitudes; the tests hold it to a direct,
+FFT-free sum that also takes mixed states (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -16,12 +18,10 @@ import numpy as np
 
 __all__ = [
     "FockVector",
-    "DensityOperator",
     "PhaseDistribution",
     "default_truncation",
     "coherent_state",
     "canonical_phase_distribution",
-    "phase_distribution_from_density",
     "phase_variance",
     "clone_phase_variance",
     "wrap_angle",
@@ -65,51 +65,6 @@ class FockVector:
     @property
     def norm_deficit(self) -> float:
         return 1.0 - float(np.sum(np.abs(self.amplitudes) ** 2))
-
-    def mean_photon_number(self) -> float:
-        n = np.arange(self.truncation + 1)
-        return float(np.sum(n * np.abs(self.amplitudes) ** 2))
-
-    def number_probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-
-@dataclass(frozen=True)
-class DensityOperator:
-    """Mixed state on the truncated number basis.
-
-    The matrix must be Hermitian (to 1e-12 elementwise) with unit trace to
-    1e-9.  Positivity is not checked on construction; call
-    :meth:`check_positive` where it matters.
-    """
-
-    truncation: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if self.truncation < 1:
-            raise ValueError("truncation must be >= 1")
-        m = np.asarray(self.matrix, dtype=complex)
-        d = self.truncation + 1
-        if m.shape != (d, d):
-            raise ValueError(f"matrix must be {d}x{d}")
-        if np.max(np.abs(m - m.conj().T)) > 1e-12:
-            raise ValueError("matrix is not Hermitian to 1e-12")
-        tr = float(m.trace().real)
-        if abs(tr - 1.0) > 1e-9:
-            raise ValueError(f"trace {tr} differs from 1 by more than 1e-9")
-        object.__setattr__(self, "matrix", m)
-
-    def check_positive(self, tol: float = 1e-9) -> None:
-        lo = float(np.linalg.eigvalsh(self.matrix).min())
-        if lo < -tol:
-            raise ValueError(f"smallest eigenvalue {lo} below -{tol}")
-
-    def populations(self) -> np.ndarray:
-        return np.real(np.diag(self.matrix))
-
-    def mean_photon_number(self) -> float:
-        return float(np.sum(np.arange(self.truncation + 1) * self.populations()))
 
 
 @dataclass(frozen=True)
@@ -174,24 +129,6 @@ def coherent_state(alpha: complex, truncation: int | None = None) -> FockVector:
     return FockVector(truncation=truncation, amplitudes=amps)
 
 
-def _phase_density_from_fourier(coeffs: np.ndarray, grid_size: int):
-    """Density (1/2pi) sum_k c_k e^{i k theta} on the (-pi, pi] grid.
-
-    ``coeffs[k]`` multiplies e^{+i k theta}, k = 0 .. len-1; negative k follow
-    by Hermitian symmetry of the density and are passed in by the caller as
-    the conjugate tail, so here we only evaluate sum_n b_n e^{-i n theta_j}
-    via an FFT (exact: the grid is uniform and grid_size >= len(coeffs)).
-    """
-    G = grid_size
-    j = np.arange(G)
-    theta = -np.pi + 2 * np.pi * (j + 1) / G
-    n = np.arange(len(coeffs))
-    # e^{-i n theta_j} = (-1)^n e^{-2pi i n (j+1)/G}
-    b = coeffs * ((-1.0) ** n) * np.exp(-2j * np.pi * n / G)
-    f = np.fft.fft(b, n=G)
-    return theta, f
-
-
 def canonical_phase_distribution(state: FockVector, grid_size: int = 4096) -> PhaseDistribution:
     """Canonical phase density P(theta) = |sum_n a_n e^{-i n theta}|^2 / 2pi.
 
@@ -211,24 +148,13 @@ def canonical_phase_distribution(state: FockVector, grid_size: int = 4096) -> Ph
         raise ValueError("grid_size must exceed the truncation")
     if state.norm_deficit > 1e-6:
         raise ValueError(f"state norm deficit {state.norm_deficit:.2e} exceeds 1e-6")
-    theta, f = _phase_density_from_fourier(state.amplitudes, grid_size)
-    density = np.abs(f) ** 2 / (2 * np.pi)
-    return PhaseDistribution(grid=theta, density=density)
-
-
-def phase_distribution_from_density(rho: DensityOperator, grid_size: int = 4096) -> PhaseDistribution:
-    """Canonical phase density of a mixed state, (1/2pi) sum_{nm} rho_nm e^{i(m-n)theta}."""
-    if grid_size < 256:
-        raise ValueError("grid_size must be >= 256")
-    if grid_size <= 2 * rho.truncation:
-        raise ValueError("grid_size must exceed twice the truncation")
-    d = rho.truncation + 1
-    # d_k = sum_n rho_{n, n+k}: Fourier coefficient of e^{+i k theta}
-    dk = np.array([np.trace(rho.matrix, offset=k) for k in range(d)])
     G = grid_size
-    theta, f = _phase_density_from_fourier(dk.conj(), G)
-    # f_j = sum_k conj(d_k) e^{-i k theta_j}; density = (d_0 + 2 Re sum_{k>=1}) / 2pi
-    density = (2 * f.real - dk[0].real) / (2 * np.pi)
+    theta = -np.pi + 2 * np.pi * (np.arange(G) + 1) / G
+    n = np.arange(state.truncation + 1)
+    # e^{-i n theta_j} = (-1)^n e^{-2pi i n (j+1)/G}: an FFT of length G, exact
+    # on the uniform grid as G >= truncation + 1
+    f = np.fft.fft(state.amplitudes * ((-1.0) ** n) * np.exp(-2j * np.pi * n / G), n=G)
+    density = np.abs(f) ** 2 / (2 * np.pi)
     return PhaseDistribution(grid=theta, density=density)
 
 

@@ -17,7 +17,8 @@ ell = kappa/(4 mu) (1 + 1/mu + O(1/mu^2)).  The expansion fails below
 mu ~ 8 (+66% at mu = 4); from mu = 4 up the linewidth is still below the SQL.
 
 Each quantity takes its structured route.  The stationary state is the
-Poisson closed form (detailed balance of the k = 0 chain).  The k = 1 sector
+Poisson closed form (detailed balance of the k = 0 chain); it is diagonal,
+so :func:`stationary_state` returns its populations.  The k = 1 sector
 is real and tridiagonal, and a diagonal similarity makes it symmetric, so
 its slowest eigenvalue comes from a symmetric tridiagonal eigensolve on its
 three diagonals.  The dense matrix-exponential decay fit is kept as the
@@ -38,25 +39,21 @@ unchanged.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import LinewidthFitError
-from .fock import DensityOperator
 
 __all__ = [
     "LaserParams",
     "LiouvillianSector",
-    "LinewidthEstimate",
     "poisson_weights",
     "build_liouvillian_sector",
     "stationary_state",
     "extract_linewidth",
     "sql_linewidth",
     "hl_linewidth",
-    "loss_only_variance_growth",
 ]
 
 # linewidth method -> the scipy.linalg routine that does its numerical work
@@ -86,24 +83,13 @@ class LaserParams:
 class LiouvillianSector:
     """Generator restricted to the elements x_n = rho_{n, n+k} for fixed k.
 
-    ``matrix[i, j]`` is the rate (1/s) at which x_j feeds dx_i/dt.
+    ``matrix[i, j]`` is the rate (1/s) at which x_j feeds dx_i/dt.  Only
+    ``matrix`` is read; the wrapper stays while the benchmark's tracer
+    counts sector rows through it.
     """
 
     sector_offset: int
     matrix: np.ndarray
-
-
-@dataclass(frozen=True)
-class LinewidthEstimate:
-    """FWHM linewidth (rad/s) with the method and truncation that produced it."""
-
-    value: float
-    method: str
-    truncation: int
-
-    def __post_init__(self):
-        if not self.value > 0:
-            raise ValueError("linewidth must be positive")
 
 
 def poisson_weights(mu: float, truncation: int) -> np.ndarray:
@@ -166,14 +152,15 @@ def build_liouvillian_sector(params: LaserParams, sector_offset: int,
     return LiouvillianSector(sector_offset=k, matrix=L)
 
 
-def stationary_state(params: LaserParams, truncation: int) -> DensityOperator:
-    """Stationary state of the noiseless-gain laser: Poisson(mu) over 0..truncation.
+def stationary_state(params: LaserParams, truncation: int) -> np.ndarray:
+    """Stationary populations of the noiseless-gain laser: Poisson(mu) over
+    0..truncation, as an array of length truncation + 1.
 
     The k=0 sector is a birth-death chain on 0..truncation (birth kappa*mu
     below the top state, death kappa*n), so detailed balance
     kappa*mu*P(n) = kappa*(n+1)*P(n+1) fixes its null vector exactly: the
-    Poisson weights, normalized over the retained states.  The result is
-    diagonal.
+    Poisson weights, normalized over the retained states.  The state is
+    diagonal, so these populations are all of it.
 
     Raises
     ------
@@ -182,16 +169,15 @@ def stationary_state(params: LaserParams, truncation: int) -> DensityOperator:
     """
     _check_truncation(params, truncation)
     p = poisson_weights(params.mu, truncation)
-    p /= p.sum()
-    return DensityOperator(truncation=truncation, matrix=np.diag(p).astype(complex))
+    return p / p.sum()
 
 
 def extract_linewidth(
     params: LaserParams,
     truncation: int,
     method: str = "eigenvalue",
-) -> LinewidthEstimate:
-    """FWHM linewidth of the noiseless-gain laser from the k=1 sector.
+) -> float:
+    """FWHM linewidth (rad/s) of the noiseless-gain laser from the k=1 sector.
 
     method="eigenvalue"
         ell = -2 lambda_1, lambda_1 the k=1 eigenvalue closest to zero; the
@@ -222,13 +208,13 @@ def extract_linewidth(
         contends with scipy's on a small host.  Unflushed, the early
         squarings run on thousands of subnormal entries at T ~ 400, each
         several times slower than a normal one.  X(0) is built from the
-        normalized Poisson weights, the populations of
-        :func:`stationary_state`.
+        populations of :func:`stationary_state`.
 
     Raises
     ------
     LinewidthFitError
-        If the decay-fit residual shows the decay is not exponential.
+        If the decay-fit residual shows the decay is not exponential, or
+        either route gives a linewidth that is not positive.
     """
     if method not in LINEWIDTH_METHODS:
         raise ValueError(f"method must be one of {tuple(LINEWIDTH_METHODS)}")
@@ -240,35 +226,36 @@ def extract_linewidth(
         top = len(diag) - 1
         lam1 = eigh_tridiagonal(diag, np.sqrt(sup * sub), eigvals_only=True,
                                 select="i", select_range=(top, top))[0]
-        return LinewidthEstimate(value=float(-2.0 * lam1), method=method,
-                                 truncation=truncation)
-
-    L1 = build_liouvillian_sector(params, 1, truncation).matrix
-    # X(0) = a rho_ss in the k=1 sector; w are the weights of Tr(a^dag X)
-    w = np.sqrt(np.arange(1.0, truncation + 1))
-    p = poisson_weights(params.mu, truncation)
-    x = w * (p / p.sum())[1:]
-    # fast transients decay at O(kappa), by t = 8/kappa; the slow mode at
-    # ~kappa/(8 mu), sampled over t_span = 16 mu/kappa in nsteps steps
-    nsteps = 60
-    dt = 16.0 * params.mu / params.kappa / nsteps
-    # first multiple of dt at or after 8/kappa: (8/kappa)/dt = 30/mu exactly
-    skip = math.ceil(30.0 / params.mu)
-    U = _propagator(L1 * dt)
-    for _ in range(skip):
-        x = dgemv(1.0, U, x)
-    ts = dt * np.arange(skip, skip + nsteps + 1)
-    g = np.empty(nsteps + 1)
-    for i in range(nsteps + 1):
-        g[i] = np.abs(w @ x)
-        x = dgemv(1.0, U, x)
-    slope, intercept = np.polyfit(ts, np.log(g), 1)
-    resid = np.max(np.abs(np.log(g) - (slope * ts + intercept)))
-    if resid > 1e-3:
-        raise LinewidthFitError(
-            f"coherence decay not exponential: max log-residual {resid:.2e} > 1e-3"
-        )
-    return LinewidthEstimate(value=float(-2.0 * slope), method=method, truncation=truncation)
+        ell = float(-2.0 * lam1)
+    else:
+        L1 = build_liouvillian_sector(params, 1, truncation).matrix
+        # X(0) = a rho_ss in the k=1 sector; w are the weights of Tr(a^dag X)
+        w = np.sqrt(np.arange(1.0, truncation + 1))
+        x = w * stationary_state(params, truncation)[1:]
+        # fast transients decay at O(kappa), by t = 8/kappa; the slow mode at
+        # ~kappa/(8 mu), sampled over t_span = 16 mu/kappa in nsteps steps
+        nsteps = 60
+        dt = 16.0 * params.mu / params.kappa / nsteps
+        # first multiple of dt at or after 8/kappa: (8/kappa)/dt = 30/mu exactly
+        skip = math.ceil(30.0 / params.mu)
+        U = _propagator(L1 * dt)
+        for _ in range(skip):
+            x = dgemv(1.0, U, x)
+        ts = dt * np.arange(skip, skip + nsteps + 1)
+        g = np.empty(nsteps + 1)
+        for i in range(nsteps + 1):
+            g[i] = np.abs(w @ x)
+            x = dgemv(1.0, U, x)
+        slope, intercept = np.polyfit(ts, np.log(g), 1)
+        resid = np.max(np.abs(np.log(g) - (slope * ts + intercept)))
+        if resid > 1e-3:
+            raise LinewidthFitError(
+                f"coherence decay not exponential: max log-residual {resid:.2e} > 1e-3"
+            )
+        ell = float(-2.0 * slope)
+    if not ell > 0:
+        raise LinewidthFitError(f"{method} linewidth {ell:.3e} rad/s is not positive")
+    return ell
 
 
 def _propagator(A: np.ndarray) -> np.ndarray:
@@ -314,21 +301,3 @@ def hl_linewidth(params: LaserParams) -> float:
     """
     return params.kappa / (4.0 * params.mu)
 
-
-def loss_only_variance_growth(mu: float, kappa: float, t: float) -> float:
-    """Phase-variance growth kappa*t/(4 mu) of a coherent state under pure loss.
-
-    Valid in the short-time, large-mu regime: damping shrinks the amplitude
-    while the quadrature noise stays at the vacuum level, so the phase
-    variance 1/(4 mu) grows at rate kappa/(4 mu).  A noiseless gain restores
-    the amplitude without removing that growth, which is why it bounds the
-    achievable linewidth.  Warns outside kappa*t <= 0.1 or mu < 25.
-    """
-    if not (mu > 0 and kappa > 0 and t >= 0):
-        raise ValueError("mu, kappa must be positive and t nonnegative")
-    if kappa * t > 0.1 or mu < 25:
-        warnings.warn(
-            "loss_only_variance_growth outside validity regime (kappa*t <= 0.1, mu >= 25)",
-            stacklevel=2,
-        )
-    return kappa * t / (4.0 * mu)

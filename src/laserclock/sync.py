@@ -9,7 +9,9 @@ standard laser (ell = kappa/(2 mu)) read out non-adaptively gives
 sqrt(M)/(2 mu), only a factor of two worse.  Note the contrast with the
 one-shot splitting of a fixed coherent state, whose per-share variance is
 M/(4 mu): the running laser is better by sqrt(M) because each party locks to
-the current, continuously replenished phase.
+the current, continuously replenished phase.  In lab units the limit is
+sqrt(hbar omega M ell / P) per party, for a :class:`PhysicalBeam` given by
+its power, linewidth and wavelength.
 
 If a modest laser must serve as the standard, the efficient arrangement is a
 relay: lock one far better laser (higher power, narrower line) to it, then
@@ -70,28 +72,22 @@ class SyncConfig:
 
 @dataclass(frozen=True)
 class PhysicalBeam:
-    """Lab-units beam: optical power (W), wavelength (m) or angular frequency
-    (rad/s), and FWHM linewidth (Hz)."""
+    """Lab-units beam: optical power (W), FWHM linewidth (Hz) and wavelength
+    (m); the angular frequency ``omega`` (rad/s) follows from the wavelength."""
 
     power: float
     linewidth_hz: float
-    wavelength: float | None = None
-    omega: float | None = None
+    wavelength: float
 
     def __post_init__(self):
-        if (self.wavelength is None) == (self.omega is None):
-            raise ValueError("give exactly one of wavelength or omega")
-        if self.omega is None:
-            if not self.wavelength > 0:
-                raise ValueError("wavelength must be positive")
-            object.__setattr__(self, "omega", 2 * math.pi * SPEED_OF_LIGHT / self.wavelength)
-        if not all(0 < x < math.inf for x in (self.power, self.linewidth_hz, self.omega)):
-            raise ValueError("power, linewidth and frequency must be positive and finite")
+        if not all(0 < x < math.inf for x in (self.power, self.linewidth_hz, self.wavelength)) \
+                or self.omega == math.inf:
+            raise ValueError("power, linewidth, wavelength and frequency must be positive "
+                             "and finite")
 
     @property
-    def flux(self) -> float:
-        """Photon flux power/(hbar omega), 1/s."""
-        return self.power / (HBAR * self.omega)
+    def omega(self) -> float:
+        return 2 * math.pi * SPEED_OF_LIGHT / self.wavelength
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 
 Each oracle takes the general-numerics or one-step route to a quantity that
 ``laserclock`` computes by a structured one: scalar steps of the two tracking
-filters, the dense master-equation superoperator and loss-only sectors, the
-decay fit on ``scipy.linalg.expm(L1 dt)`` applied by numpy, the lattice-channel
-overlaps by adaptive quadrature and the scaled erf by boolean masks.
+filters, the canonical phase density by a direct sum over a density matrix,
+the dense master-equation superoperator and loss-only sectors, the decay fit
+on ``scipy.linalg.expm(L1 dt)`` applied by numpy, the lattice-channel overlaps
+by adaptive quadrature and the scaled erf by boolean masks.
 """
 import math
 
@@ -48,6 +49,21 @@ def heterodyne_step(phi, A, est, beam, lam, dt, dw_phase, dz_shot):
 def wrap(x):
     """x mapped into [-pi, pi)."""
     return (x + math.pi) % (2 * math.pi) - math.pi
+
+
+# --- fock: phase density by a direct sum ------------------------------------
+
+def canonical_phase_density(rho, grid_size):
+    """Canonical phase density <theta|rho|theta> / 2pi of the density matrix
+    rho, |theta> = sum_n e^{i n theta} |n>, on the grid
+    theta_j = -pi + 2 pi (j + 1) / G (j = 0 .. G-1) that spans (-pi, pi].
+
+    Returns (grid, density): Re sum_n conj(E[n, j]) (rho E)[n, j] / 2pi with
+    E[n, j] = e^{i n theta_j}, a direct sum with no FFT.
+    """
+    theta = -np.pi + 2 * np.pi * (np.arange(grid_size) + 1) / grid_size
+    E = np.exp(1j * np.outer(np.arange(len(rho)), theta))
+    return theta, np.real(np.sum(np.conj(E) * (rho @ E), axis=0)) / (2 * np.pi)
 
 
 # --- laserdyn: dense superoperator, loss-only sectors -----------------------

@@ -4,6 +4,7 @@ The benchmark harness lives outside the test suite, so a pruning of the
 library that drops one of these names would break its traced passes without
 failing any test here.
 """
+import ast
 import importlib
 import inspect
 import os
@@ -46,6 +47,30 @@ def test_every_public_name_resolves():
         mod = importlib.import_module(f"laserclock.{short}")
         for name in mod.__all__:
             assert hasattr(mod, name), f"laserclock.{short}.{name}"
+
+
+def test_every_public_name_has_a_production_caller():
+    # a production caller is cli or another library module: each name of a
+    # module's __all__ must be read, as a Name or an Attribute, somewhere in
+    # src/laserclock outside the def or class that defines it
+    src = Path(laserclock.__file__).resolve().parent
+    trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
+
+    def reads(node, name):
+        return sum(isinstance(n, ast.Name) and n.id == name
+                   or isinstance(n, ast.Attribute) and n.attr == name
+                   for n in ast.walk(node))
+
+    unused = []
+    for short in ("cli", "sync", "tracking", "laserdyn", "fock", "channel"):
+        mod = importlib.import_module(f"laserclock.{short}")
+        own = {node.name: node for node in ast.parse(Path(mod.__file__).read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        for name in mod.__all__:
+            inside = reads(own[name], name) if name in own else 0
+            if sum(reads(tree, name) for tree in trees) == inside:
+                unused.append(f"laserclock.{short}.{name}")
+    assert not unused, f"public names with no production caller: {unused}"
 
 
 def test_cli_import_leaves_general_numerics_unloaded(tmp_path):

@@ -127,7 +127,7 @@ def _lattice_state_amplitude(spec, n, m):
     """output_mean_amplitude of the one-point distribution on (n, m)."""
     dist = ch.LatticeDistribution(delta=spec.delta, ns=np.array([n]), ms=np.array([m]),
                                   probabilities=np.ones((1, 1)), captured_mass=1.0)
-    return ch.output_mean_amplitude(dist, spec)
+    return ch.output_mean_amplitude(dist)
 
 
 def test_mean_amplitude_values():
@@ -185,7 +185,7 @@ def test_captured_mass_monotone_in_window():
 
 def test_output_amplitude_survives_channel():
     dist = ch.decohere(5.0, SPEC)
-    out = ch.output_mean_amplitude(dist, SPEC)
+    out = ch.output_mean_amplitude(dist)
     assert abs(abs(out) - 5.0) < 0.2
     assert abs(math.atan2(out.imag, out.real)) < 0.05
     # oracle-level check: the survival is far tighter than the contract
@@ -194,7 +194,7 @@ def test_output_amplitude_survives_channel():
 
 def test_output_amplitude_vacuum_smears_symmetrically():
     dist = ch.decohere(0.0, SPEC)
-    assert abs(ch.output_mean_amplitude(dist, SPEC)) <= 0.05
+    assert abs(ch.output_mean_amplitude(dist)) <= 0.05
 
 
 @pytest.mark.parametrize("mod", [2.0, 5.0, 10.0])
@@ -202,22 +202,22 @@ def test_amplitude_survival_all_scales(mod):
     # |<a>_out - alpha| sits at the window-truncation floor (~1e-5) for all
     # real alpha in {2, 5, 10}; it does not grow as alpha shrinks to 2
     dist = ch.decohere(mod, SPEC)
-    out = ch.output_mean_amplitude(dist, SPEC)
+    out = ch.output_mean_amplitude(dist)
     assert abs(out - mod) < 1e-3
 
 
 def test_rotation_covariance():
-    base = ch.output_mean_amplitude(ch.decohere(5.0, SPEC), SPEC)
+    base = ch.output_mean_amplitude(ch.decohere(5.0, SPEC))
     base_phase = math.atan2(base.imag, base.real)
     # chi = pi/2: p_bar lands symmetrically between lattice momenta in effect;
     # covariance holds to better than 0.02 rad
-    out2 = ch.output_mean_amplitude(ch.decohere(5j, SPEC), SPEC)
+    out2 = ch.output_mean_amplitude(ch.decohere(5j, SPEC))
     dev2 = math.atan2(out2.imag, out2.real) - base_phase - np.pi / 2
     assert abs(dev2) < 0.02
     # chi = pi/4: the momentum lattice (spacing 2 pi / Delta) quantizes the
     # p-moment; the oracle-computed covariance error is +0.0694 rad
     a4 = 5.0 * np.exp(1j * np.pi / 4)
-    out4 = ch.output_mean_amplitude(ch.decohere(a4, SPEC), SPEC)
+    out4 = ch.output_mean_amplitude(ch.decohere(a4, SPEC))
     dev4 = math.atan2(out4.imag, out4.real) - base_phase - np.pi / 4
     assert dev4 == pytest.approx(0.069387, abs=2e-3)
     assert abs(dev4) < 0.08
@@ -228,7 +228,7 @@ def test_rotation_covariance():
 def test_rotated_output_phase_frozen_value():
     # alpha = 5 e^{i pi/4}: output phase 0.854785 (pi/4 + quantization bias)
     a4 = 5.0 * np.exp(1j * np.pi / 4)
-    out = ch.output_mean_amplitude(ch.decohere(a4, SPEC), SPEC)
+    out = ch.output_mean_amplitude(ch.decohere(a4, SPEC))
     assert math.atan2(out.imag, out.real) == pytest.approx(0.854785, abs=2e-3)
 
 
@@ -266,6 +266,31 @@ def test_window_checks_and_validation():
     needed = int(msg.split(" needs about ")[1].split()[0])
     assert needed > 2 ** 21 + 1
     assert f"more than the {2 ** 21 + 1} allowed" in msg
+
+
+@pytest.mark.parametrize("alpha, delta", [
+    (1e30, 1.0),                            # box index 1.4e30: np.arange cannot list it
+    (1e17, 1.0),                            # box index 1.4e17: boxes 16 apart merge
+    (3.2e15, 1.0),                          # box index 4.53e15, just past 2^52
+    (1e30j, 1.0),                           # momentum index 2.3e29
+    (5j, 1e20),                             # momentum index 1.1e20
+    (1e10j, 1e300),                         # p_bar delta overflows to inf
+])
+def test_lattice_indices_beyond_2_52_are_refused(monkeypatch, alpha, delta):
+    # above 2^52 float64 no longer holds every integer, so q_n = Delta n and
+    # p_m = 2 pi m / Delta no longer belong to distinct boxes; refused before
+    # any box is listed
+    monkeypatch.setattr(ch, "_window_masses", lambda *a: pytest.fail("boxes listed"))
+    with pytest.raises(ValueError, match=r"lattice indices beyond 2\^52"):
+        ch.decohere(alpha, ch.LatticeSpec(delta=delta))
+
+
+def test_lattice_indices_below_2_52_still_run():
+    # box index sqrt(2) 1e15 = 1.41e15, a third of 2^52; the amplitude is
+    # short of alpha by about the missing mass
+    dist = ch.decohere(1e15, SPEC)
+    assert dist.captured_mass == pytest.approx(0.99999923, abs=1e-8)
+    assert ch.output_mean_amplitude(dist).real == pytest.approx(1e15, rel=1e-6)
 
 
 GRID_CASES = [(5.0, 1.0), (3 + 4j, 1.0), (2 + 1j, 1.0), (3 + 4j, 1.7), (10 * np.exp(0.3j), 0.8),

@@ -254,6 +254,12 @@ def _no_window(*args, **kwargs):
     "limits --mu nan",
     "limits --mu 100 --parties 1,0",
     "limits --mu 100 --power inf --wavelength 6e-7 --linewidth-hz 1e6",
+    "limits --mu 100 --power 1e-3 --wavelength 0 --linewidth-hz 1e6",
+    "limits --mu 100 --power 1e-3 --wavelength -1 --linewidth-hz 1e6",
+    "limits --mu 100 --power 1e-3 --wavelength inf --linewidth-hz 1e6",
+    "limits --mu 100 --power 1e-3 --wavelength nan --linewidth-hz 1e6",
+    # the angular frequency 2 pi c / wavelength overflows
+    "limits --mu 100 --power 1e-3 --wavelength 1e-320 --linewidth-hz 1e6",
     "channel --delta -1",
     # an explicit 0 is used as given, never replaced by the default
     "channel --delta 0",
@@ -343,6 +349,38 @@ def test_channel_grid_over_budget_is_refused_at_once(capsys):
     # 8.1e300 boxes: refused by the cell budget before np.arange lists them
     assert main(["channel", "--delta", "1e-300"]) == 2
     assert "more than the 33554432 cells allowed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "channel --alpha-mod 1e30",
+    "channel --alpha-mod 1e17",
+    "channel --alpha-mod 1e30 --alpha-arg 1.5707963267948966",
+    "channel --alpha-arg 1.5707963267948966 --delta 1e20",
+])
+def test_channel_lattice_index_beyond_2_52_is_usage_error(capsys, argv):
+    # float64 no longer holds every lattice index there: refused as input,
+    # not a traceback, a missed q-window or an unrelated mass message
+    assert main(argv.split()) == 2
+    assert "lattice indices beyond 2^52" in capsys.readouterr().err
+
+
+def test_phasevar_grid_is_checked_before_any_state(monkeypatch, capsys):
+    # a grid too small for any --mu is refused before the first state is built
+    def no_state(*args, **kwargs):
+        raise AssertionError("coherent state built")
+
+    monkeypatch.setattr("laserclock.fock.coherent_state", no_state)
+    assert main(["phasevar", "--mu", "25,1e6", "--grid-size", "4096"]) == 2
+    err = capsys.readouterr().err
+    assert "truncation 1010010 of --mu 1000000.0" in err
+
+
+def test_nonpositive_linewidth_exits_3(monkeypatch, capsys):
+    # a propagator that grows the coherence fits a negative rate: a failed
+    # numerical check, not an invalid configuration
+    monkeypatch.setattr("laserclock.laserdyn._propagator", lambda A: 1.01 * np.eye(len(A)))
+    assert main(["linewidth", "--kappa", "1", "--mu", "8"]) == 3
+    assert "LinewidthFitError" in capsys.readouterr().err
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):

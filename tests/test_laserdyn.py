@@ -8,6 +8,7 @@ from scipy.linalg.blas import dgemm
 
 import oracles
 from laserclock import fock, laserdyn as ld
+from laserclock.errors import LinewidthFitError
 
 EPS = np.finfo(float).eps
 
@@ -52,7 +53,7 @@ def test_noiseless_gain_sector0_trace_preserving():
 
 def test_stationary_state_is_poisson():
     params = ld.LaserParams(kappa=1.0, mu=8.0)
-    pops = ld.stationary_state(params, 60).populations()
+    pops = ld.stationary_state(params, 60)
     tv = 0.5 * np.abs(pops - ld.poisson_weights(8.0, 60)).sum() \
         + 0.5 * (1 - ld.poisson_weights(8.0, 60).sum())
     assert tv < 1e-8
@@ -60,7 +61,7 @@ def test_stationary_state_is_poisson():
 
 def test_stationary_state_small_mu_against_detailed_balance():
     params = ld.LaserParams(kappa=2.0, mu=0.5)
-    pops = ld.stationary_state(params, 30).populations()
+    pops = ld.stationary_state(params, 30)
     oracle = detailed_balance_poisson(0.5, 30)
     assert 0.5 * np.abs(pops - oracle).sum() < 1e-10
 
@@ -68,13 +69,13 @@ def test_stationary_state_small_mu_against_detailed_balance():
 @pytest.mark.parametrize("mu", [0.5, 8.0, 20.0])
 def test_stationary_mean_photon_number(mu):
     params = ld.LaserParams(kappa=1.0, mu=mu)
-    dm = ld.stationary_state(params, fock.default_truncation(mu) + 20)
-    assert dm.mean_photon_number() == pytest.approx(mu, rel=1e-6)
+    p = ld.stationary_state(params, fock.default_truncation(mu) + 20)
+    assert np.sum(np.arange(len(p)) * p) == pytest.approx(mu, rel=1e-6)
 
 
 def test_stationary_detailed_balance_invariant():
     params = ld.LaserParams(kappa=1.0, mu=8.0)
-    p = ld.stationary_state(params, 60).populations()
+    p = ld.stationary_state(params, 60)
     n = np.arange(60)
     assert np.max(np.abs(params.kappa * params.mu * p[:-1]
                          - params.kappa * (n + 1) * p[1:])) < 1e-10
@@ -87,7 +88,7 @@ def test_stationary_closed_form_matches_lstsq_oracle(mu):
     # 2.5e-11 or more: far above the 1e-12 asserted here
     params = ld.LaserParams(kappa=1.7, mu=mu)
     trunc = smallest_accepted_truncation(mu)
-    p = ld.stationary_state(params, trunc).populations()
+    p = ld.stationary_state(params, trunc)
     assert np.max(np.abs(p - lstsq_stationary_populations(params, trunc))) <= 1e-12
     assert abs(p.sum() - 1.0) <= 4 * EPS
     # detailed balance kappa mu P(n) = kappa (n+1) P(n+1) on every link, to
@@ -98,6 +99,22 @@ def test_stationary_closed_form_matches_lstsq_oracle(mu):
     loss = params.kappa * (n + 1) * p[1:]
     scale = mu + trunc * abs(math.log(mu)) + math.lgamma(trunc + 1)
     assert np.max(np.abs(gain - loss)) <= 4 * EPS * scale * gain.max()
+
+
+def test_stationary_state_is_the_normalized_poisson_weights():
+    # bitwise the diagonal of the dense state this function once returned
+    params = ld.LaserParams(kappa=1.0, mu=8.0)
+    p = ld.poisson_weights(8.0, 60)
+    assert np.array_equal(ld.stationary_state(params, 60), p / p.sum())
+
+
+def test_decay_fit_starts_from_the_stationary_state(monkeypatch):
+    calls = []
+    stationary = ld.stationary_state
+    monkeypatch.setattr(ld, "stationary_state",
+                        lambda params, trunc: calls.append(trunc) or stationary(params, trunc))
+    ld.extract_linewidth(ld.LaserParams(kappa=1.0, mu=8.0), 60, "decay_fit")
+    assert calls == [60]
 
 
 def test_truncation_too_small_rejected():
@@ -135,8 +152,7 @@ def test_linewidth_mu8ts_frozen_value():
     # the full superoperator): ell = 0.03712959 at kappa=1, mu=8.  This sits
     # 18.8% above the large-mu asymptote kappa/4mu = 0.03125.
     params = ld.LaserParams(kappa=1.0, mu=8.0)
-    est = ld.extract_linewidth(params, 60)
-    assert est.value == pytest.approx(0.03712959, rel=1e-5)
+    assert ld.extract_linewidth(params, 60) == pytest.approx(0.03712959, rel=1e-5)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -158,7 +174,7 @@ def test_tridiagonal_eigenvalue_matches_dense_eig(mu, kappa):
     x, y = vr[:, i], vl[:, i]
     cond = np.linalg.norm(x) * np.linalg.norm(y) / abs(np.vdot(y, x))
     lam_dense = w[i].real
-    lam = -ld.extract_linewidth(params, trunc, "eigenvalue").value / 2
+    lam = -ld.extract_linewidth(params, trunc, "eigenvalue") / 2
     assert lam < 0
     rel_bound = 10 * (1 + cond) * EPS * np.linalg.norm(L1, 2) / abs(lam_dense)
     assert abs(lam / lam_dense - 1) <= rel_bound
@@ -169,8 +185,8 @@ def test_linewidth_methods_agree():
     for mu in [4.0, 8.0, 16.0]:
         params = ld.LaserParams(kappa=1.0, mu=mu)
         trunc = fock.default_truncation(mu)
-        v_eig = ld.extract_linewidth(params, trunc, "eigenvalue").value
-        v_fit = ld.extract_linewidth(params, trunc, "decay_fit").value
+        v_eig = ld.extract_linewidth(params, trunc, "eigenvalue")
+        v_fit = ld.extract_linewidth(params, trunc, "decay_fit")
         assert abs(v_eig / v_fit - 1) < 0.02
 
 
@@ -189,7 +205,7 @@ def test_decay_fit_is_one_propagator_past_the_transients(monkeypatch, mu):
     monkeypatch.setattr(np, "polyfit", lambda x, y, deg: sampled.append(x) or polyfit(x, y, deg))
     params = ld.LaserParams(kappa=kappa, mu=mu)
     trunc = fock.default_truncation(mu)
-    fit = ld.extract_linewidth(params, trunc, "decay_fit").value
+    fit = ld.extract_linewidth(params, trunc, "decay_fit")
     (scaled,) = built
     (ts,) = sampled
     dt = 16.0 * mu / kappa / 60
@@ -198,7 +214,7 @@ def test_decay_fit_is_one_propagator_past_the_transients(monkeypatch, mu):
     s = round(math.log2(np.linalg.norm(A, 1) / np.linalg.norm(scaled, 1)))
     assert np.array_equal(scaled * 2.0 ** s, A)
     assert ld.THETA_13 / 2 < np.linalg.norm(scaled, 1) <= ld.THETA_13
-    eig = ld.extract_linewidth(params, trunc, "eigenvalue").value
+    eig = ld.extract_linewidth(params, trunc, "eigenvalue")
     assert abs(fit / eig - 1) <= 1e-7
 
 
@@ -262,7 +278,7 @@ def test_decay_fit_agrees_with_dense_expm_route(mu):
     params = ld.LaserParams(kappa=1.0, mu=mu)
     A, n, _ = scaled_step(mu)
     ell_old, ts, g = oracles.decay_fit_dense_expm(params, n)
-    ell = ld.extract_linewidth(params, n, "decay_fit").value
+    ell = ld.extract_linewidth(params, n, "decay_fit")
     delta = np.linalg.norm(ld._propagator(A) - expm(A), 1)
     w = np.sqrt(np.arange(1.0, n + 1))
     p = ld.poisson_weights(mu, n)
@@ -275,9 +291,9 @@ def test_decay_fit_agrees_with_dense_expm_route(mu):
 
 
 def test_linewidth_linearity_in_kappa():
-    ref = ld.extract_linewidth(ld.LaserParams(kappa=1.0, mu=8.0), 60).value
+    ref = ld.extract_linewidth(ld.LaserParams(kappa=1.0, mu=8.0), 60)
     for c in [0.5, 2.0]:
-        v = ld.extract_linewidth(ld.LaserParams(kappa=c, mu=8.0), 60).value
+        v = ld.extract_linewidth(ld.LaserParams(kappa=c, mu=8.0), 60)
         assert v / ref == pytest.approx(c, rel=0.01)
 
 
@@ -285,7 +301,7 @@ def test_linewidth_deviation_decreases_with_mu():
     devs = []
     for mu in [4.0, 8.0, 16.0]:
         params = ld.LaserParams(kappa=1.0, mu=mu)
-        v = ld.extract_linewidth(params, fock.default_truncation(mu)).value
+        v = ld.extract_linewidth(params, fock.default_truncation(mu))
         devs.append(abs(v / ld.hl_linewidth(params) - 1))
     assert devs[0] > devs[1] > devs[2]
     # the correction is ~1/mu: at mu=16 it is within 10% of kappa/4mu
@@ -299,21 +315,30 @@ def test_sql_linewidth_values():
     assert ld.sql_linewidth(ld.LaserParams(kappa=6.28e8, mu=1e8)) == pytest.approx(3.14)
 
 
+def test_nonpositive_linewidth_is_a_failed_check(monkeypatch):
+    # a growing coherence fits an exponential as well as a decaying one; its
+    # negative rate is a failed numerical check, not a bad input
+    import scipy.linalg
+
+    params = ld.LaserParams(kappa=1.0, mu=8.0)
+    monkeypatch.setattr(ld, "_propagator", lambda A: 1.01 * np.eye(len(A)))
+    with pytest.raises(LinewidthFitError, match="decay_fit linewidth .* is not positive"):
+        ld.extract_linewidth(params, 60, "decay_fit")
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", lambda *a, **kw: np.array([0.01]))
+    with pytest.raises(LinewidthFitError, match="eigenvalue linewidth .* is not positive"):
+        ld.extract_linewidth(params, 60, "eigenvalue")
+
+
 def test_linewidth_rejects_unknown_method():
     with pytest.raises(ValueError, match="method"):
         ld.extract_linewidth(ld.LaserParams(kappa=1.0, mu=8.0), 60, "spectral")
 
 
-def test_loss_only_variance_growth_values():
-    assert ld.loss_only_variance_growth(25.0, 1.0, 0.04) == pytest.approx(4e-4)
-    assert ld.loss_only_variance_growth(25.0, 1.0, 0.0) == 0.0
-    with pytest.warns(UserWarning):
-        ld.loss_only_variance_growth(4.0, 1.0, 0.5)
-
-
 def test_loss_only_variance_growth_against_fock_evolution():
     # evolve |sqrt(mu)> under the loss-only sector generators and measure the
-    # canonical phase variance growth
+    # canonical phase variance growth: kappa t / (4 mu) in the short-time,
+    # large-mu regime (kappa t <= 0.1, mu >= 25), as damping shrinks the
+    # amplitude while the quadrature noise stays at the vacuum level
     mu, kappa, t = 25.0, 1.0, 0.04
     T = fock.default_truncation(mu)
     psi = fock.coherent_state(np.sqrt(mu), T)
@@ -327,11 +352,11 @@ def test_loss_only_variance_growth_against_fock_evolution():
         rho_t[idx, idx + k] = xt
         if k > 0:
             rho_t[idx + k, idx] = np.conj(xt)
-    dm = fock.DensityOperator(T, rho_t)
-    v_t = fock.phase_variance(fock.phase_distribution_from_density(dm, 8192))
+    grid, density = oracles.canonical_phase_density(rho_t, 8192)
+    v_t = fock.phase_variance(fock.PhaseDistribution(grid, density))
     v_0 = fock.phase_variance(fock.canonical_phase_distribution(psi, 8192))
     growth = v_t - v_0
-    assert growth == pytest.approx(ld.loss_only_variance_growth(mu, kappa, t), rel=0.10)
+    assert growth == pytest.approx(kappa * t / (4 * mu), rel=0.10)
 
 
 def test_laser_params_validation():
