@@ -29,10 +29,13 @@ __all__ = [
 
 
 def wrap_angle(x):
-    """Wrap an angle (or array of angles) into (-pi, pi]."""
-    w = -((-np.asarray(x) + np.pi) % (2 * np.pi) - np.pi)
+    """Wrap an angle (or array of angles) into (-pi, pi], in one new array."""
+    w = np.negative(x, out=np.empty(np.shape(x), np.result_type(x, np.pi)))
+    np.remainder(np.add(w, np.pi, out=w), 2 * np.pi, out=w)
+    np.negative(np.subtract(w, np.pi, out=w), out=w)  # -((-x + pi) % 2 pi - pi)
     # just above an odd multiple of pi the modulo rounds up to 2 pi: fold -pi onto pi
-    return np.where(w == -np.pi, np.pi, w)[()]
+    np.copyto(w, np.pi, where=w == -np.pi)
+    return w[()]
 
 
 @dataclass(frozen=True)
@@ -153,8 +156,8 @@ def canonical_phase_distribution(state: FockVector, grid_size: int = 4096) -> Ph
     n = np.arange(state.truncation + 1)
     # e^{-i n theta_j} = (-1)^n e^{-2pi i n (j+1)/G}: an FFT of length G, exact
     # on the uniform grid as G >= truncation + 1
-    f = np.fft.fft(state.amplitudes * ((-1.0) ** n) * np.exp(-2j * np.pi * n / G), n=G)
-    density = np.abs(f) ** 2 / (2 * np.pi)
+    density = np.abs(np.fft.fft(state.amplitudes * (-1.0) ** n * np.exp(-2j * np.pi * n / G), G))
+    np.divide(np.square(density, out=density), 2 * np.pi, out=density)  # |f|^2 / 2 pi in place
     return PhaseDistribution(grid=theta, density=density)
 
 
@@ -167,7 +170,7 @@ def phase_variance(dist: PhaseDistribution, reference: float = 0.0) -> float:
     the Holevo variance).
     """
     d = wrap_angle(dist.grid - reference)
-    return float(np.sum(d * d * dist.density) * dist.dtheta)
+    return float(np.sum(np.multiply(np.square(d, out=d), dist.density, out=d)) * dist.dtheta)
 
 
 def clone_phase_variance(mu: float, m_copies: int) -> float:

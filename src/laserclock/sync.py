@@ -127,10 +127,11 @@ def split_variance_limit(mu: float, m: int) -> float:
 
 
 def _check_mu_m(mu, m):
-    if not 0 < mu < math.inf:
-        raise ValueError("mu must be positive and finite")
     if m < 1:
         raise ValueError("m must be >= 1")
+    if not (0 < mu < math.inf and 0 < math.sqrt(m) / (4 * mu)  # HL, the least limit
+            and max(math.sqrt(m) / (2 * mu), m / (4 * mu)) < math.inf):  # SQL, split
+        raise ValueError(f"mu {mu!r} with m {m} gives limits that are not positive and finite")
 
 
 def physical_units_mse(beam: PhysicalBeam, m: int) -> float:
@@ -143,7 +144,10 @@ def physical_units_mse(beam: PhysicalBeam, m: int) -> float:
     if m < 1:
         raise ValueError("m must be >= 1")
     ell = 2 * math.pi * beam.linewidth_hz
-    return math.sqrt(HBAR * beam.omega * m * ell / beam.power)
+    mse = math.sqrt(HBAR * beam.omega * m * ell / beam.power)
+    if not 0 < mse < math.inf:
+        raise ValueError(f"{beam} with m {m} gives a per-party MSE of {mse!r} rad^2")
+    return mse
 
 
 def beam_for_party(config: SyncConfig) -> BeamParams:

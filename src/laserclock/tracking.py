@@ -27,19 +27,19 @@ consecutive points of one shape (steps, burn-in steps, noise refinement) share
 groups, each lane carrying its own f, ell, dt and bandwidth.  Every lane owns
 two Gaussian increment streams (phase and shot noise), bitwise numpy's
 default_rng([seed, trial, 0|1]); a group hashes all its seed sequences at once
-by numpy's SeedSequence rule and draws in place, NOISE_BLOCK // (group lanes)
-draws a stream at a time.  Steps run step major in chunks of OBS_CHUNK steps,
-as (steps, lanes) arrays, and the errors are observed once per chunk: the wrap,
-the squared sums (still added one step at a time, in step order) and the
-cycle-slip count, with the modulo and the winding number evaluated only where
-they can differ from the identity and from 0.  So neither the other lanes, the
-block or chunk length nor the worker count can change any result.  Passing
-``noise_dt`` draws the increments on a finer grid and sums them per step, which
-lets two runs at different dt share identical Wiener paths for time-step
-convergence checks.  A batch is refused before any noise is drawn when it comes
-to over 2**30 lane-steps, with each lane counted as at least LANE_COST of them,
-or when a point's predicted error is too small for the wrap to resolve
-(WRAP_MSE_FLOOR).
+by numpy's SeedSequence rule and draws in place, at most NOISE_BLOCK floats at
+a time (2 a lane-step adaptive, 3 heterodyne).  Steps run step major in chunks
+of OBS_CHUNK steps, as (steps, lanes) arrays, and the errors are observed once
+per chunk: the wrap, the squared sums (still added one step at a time, in step
+order) and the cycle-slip count, with the modulo and the winding number
+evaluated only where they can differ from the identity and from 0.  So neither
+the other lanes, the block or chunk length nor the worker count can change any
+result.  Passing ``noise_dt`` draws the increments on a finer grid and sums
+them per step, which lets two runs at different dt share identical Wiener paths
+for time-step convergence checks.  A batch is refused before any noise is drawn
+when it comes to over 2**30 lane-steps, with each lane counted as at least
+LANE_COST of them, or when a point's predicted error is too small for the wrap
+to resolve (WRAP_MSE_FLOOR).
 """
 
 from __future__ import annotations
@@ -66,9 +66,9 @@ __all__ = [
 ]
 
 MODES = ("adaptive", "heterodyne")
-# lane-steps of noise held at once: half a default 200-trial run, leaving room
-# for the generators (about 2 kB a lane) that every lane holds between blocks
-NOISE_BLOCK = 300_000
+# noise floats held at once, 2 a lane-step adaptive and 3 heterodyne (4.6 MiB),
+# leaving room for the generators (about 2 kB a lane) held between blocks
+NOISE_BLOCK = 600_000
 LANE_GROUP = 1024  # lanes in lockstep at once: bounds generators, keeps blocks long
 OBS_CHUNK = 16  # steps whose errors are observed at once: bounds their temporaries
 LANE_STEP_BUDGET = 2 ** 30  # largest run accepted, in lane-steps
@@ -206,14 +206,14 @@ def _streams(lanes):
 
 
 def _noise_columns(lanes, steps: int, refine: int, noise_dt, pair: bool):
-    """Yield the lanes' (phase, shot) increments as (lanes, steps) blocks of
-    NOISE_BLOCK // (len(lanes) * refine) steps that continue each lane's
-    streams, drawn in place and scaled once per block by the per-lane
+    """Yield the lanes' (phase, shot) increments as (lanes, steps) blocks that
+    continue each lane's streams, at most NOISE_BLOCK floats (or one step) of
+    draws, made in place and scaled once per block by the per-lane
     sqrt(noise_dt); a complex shot pair is drawn through its float view, and
     with ``refine`` > 1 each step sums ``refine`` draws."""
     n = len(lanes)
     streams = _streams(lanes)
-    block = max(1, min(steps, NOISE_BLOCK // (n * refine)))
+    block = max(1, min(steps, NOISE_BLOCK // (n * refine * (3 if pair else 2))))
     raw = np.empty((n, block * refine)), np.empty((n, block * refine), complex if pair else float)
     scale = np.sqrt(noise_dt)[:, None]
     for start in range(0, steps, block):
@@ -245,6 +245,19 @@ def _accumulate(start, rows):
     return rows
 
 
+def _heterodyne_dz(p, s, s2a, dt, out):
+    """(s2a * np.exp(1j * p) * dt + s).view(float) on floats, into ``out``, with
+    s2a and dt per lane repeated twice: glibc's cexp(i y) is (cos y, sin y), and
+    complex times real is (a c - b 0, a 0 + b c).  One word differs: at p = -0.0
+    with s.imag = -0.0 it is -0.0 here, +0.0 there (1j * p has imag +0.0)."""
+    np.cos(p, out=out[:, 0::2])
+    np.sin(p, out=out[:, 1::2])
+    out *= s2a
+    out *= dt
+    out += s.view(float)
+    return out
+
+
 def _simulate_lanes(mode, steps, burn_steps, refine, lanes, f, ell, dt, bandwidth, phi0, gain):
     """Simulate lanes, a list of (seed, trial) pairs with per-lane f, ell, dt and
     bandwidth arrays, in lockstep; returns per-lane (mse_wrapped, mse_unwrapped,
@@ -274,12 +287,12 @@ def _simulate_lanes(mode, steps, burn_steps, refine, lanes, f, ell, dt, bandwidt
             winding[hot] = wind[-1]
 
     if heterodyne:
-        s2a = math.sqrt(2.0) * alpha
-        A = s2a * np.exp(1j * phi)
+        s2a = np.repeat(math.sqrt(2.0) * alpha, 2)  # per float of the complex view
+        A = s2a[::2] * np.exp(1j * phi)
         prev_ang = np.angle(A)  # wrapped: est sums its wrapped increments
         # lam and dt are real: A steps on its float view, bitwise the complex form
         A, lam, dt2 = A.view(float), np.repeat(bandwidth, 2), np.repeat(dt, 2)
-        out = states.view(float)
+        out, dz = states.view(float), np.empty((OBS_CHUNK, 2 * n))
     else:
         two_alpha = 2.0 * alpha
         with np.errstate(divide="ignore"):
@@ -296,7 +309,7 @@ def _simulate_lanes(mode, steps, burn_steps, refine, lanes, f, ell, dt, bandwidt
             # each update keeps one operand order, est + g I dt / (2 alpha)
             # and A = A + lam (dZ - A dt), so every result is bitwise fixed
             if heterodyne:
-                dZ = (s2a * np.exp(1j * p) * dt + s).view(float)
+                dZ = _heterodyne_dz(p, s, s2a, dt2, dz[:r])
                 for k in range(r):
                     np.subtract(dZ[k], np.multiply(A, dt2, out=t), out=t)
                     t *= lam

@@ -35,6 +35,38 @@ def test_limits_values(tmp_path, capsys):
     assert results["min_split_over_hl_mse"] == pytest.approx(4.0)
 
 
+_LIMITS_PHYSICAL_CSV = """\
+seed,dt,trials,mu_photons,parties,hl_mse_rad2,sql_mse_rad2,split_mse_rad2,clone_mse_rad2,\
+physical_mse_rad2
+1,0,0,1000000.0,1,2.5e-07,5e-07,2.5e-07,2.5e-07,4.560922314528504e-05
+1,0,0,1000000.0,4,5e-07,1e-06,1e-06,6.25e-07,9.121844629057009e-05
+1,0,0,1000000.0,16,1e-06,2e-06,4e-06,7.1875e-07,0.00018243689258114017
+"""
+
+
+def test_limits_physical_csv_is_pinned(tmp_path):
+    out = tmp_path / "limits.csv"
+    assert main(["limits", "--mu", "1e6", "--parties", "1,4,16", "--power", "1e-3",
+                 "--wavelength", "600e-9", "--linewidth-hz", "1e6", "--seed", "1",
+                 "--out", str(out)]) == 0
+    assert out.read_text() == _LIMITS_PHYSICAL_CSV
+
+
+@pytest.mark.parametrize("argv, named", [
+    # every limit overflows (the sidecar ratio was a NaN, which is not JSON)
+    ("limits --mu 1e-320 --parties 1,4", "mu 1e-320 "),
+    # 4 mu overflows: every limit underflows to 0
+    ("limits --mu 1e308", "mu 1e+308 "),
+    ("limits --mu 100 --parties 1,4 --power 1e-320 --wavelength 6e-7 --linewidth-hz 1e6",
+     "power=1e-320,"),
+])
+def test_limits_that_are_not_finite_are_refused(tmp_path, capsys, argv, named):
+    out = tmp_path / "limits.csv"
+    assert main(argv.split() + ["--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".json").exists()
+
+
 def test_limits_prints_table_without_out(capsys):
     assert main(["limits", "--mu", "1e6", "--parties", "16"]) == 0
     text = capsys.readouterr().out

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import gammaln
 
 import oracles
@@ -190,3 +191,34 @@ def test_wrap_angle_range_property(x):
     if abs(x) < 1e3:
         assert abs(np.exp(1j * w) - np.exp(1j * x)) < 1e-12
     assert fock.wrap_angle(np.array([x, x]))[1] == w
+
+
+def _expression_wrap(x):
+    """wrap_angle as one expression, each step a new array."""
+    w = -((-np.asarray(x) + np.pi) % (2 * np.pi) - np.pi)
+    return np.where(w == -np.pi, np.pi, w)[()]
+
+
+_SHAPES = hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5)
+_EDGE_ANGLES = st.sampled_from(
+    _ODD_PI + [np.nextafter(v, d) for v in _ODD_PI for d in (-np.inf, np.inf)])
+_ANGLES = st.one_of(
+    hnp.arrays(np.float64, _SHAPES, elements=st.floats() | _EDGE_ANGLES),
+    hnp.arrays(np.float32, _SHAPES, elements=st.floats(width=32)),
+    hnp.arrays(np.int64, _SHAPES),
+    st.floats() | _EDGE_ANGLES,
+    st.integers(-2 ** 63, 2 ** 63 - 1))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(x=_ANGLES)
+def test_wrap_angle_is_bitwise_the_expression(x):
+    # float64, float32 and int arrays of 0 to 2 dimensions and Python scalars:
+    # the same type, dtype, shape and words as the expression, input untouched
+    before = np.array(x, copy=True)
+    with np.errstate(invalid="ignore"):
+        got, want = fock.wrap_angle(x), _expression_wrap(x)
+    assert type(got) is type(want) and got.dtype == want.dtype and got.shape == want.shape
+    for a, b in ((got, want), (x, before)):
+        words = f"u{np.asarray(b).dtype.itemsize}"
+        assert np.array_equal(np.asarray(a).view(words), np.asarray(b).view(words))

@@ -25,6 +25,21 @@ def test_split_limit_values():
     assert sync.split_variance_limit(100, 1) == pytest.approx(1 / 400)
 
 
+@pytest.mark.parametrize("mu", [1e-320, 1e308, 0.0, -1.0, math.inf, math.nan])
+def test_limits_refuse_a_mu_that_leaves_them_not_positive_and_finite(mu):
+    for fn in (sync.hl_sync_limit, sync.sql_sync_limit, sync.split_variance_limit):
+        with pytest.raises(ValueError, match="mu "):
+            fn(mu, 4)
+    assert sync.split_variance_limit(1e-300, 4) == pytest.approx(1e300)
+
+
+@pytest.mark.parametrize("power, linewidth_hz", [(1e-320, 1e6), (1e-3, 1e-320)])
+def test_physical_units_refuse_an_mse_that_is_not_positive_and_finite(power, linewidth_hz):
+    beam = sync.PhysicalBeam(power=power, linewidth_hz=linewidth_hz, wavelength=6e-7)
+    with pytest.raises(ValueError, match="per-party MSE of (inf|0.0) "):
+        sync.physical_units_mse(beam, 4)
+
+
 def test_split_limit_against_fock():
     # variance of |sqrt(mu/M)> matches M/(4 mu) within 5% for mu/M >= 25
     mu, m = 100.0, 4

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import solve_ivp
 from scipy.stats import ks_2samp
 
@@ -305,8 +306,9 @@ def test_derive_seed_is_pinned():
 
 
 def test_noise_block_length_changes_no_result(monkeypatch):
-    # 7-step noise blocks, aligned with neither burn-in nor the run's end,
-    # reproduce the single-block default exactly
+    # short noise blocks, aligned with neither burn-in (1000 steps), the run's
+    # end (3000 steps) nor the observation chunk, reproduce the single-block
+    # default exactly
     beam = tr.BeamParams(f=1e3, ell=1.0)
     dt = 1e-2 * tr.loop_time_constant(beam, "adaptive")
     configs = [dict(mode="adaptive"), dict(mode="heterodyne"),
@@ -316,7 +318,8 @@ def test_noise_block_length_changes_no_result(monkeypatch):
         return [tr.run_tracking(beam=beam, trials=100, seed=4, **c) for c in configs]
 
     default = runs()
-    monkeypatch.setattr(tr, "NOISE_BLOCK", 7 * 100)  # 100 lanes: 7-step blocks
+    # 100 lanes at 2, 3 and 2 x 2 floats a lane-step: 14-, 9- and 7-step blocks
+    monkeypatch.setattr(tr, "NOISE_BLOCK", 2900)
     assert runs() == default
 
 
@@ -592,3 +595,75 @@ def test_streams_are_bitwise_default_rng(lanes):
     for (seed, trial), pair in zip(lanes, tr._streams(lanes), strict=True):
         assert [rng.bit_generator.state for rng in pair] == \
             [np.random.default_rng([seed, trial, s]).bit_generator.state for s in (0, 1)]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_zero_phase_heterodyne_is_bitwise_pinned():
+    # at ell = 0 and phi0 = -0.0 each lane's phase stays -0.0 until its first
+    # positive phase draw, so the heterodyne increments see p = -0.0
+    r = tr.run_tracking("heterodyne", tr.BeamParams(f=1e3, ell=0.0), bandwidth=20.0,
+                        phi0=-0.0, trials=20, seed=5)
+    assert _bits(r) == ("0x1.68112faba3e55p-8", "0x1.68112faba3e55p-8",
+                        "0x1.87f69c79a5ab3p-12", "0x0.0p+0")
+
+
+def _complex_form(p, s, s2a, dt):
+    """The reference: the increments in complex arithmetic, as float words."""
+    return (s2a * np.exp(1j * p) * dt + s).view(float).view(np.uint64)
+
+
+def _float_form(p, s, s2a, dt):
+    out = np.empty((len(p), 2 * p.shape[1]))
+    return tr._heterodyne_dz(p, s, np.repeat(s2a, 2), np.repeat(dt, 2), out).view(np.uint64)
+
+
+_SHOT_PARTS = st.floats(-1e300, 1e300).filter(bool)  # nonzero, sums stay finite
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(shape=hnp.array_shapes(min_dims=2, max_dims=2, max_side=6), data=st.data())
+def test_heterodyne_increments_are_bitwise_the_complex_form(shape, data):
+    # finite phases from subnormal to 1e6 of either sign, +-0.0 included;
+    # s2a dt stays below 1e300, so no product overflows
+    r, n = shape
+    p = data.draw(hnp.arrays(float, shape, elements=st.floats(-1e6, 1e6)))
+    s = data.draw(hnp.arrays(float, (r, 2 * n), elements=_SHOT_PARTS)).view(complex)
+    s2a, dt = (data.draw(hnp.arrays(float, n, elements=st.floats(5e-324, 1e150)))
+               for _ in range(2))
+    assert np.array_equal(_float_form(p, s, s2a, dt), _complex_form(p, s, s2a, dt))
+
+
+def test_heterodyne_increments_differ_only_at_negative_zeros():
+    # p = -0.0 with s.imag = -0.0: 1j * p has imaginary part +0.0, so the
+    # complex form ends in +0.0 and the float form in -0.0; with either zero
+    # positive, or the shot part nonzero, the words agree
+    p = np.array([[-0.0, -0.0, 0.0, -0.0]])
+    s = np.array([[0.5, -0.0, 0.5, 0.25, 0.5, -0.0, -0.0, 0.0]]).view(complex)
+    s2a, dt = np.array([3.0, 3.0, 3.0, 3.0]), np.array([1e-3, 1e-3, 1e-3, 1e-3])
+    got, want = _float_form(p, s, s2a, dt), _complex_form(p, s, s2a, dt)
+    assert np.flatnonzero(got != want).tolist() == [1]
+    assert got.view(float)[0, 1] == 0.0 and np.signbit(got.view(float)[0, 1])
+    assert not np.signbit(want.view(float)[0, 1])
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("config", [dict(mode="adaptive"), dict(mode="heterodyne"),
+                                    dict(mode="adaptive", dt=_DT, noise_dt=_DT / 2),
+                                    dict(mode="heterodyne", dt=_DT, noise_dt=_DT / 2)])
+def test_noise_blocks_hold_at_most_the_budget(monkeypatch, config):
+    # 200 lanes in one group: every block that _noise_columns yields was drawn
+    # into at most NOISE_BLOCK floats, and the longest fills all but a step
+    held = []
+    columns = tr._noise_columns
+
+    def recording(lanes, steps, refine, noise_dt, pair):
+        for block in columns(lanes, steps, refine, noise_dt, pair):
+            held.append((sum(x.view(float).size for x in block) * refine,
+                         len(lanes) * refine * (3 if pair else 2)))
+            yield block
+
+    monkeypatch.setattr(tr, "_noise_columns", recording)
+    tr.run_tracking(beam=_BEAM, trials=200, seed=1, **config)
+    floats, per_step = max(held)
+    assert len(held) > 1
+    assert tr.NOISE_BLOCK - per_step < floats <= tr.NOISE_BLOCK
