@@ -21,14 +21,15 @@ beam = tr.BeamParams(f=1e3, ell=1.0)
 dt = 1e-2 * tr.loop_time_constant(beam, "adaptive")
 sigma2 = tr.adaptive_mse_limit(beam.N)  # stationary error variance
 sqdt = math.sqrt(dt)
+alpha = math.sqrt(beam.f)  # beam amplitude
 rng_phase = np.random.default_rng(1)
 rng_shot = np.random.default_rng(2)
 phi = phi_est = 0.0
 ts, truth, est = dt * np.arange(1, 4001), [], []
 for _ in ts:
     phi += math.sqrt(beam.ell) * rng_phase.standard_normal() * sqdt
-    idt = 2 * beam.alpha * math.sin(phi - phi_est) * dt + rng_shot.standard_normal() * sqdt
-    phi_est += beam.ell / sigma2 * idt / (2 * beam.alpha)
+    idt = 2 * alpha * math.sin(phi - phi_est) * dt + rng_shot.standard_normal() * sqdt
+    phi_est += beam.ell / sigma2 * idt / (2 * alpha)
     truth.append(phi)
     est.append(phi_est)
 err = np.array(truth) - np.array(est)

@@ -16,19 +16,17 @@ laser = LaserParams(kappa=1.0, mu=1e6)
 print("HL regime (ell = kappa/4mu, adaptive locking), mu = 1e6:")
 print("   M    mean per-party MSE    sqrt(M)/(4 mu)    ratio")
 for m in [1, 4, 16]:
-    cfg = sync.SyncConfig(laser=laser, parties=m, regime="hl")
-    rep = sync.run_sync_experiment(cfg, trials=200, seed=8)
+    rep = sync.run_sync(laser, [m], regime="hl", trials=200, seed=8)
     print(f"{m:4d}    {rep.mean_mse[0]:.4e}        {rep.predicted[0]:.4e}     "
           f"{rep.mean_mse[0]/rep.predicted[0]:.3f}")
 
-sweep = sync.run_sync_sweep(laser, [1, 2, 4, 8, 16], regime="hl", trials=200, seed=9)
+sweep = sync.run_sync(laser, [1, 2, 4, 8, 16], regime="hl", trials=200, seed=9)
 print(f"fitted MSE ~ M^x scaling exponent: x = {sweep.scaling_exponent:.3f} "
       f"+- {sweep.scaling_stderr:.3f}  (sqrt-law: 0.5)")
 
 print("\nSQL regime (ell = kappa/2mu, dual-quadrature locking):")
 for m in [1, 4]:
-    cfg = sync.SyncConfig(laser=laser, parties=m, regime="sql")
-    rep = sync.run_sync_experiment(cfg, trials=200, seed=10)
+    rep = sync.run_sync(laser, [m], regime="sql", trials=200, seed=10)
     print(f"  M={m}: {rep.mean_mse[0]:.4e} vs sqrt(M)/(2 mu) = {rep.predicted[0]:.4e}")
 
 # ordinary lab numbers: a 1 mW, 1 MHz-linewidth visible laser

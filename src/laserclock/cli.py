@@ -97,16 +97,10 @@ def _run_track(a):
 
 def _run_sync(a):
     _require(a.kappa is not None and a.mu is not None, "--kappa and --mu are required")
-    parties, regime = _ints(a.parties), a.regime.lower()
+    parties, regime = _ints(a.parties), a.regime
     trials, seed, workers, dt = a.trials, a.seed, a.workers, _auto(a.dt)
-    laser = ld.LaserParams(kappa=a.kappa, mu=a.mu)
-    if len(parties) >= 2:
-        report = sy.run_sync_sweep(laser, parties, regime=regime, dt=dt,
-                                   trials=trials, seed=seed, workers=workers)
-    else:
-        cfg = sy.SyncConfig(laser=laser, parties=parties[0], regime=regime)
-        report = sy.run_sync_experiment(cfg, dt=dt, trials=trials, seed=seed,
-                                        workers=workers)
+    report = sy.run_sync(ld.LaserParams(kappa=a.kappa, mu=a.mu), parties, regime=regime,
+                         dt=dt, trials=trials, seed=seed, workers=workers)
     header = ["seed", "dt", "trials", "kappa_per_s", "mu_photons", "regime", "parties",
               "mean_mse_rad2", "stderr_rad2", "predicted_rad2", "mse_over_predicted",
               "party_mse_min_rad2", "party_mse_max_rad2",

@@ -182,6 +182,8 @@ def clone_phase_variance(mu: float, m_copies: int) -> float:
     """
     if m_copies < 1:
         raise ValueError("number of copies must be >= 1")
-    if not mu > 0:
-        raise ValueError("mu must be positive")
-    return (3.0 - 2.0 / m_copies) / (4.0 * mu)
+    variance = (3.0 - 2.0 / m_copies) / (4.0 * mu) if 0 < mu < np.inf else np.nan
+    if not 0 < variance < np.inf:
+        raise ValueError(f"mu {mu!r} gives a clone phase variance that is not positive "
+                         "and finite")
+    return variance

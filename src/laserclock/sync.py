@@ -9,9 +9,11 @@ standard laser (ell = kappa/(2 mu)) read out non-adaptively gives
 sqrt(M)/(2 mu), only a factor of two worse.  Note the contrast with the
 one-shot splitting of a fixed coherent state, whose per-share variance is
 M/(4 mu): the running laser is better by sqrt(M) because each party locks to
-the current, continuously replenished phase.  In lab units the limit is
-sqrt(hbar omega M ell / P) per party, for a :class:`PhysicalBeam` given by
-its power, linewidth and wavelength.
+the current, continuously replenished phase.  :func:`run_sync` simulates
+the split for one M, or for several M values at once, fitting the exponent
+of the per-party MSE in M that both limits put at 1/2.  In lab units the
+limit is sqrt(hbar omega M ell / P) per party, for a :class:`PhysicalBeam`
+given by its power, linewidth and wavelength.
 
 If a modest laser must serve as the standard, the efficient arrangement is a
 relay: lock one far better laser (higher power, narrower line) to it, then
@@ -33,7 +35,6 @@ from .tracking import BeamParams, derive_seed, run_tracking_batch
 __all__ = [
     "HBAR",
     "SPEED_OF_LIGHT",
-    "SyncConfig",
     "PhysicalBeam",
     "SyncReport",
     "hl_sync_limit",
@@ -41,33 +42,13 @@ __all__ = [
     "split_variance_limit",
     "physical_units_mse",
     "beam_for_party",
-    "run_sync_experiment",
-    "run_sync_sweep",
+    "run_sync",
 ]
 
 HBAR = 1.054571817e-34  # J s
 SPEED_OF_LIGHT = 2.99792458e8  # m/s
 
 REGIMES = ("hl", "sql")
-
-
-@dataclass(frozen=True)
-class SyncConfig:
-    """Source laser, number of parties, and operating regime.
-
-    regime "hl": linewidth kappa/(4 mu), adaptive locking.
-    regime "sql": linewidth kappa/(2 mu), dual-quadrature locking.
-    """
-
-    laser: LaserParams
-    parties: int
-    regime: str = "hl"
-
-    def __post_init__(self):
-        if self.parties < 1:
-            raise ValueError("parties must be >= 1")
-        if self.regime not in REGIMES:
-            raise ValueError(f"regime must be one of {REGIMES}")
 
 
 @dataclass(frozen=True)
@@ -101,9 +82,6 @@ class SyncReport:
     predicted: tuple              # rad^2
     scaling_exponent: float | None
     scaling_stderr: float | None
-    regime: str
-    trials: int
-    seed: int
     slips_flagged: bool
 
 
@@ -150,12 +128,18 @@ def physical_units_mse(beam: PhysicalBeam, m: int) -> float:
     return mse
 
 
-def beam_for_party(config: SyncConfig) -> BeamParams:
-    """Per-party beam: flux kappa*mu/M, linewidth set by the regime."""
-    laser = config.laser
-    f = laser.kappa * laser.mu / config.parties
-    ell = laser.kappa / (4.0 * laser.mu) if config.regime == "hl" \
-        else laser.kappa / (2.0 * laser.mu)
+def beam_for_party(laser: LaserParams, parties: int, regime: str) -> BeamParams:
+    """Per-party beam: flux kappa*mu/M, linewidth set by the regime.
+
+    regime "hl": linewidth kappa/(4 mu), adaptive locking.
+    regime "sql": linewidth kappa/(2 mu), dual-quadrature locking.
+    """
+    if parties < 1:
+        raise ValueError("parties must be >= 1")
+    if regime not in REGIMES:
+        raise ValueError(f"regime must be one of {REGIMES}")
+    f = laser.kappa * laser.mu / parties
+    ell = laser.kappa / (4.0 * laser.mu) if regime == "hl" else laser.kappa / (2.0 * laser.mu)
     return BeamParams(f=f, ell=ell)
 
 
@@ -173,58 +157,40 @@ class _PartySeeds:
         return (derive_seed(self.seed, p) for p in range(self.parties))
 
 
-def _predicted(config: SyncConfig) -> float:
-    mu, m = config.laser.mu, config.parties
-    return hl_sync_limit(mu, m) if config.regime == "hl" else sql_sync_limit(mu, m)
+def run_sync(laser: LaserParams, m_values, regime: str = "hl", dt: float | None = None,
+             trials: int = 200, seed: int = 0, workers: int = 1,
+             noise_dt: float | None = None) -> SyncReport:
+    """Split the laser among M parties, for each M of ``m_values``, and track
+    each share independently.
 
-
-def run_sync_experiment(config: SyncConfig, dt: float | None = None, trials: int = 200,
-                        seed: int = 0, workers: int = 1,
-                        noise_dt: float | None = None) -> SyncReport:
-    """Split the laser among M parties and track each share independently.
-
-    All M parties run as lanes of one :func:`laserclock.tracking.run_tracking_batch`
-    call (adaptive in the HL regime, dual-quadrature in the SQL regime) on at
-    most one process pool.  Party p has its own seed derive_seed(seed, p), so
-    per-party results are exchangeable and independent of how many parties
-    run.  The per-beam quality factor is N = 4 mu^2/M (HL) or 2 mu^2/M (SQL);
-    it should stay above ~1e3 for the linearized filter to apply.
-    """
-    return _run_sync([config], [seed], seed, dt, trials, workers, noise_dt)
-
-
-def run_sync_sweep(laser: LaserParams, m_values, regime: str = "hl",
-                   dt: float | None = None, trials: int = 200, seed: int = 0,
-                   workers: int = 1, noise_dt: float | None = None) -> SyncReport:
-    """Sweep the party count and fit the scaling exponent of MSE vs M.
-
-    Runs every M as :func:`run_sync_experiment` would at the seed
-    derive_seed(seed, 1000 + i) of the i-th M, but all M values as the points
-    of one batch, so the whole sweep is checked before any noise is drawn.
-    Least-squares fits the slope of log(mean MSE) against log(M); both limits
-    predict slope 1/2.
+    Every party of every M runs as a lane of one
+    :func:`laserclock.tracking.run_tracking_batch` call (adaptive in the HL
+    regime, dual-quadrature in the SQL regime) on at most one process pool,
+    so the whole run is checked before any noise is drawn.  With one M, party
+    p runs at derive_seed(seed, p), so per-party results are exchangeable and
+    independent of how many parties run.  Several M values must hold at least
+    two distinct ones; party p of the i-th M then runs at
+    derive_seed(derive_seed(seed, 1000 + i), p), and the slope of log(mean
+    MSE) against log(M) is least-squares fitted (both limits predict 1/2).
+    The per-beam quality factor is N = 4 mu^2/M (HL) or 2 mu^2/M (SQL); it
+    should stay above ~1e3 for the linearized filter to apply.
     """
     m_values = [int(m) for m in m_values]
-    if len(set(m_values)) < 2:
-        raise ValueError("sweep needs at least two distinct M values")
-    configs = [SyncConfig(laser=laser, parties=m, regime=regime) for m in m_values]
-    return _run_sync(configs, [derive_seed(seed, 1000 + i) for i in range(len(configs))],
-                     seed, dt, trials, workers, noise_dt)
-
-
-def _run_sync(configs, config_seeds, seed, dt, trials, workers, noise_dt):
-    """One batch with a point per config at its seed (the report names the
-    master ``seed``); with two or more configs, fits the scaling exponent of
-    the mean MSE in M."""
-    mode = "adaptive" if configs[0].regime == "hl" else "heterodyne"
-    batch = run_tracking_batch(mode, [(beam_for_party(c), _PartySeeds(s, c.parties), None)
-                                      for c, s in zip(configs, config_seeds)],
+    if len(m_values) != 1 and len(set(m_values)) < 2:
+        raise ValueError("give one M value or at least two distinct M values")
+    seeds = [seed] if len(m_values) == 1 else \
+        [derive_seed(seed, 1000 + i) for i in range(len(m_values))]
+    points = [(beam_for_party(laser, m, regime), _PartySeeds(s, m), None)
+              for m, s in zip(m_values, seeds)]
+    limit = hl_sync_limit if regime == "hl" else sql_sync_limit
+    predicted = tuple(limit(laser.mu, m) for m in m_values)
+    batch = run_tracking_batch("adaptive" if regime == "hl" else "heterodyne", points,
                                dt=dt, trials=trials, workers=workers, noise_dt=noise_dt)
     per_party = tuple(tuple(r.mse_wrapped for r in results) for results in batch)
     mean = tuple(sum(per) / len(per) for per in per_party)
     slope = slope_se = None
-    if len(configs) >= 2:
-        x = np.log(np.asarray([c.parties for c in configs], dtype=float))
+    if len(m_values) > 1:
+        x = np.log(np.asarray(m_values, dtype=float))
         y = np.log(np.array(mean))
         fit, intercept = np.polyfit(x, y, 1)
         resid = y - (fit * x + intercept)
@@ -232,16 +198,13 @@ def _run_sync(configs, config_seeds, seed, dt, trials, workers, noise_dt):
         slope = float(fit)
         slope_se = math.sqrt(float(resid @ resid) / dof / float(np.sum((x - x.mean()) ** 2)))
     return SyncReport(
-        m_values=tuple(c.parties for c in configs),
+        m_values=tuple(m_values),
         per_party_mse=per_party,
         mean_mse=mean,
         stderr=tuple(math.sqrt(sum(r.stderr ** 2 for r in results)) / len(results)
                      for results in batch),
-        predicted=tuple(_predicted(c) for c in configs),
+        predicted=predicted,
         scaling_exponent=slope,
         scaling_stderr=slope_se,
-        regime=configs[0].regime,
-        trials=trials,
-        seed=seed,
         slips_flagged=any(r.slips_significant for results in batch for r in results),
     )

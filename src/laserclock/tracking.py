@@ -99,11 +99,6 @@ class BeamParams:
             raise ValueError("linewidth ell must be nonnegative and finite")
 
     @property
-    def alpha(self) -> float:
-        """Beam amplitude sqrt(f)."""
-        return math.sqrt(self.f)
-
-    @property
     def N(self) -> float:
         """Photons per coherence time, f/ell (inf for a static phase)."""
         return self.f / self.ell if self.ell > 0 else math.inf
@@ -117,7 +112,6 @@ class TrackingResult:
     mse_wrapped: float
     mse_unwrapped: float
     stderr: float
-    trials: int
     burn_in: float
     duration: float
     cycle_slip_rate: float
@@ -470,7 +464,7 @@ def _result(w, u, slips, obs_time, resolved):
     return TrackingResult(
         mse_wrapped=mean_w, mse_unwrapped=mean_u,
         stderr=float(w.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("inf"),
-        trials=trials, cycle_slip_rate=float(slips.sum() / (trials * obs_time)),
+        cycle_slip_rate=float(slips.sum() / (trials * obs_time)),
         slips_significant=bool(mean_u - mean_w > 0.01 * mean_w), **resolved)
 
 

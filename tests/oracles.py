@@ -28,9 +28,9 @@ def adaptive_step(phi, est, beam, sigma2, dt, dw_phase, dw_shot):
     dw_shot, and the estimate moves by (ell/sigma2) I dt / (2 alpha).
     """
     phi = phi + math.sqrt(beam.ell) * dw_phase
-    lo = est + math.pi / 2.0
-    idt = 2.0 * beam.alpha * math.cos(lo - phi) * dt + dw_shot
-    return phi, est + beam.ell / sigma2 * idt / (2.0 * beam.alpha)
+    lo, alpha = est + math.pi / 2.0, math.sqrt(beam.f)
+    idt = 2.0 * alpha * math.cos(lo - phi) * dt + dw_shot
+    return phi, est + beam.ell / sigma2 * idt / (2.0 * alpha)
 
 
 def heterodyne_step(phi, A, est, beam, lam, dt, dw_phase, dz_shot):
@@ -41,7 +41,7 @@ def heterodyne_step(phi, A, est, beam, lam, dt, dw_phase, dz_shot):
     of the angle.
     """
     phi = phi + math.sqrt(beam.ell) * dw_phase
-    dZ = math.sqrt(2.0) * beam.alpha * np.exp(1j * phi) * dt + dz_shot
+    dZ = math.sqrt(2.0) * math.sqrt(beam.f) * np.exp(1j * phi) * dt + dz_shot
     new = A + lam * (dZ - A * dt)
     return phi, new, est + wrap(np.angle(new) - np.angle(A))
 

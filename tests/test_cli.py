@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tempfile
@@ -50,6 +51,24 @@ def test_limits_physical_csv_is_pinned(tmp_path):
                  "--wavelength", "600e-9", "--linewidth-hz", "1e6", "--seed", "1",
                  "--out", str(out)]) == 0
     assert out.read_text() == _LIMITS_PHYSICAL_CSV
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("argv, csv_sha256, sidecar_sha256", [
+    # one M: party p at derive_seed(3, p)
+    ("sync --kappa 1 --mu 1e6 --parties 4 --trials 20 --seed 3",
+     "b209bda86b8efc8cb236fdf1e689655d9a57e781682bda379605df812a3d63e7",
+     "6a8083aad7f9049a0690e1baaa1e1bee1945d3749b9a4ec1398540b48d706cd2"),
+    # several M: party p of the i-th M at derive_seed(derive_seed(2, 1000 + i), p)
+    ("sync --kappa 1 --mu 1e6 --parties 1,4 --regime sql --trials 20 --seed 2",
+     "f5b6a754a757fbae5c17da56453db2ebdadc30f962e267fadbd7f6a939a65d72",
+     "ee6ea20cd52d8e3fc2e29f89412db3945674797be21eed07573e1ad929b1e119"),
+], ids=["one-m-hl", "several-m-sql"])
+def test_sync_outputs_are_pinned(tmp_path, argv, csv_sha256, sidecar_sha256):
+    out = tmp_path / "sync.csv"
+    assert main(argv.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha256
+    assert hashlib.sha256(out.with_suffix(".json").read_bytes()).hexdigest() == sidecar_sha256
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -372,8 +391,8 @@ def test_each_experiment_is_one_batch(monkeypatch):
     monkeypatch.setattr(sync, "run_tracking_batch", counting)
     laser = LaserParams(kappa=1.0, mu=100.0)
     assert main(["sweep", "--axis", "n", "--values", "1e2,1e3,1e4", "--trials", "2"]) == 0
-    sync.run_sync_experiment(sync.SyncConfig(laser=laser, parties=3), trials=2)
-    sync.run_sync_sweep(laser, [1, 2, 4], trials=2)
+    sync.run_sync(laser, [3], trials=2)
+    sync.run_sync(laser, [1, 2, 4], trials=2)
     assert calls == [3, 1, 3]
 
 

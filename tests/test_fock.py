@@ -167,8 +167,10 @@ def test_clone_phase_variance_values():
 def test_clone_phase_variance_validation():
     with pytest.raises(ValueError):
         fock.clone_phase_variance(100, 0)
-    with pytest.raises(ValueError):
-        fock.clone_phase_variance(-1.0, 2)
+    # the variance of mu 1e-320 overflows to inf, that of mu inf or 1e308 is 0.0
+    for mu in (-1.0, 0.0, 1e-320, 1e308, np.inf, np.nan):
+        with pytest.raises(ValueError, match="not positive and finite"):
+            fock.clone_phase_variance(mu, 2)
 
 
 def test_wrap_angle_range():

@@ -108,18 +108,16 @@ def test_physical_beam_validation():
 def test_beam_for_party_flux_split():
     laser = LaserParams(kappa=2.0, mu=300.0)
     for m in [1, 3, 10]:
-        cfg = sync.SyncConfig(laser=laser, parties=m, regime="hl")
-        beam = sync.beam_for_party(cfg)
+        beam = sync.beam_for_party(laser, m, "hl")
         assert beam.f * m == pytest.approx(laser.kappa * laser.mu)
         assert beam.ell == pytest.approx(laser.kappa / (4 * laser.mu))
-    sql = sync.beam_for_party(sync.SyncConfig(laser=laser, parties=2, regime="sql"))
+    sql = sync.beam_for_party(laser, 2, "sql")
     assert sql.ell == pytest.approx(laser.kappa / (2 * laser.mu))
 
 
 def test_single_party_reduces_to_tracking():
     laser = LaserParams(kappa=1.0, mu=100.0)
-    cfg = sync.SyncConfig(laser=laser, parties=1, regime="hl")
-    report = sync.run_sync_experiment(cfg, trials=100, seed=13)
+    report = sync.run_sync(laser, [1], regime="hl", trials=100, seed=13)
     beam = tr.BeamParams(f=100.0, ell=1 / 400)
     assert beam.N == pytest.approx(4 * 100.0 ** 2)
     direct = tr.run_tracking("adaptive", beam, trials=100, seed=tr.derive_seed(13, 0))
@@ -128,9 +126,8 @@ def test_single_party_reduces_to_tracking():
 
 def test_party_results_are_seed_isolated():
     laser = LaserParams(kappa=1.0, mu=100.0)
-    cfg = sync.SyncConfig(laser=laser, parties=3, regime="hl")
-    report = sync.run_sync_experiment(cfg, trials=100, seed=5)
-    beam = sync.beam_for_party(cfg)
+    report = sync.run_sync(laser, [3], regime="hl", trials=100, seed=5)
+    beam = sync.beam_for_party(laser, 3, "hl")
     for party in range(3):
         direct = tr.run_tracking("adaptive", beam, trials=100,
                                  seed=tr.derive_seed(5, party))
@@ -139,8 +136,7 @@ def test_party_results_are_seed_isolated():
 
 def test_per_party_mse_mutually_consistent():
     laser = LaserParams(kappa=1.0, mu=100.0)
-    cfg = sync.SyncConfig(laser=laser, parties=4, regime="hl")
-    report = sync.run_sync_experiment(cfg, trials=200, seed=1)
+    report = sync.run_sync(laser, [4], regime="hl", trials=200, seed=1)
     per = report.per_party_mse[0]
     assert max(per) / min(per) <= 1.5
     assert report.mean_mse[0] == pytest.approx(sync.hl_sync_limit(100.0, 4), rel=0.15)
@@ -148,35 +144,43 @@ def test_per_party_mse_mutually_consistent():
 
 def test_sync_sweep_scaling_exponent():
     laser = LaserParams(kappa=1.0, mu=100.0)
-    report = sync.run_sync_sweep(laser, [1, 2, 4, 8, 16], regime="hl",
-                                 trials=100, seed=2)
+    report = sync.run_sync(laser, [1, 2, 4, 8, 16], regime="hl", trials=100, seed=2)
     assert report.scaling_exponent == pytest.approx(0.5, abs=0.05)
     assert all(a <= b for a, b in zip(report.mean_mse, report.mean_mse[1:]))
 
 
+def test_several_m_values_run_at_their_derived_seeds():
+    # row i of a several-M run is the one-M run of ms[i] at derive_seed(seed, 1000 + i)
+    laser, ms, seed = LaserParams(kappa=1.0, mu=100.0), [3, 1, 2], 11
+    report = sync.run_sync(laser, ms, trials=100, seed=seed)
+    for i, m in enumerate(ms):
+        alone = sync.run_sync(laser, [m], trials=100, seed=tr.derive_seed(seed, 1000 + i))
+        assert report.per_party_mse[i] == alone.per_party_mse[0]
+        assert alone.scaling_exponent is None
+
+
 def test_sync_determinism():
     laser = LaserParams(kappa=1.0, mu=100.0)
-    cfg = sync.SyncConfig(laser=laser, parties=2, regime="hl")
-    r1 = sync.run_sync_experiment(cfg, trials=100, seed=3)
-    r2 = sync.run_sync_experiment(cfg, trials=100, seed=3)
+    r1 = sync.run_sync(laser, [2], regime="hl", trials=100, seed=3)
+    r2 = sync.run_sync(laser, [2], regime="hl", trials=100, seed=3)
     assert r1 == r2
 
 
 def test_sync_config_validation():
     laser = LaserParams(kappa=1.0, mu=10.0)
     with pytest.raises(ValueError):
-        sync.SyncConfig(laser=laser, parties=0)
+        sync.beam_for_party(laser, 0, "hl")
     with pytest.raises(ValueError):
-        sync.SyncConfig(laser=laser, parties=2, regime="squeezed")
-    with pytest.raises(ValueError):
-        sync.run_sync_sweep(laser, [4], regime="hl")
+        sync.beam_for_party(laser, 2, "squeezed")
+    for ms in ([4, 4], []):
+        with pytest.raises(ValueError, match="distinct M values"):
+            sync.run_sync(laser, ms)
 
 
 def test_sync_worker_count_does_not_change_report():
     laser = LaserParams(kappa=1.0, mu=100.0)
-    cfg = sync.SyncConfig(laser=laser, parties=3, regime="hl")
-    r1 = sync.run_sync_experiment(cfg, trials=100, seed=6, workers=1)
-    r2 = sync.run_sync_experiment(cfg, trials=100, seed=6, workers=2)
+    r1 = sync.run_sync(laser, [3], regime="hl", trials=100, seed=6, workers=1)
+    r2 = sync.run_sync(laser, [3], regime="hl", trials=100, seed=6, workers=2)
     assert r1 == r2
 
 

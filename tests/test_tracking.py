@@ -40,7 +40,7 @@ def _photocurrent(phi, est, beam, sigma2, dt, dw_shot):
     """The photocurrent I dt that moved the adaptive step's estimate by
     (ell/sigma2) I dt / (2 alpha); no phase noise, so phi stays put."""
     _, after = oracles.adaptive_step(phi, est, beam, sigma2, dt, 0.0, dw_shot)
-    return (after - est) * 2 * beam.alpha * sigma2 / beam.ell
+    return (after - est) * 2 * math.sqrt(beam.f) * sigma2 / beam.ell
 
 
 def test_photocurrent_trivial_points():
@@ -201,7 +201,7 @@ def test_heterodyne_engine_matches_single_step_filter():
     dwp = np.random.default_rng([23, 0, 0]).standard_normal(steps) * math.sqrt(dt)
     dzs = np.random.default_rng([23, 0, 1]).standard_normal(2 * steps).view(complex) \
         * math.sqrt(dt)
-    phi, A, est, acc = 0.0, math.sqrt(2.0) * beam.alpha + 0j, 0.0, 0.0
+    phi, A, est, acc = 0.0, math.sqrt(2.0) * math.sqrt(beam.f) + 0j, 0.0, 0.0
     for k in range(steps):
         phi, A, est = oracles.heterodyne_step(phi, A, est, beam, tr.optimal_bandwidth(beam), dt,
                                               dwp[k], dzs[k])
@@ -294,7 +294,6 @@ def test_beam_params_validation():
         with pytest.raises(ValueError):
             tr.BeamParams(f=f, ell=ell)
     assert tr.BeamParams(f=10.0, ell=0.0).N == math.inf
-    assert tr.BeamParams(f=100.0, ell=4.0).alpha == 10.0
 
 
 def test_derive_seed_is_pinned():
