@@ -11,7 +11,6 @@ import math
 import numpy as np
 
 from laserclock import channel as ch
-from laserclock.errors import WindowError
 
 spec = ch.LatticeSpec(delta=1.0)
 
@@ -46,8 +45,11 @@ for chi in [np.pi / 2, np.pi / 4]:
     print(f"  chi={chi:.4f}: output phase {math.atan2(o.imag, o.real):+.4f} "
           f"(bias {math.atan2(o.imag, o.real)-chi:+.4f} rad)")
 
-# a mass target beyond the largest window is refused, with the mass achieved
-try:
-    ch.decohere(alpha, spec, mass_deficit=1e-12)
-except WindowError as exc:
-    print(f"\nmass deficit 1e-12: {type(exc).__name__}: {exc}")
+# the window holds every cell with P >= min_prob; the lattice beyond it
+# enters the captured mass and the amplitude in closed form
+print("\nwindow by min_prob:")
+for min_prob in (1e-6, 1e-8, 1e-10):
+    d = ch.decohere(alpha, spec, min_prob=min_prob)
+    print(f"  min_prob {min_prob:g}: window {len(d.ns)} x {len(d.ms)}, "
+          f"{int((d.probabilities >= min_prob).sum())} cells >= min_prob, "
+          f"1 - captured mass {1 - d.captured_mass:.1e}")

@@ -16,27 +16,24 @@ For |alpha| >> 1 that distribution concentrates near (q_n + i p_m)/sqrt(2)
 large coherent amplitude -- i.e. the phase reference survives a channel that
 can transmit no quantum information.
 
-Overlaps fall off only as 1/p_m^2 in probability (the boxcar edges), so
-capturing all but 1e-6 of the mass needs momentum windows of order 1e4
-points; ``decohere`` sizes that window itself for the requested mass and
-evaluates the overlap integral over it in closed form (stably, via the
-Faddeeva function).  The tests check that closed form, and the lattice's
-orthonormality, against adaptive quadrature of the boxcar integrals.  The same
-sharp edges make every p-moment of a single lattice state diverge (its
-momentum density only decays as p^-2); the channel output's mean amplitude
-stays finite because the lattice-point momenta enter weighted by the 1/p_m^2
-probabilities, leaving a conditionally convergent sum evaluated over windows
-symmetric about the peak.
+Overlaps fall off only as 1/p_m^2 in probability (the boxcar edges).
+``decohere`` evaluates one window, sized by a derived bound to hold every
+cell with P >= min_prob, with the overlaps in closed form (stably, via the
+Faddeeva function).  The rest of the lattice enters in closed form too: by
+Parseval each box's full momentum sum is its erf mass, and
+``output_mean_amplitude`` sums those masses and a boundary term at the box
+edges.  The tests check the overlaps, and the lattice's orthonormality,
+against adaptive quadrature, and the amplitude against windowed sums.  The
+same sharp edges make every p-moment of a single lattice state diverge; the
+output's mean amplitude stays finite because the momenta enter weighted by
+the 1/p_m^2 probabilities, a conditionally convergent sum whose value over
+windows symmetric about the peak is the closed form.
 
-A window is evaluated in column blocks of ``GRID_BLOCK_CELLS`` cells, each
-written straight into the float array of probabilities, so no complex array
-of the whole window ever exists: at alpha = 3+4i the traced peak is 12.9 MiB
-for the 8.9 MiB of probabilities, where the whole-window evaluation took 56.4.
-No window may exceed ``GRID_BUDGET_CELLS`` cells (256 MiB of probabilities);
-a lattice too fine for even the first window, or an input whose lattice
-indices pass 2^52 (float64 no longer holds every integer there), is refused
-with ValueError before any box is listed, a later window with WindowError
-before it is evaluated.
+The window is evaluated in column blocks of ``GRID_BLOCK_CELLS`` cells, each
+written straight into the float array of probabilities.  A window over
+``GRID_BUDGET_CELLS`` cells (256 MiB of probabilities), a min_prob outside
+(0, 1], or lattice indices past 2^52 (float64 no longer holds every integer
+there) are refused with ValueError before any box is listed.
 """
 
 from __future__ import annotations
@@ -83,11 +80,14 @@ class LatticeSpec:
 
 @dataclass(frozen=True)
 class LatticeDistribution:
-    """Probabilities |<q_n, p_m|alpha>|^2 over a finite window.
+    """The channel output for the input |alpha>: probabilities
+    |<q_n, p_m|alpha>|^2 over the window :func:`decohere` evaluated, and the
+    lattice mass of its boxes.
 
     ``probabilities[i, j]`` belongs to (ns[i], ms[j]).
     """
 
+    alpha: complex
     delta: float
     ns: np.ndarray
     ms: np.ndarray
@@ -181,105 +181,110 @@ def _probabilities(alpha, delta, ns, ms):
     return P
 
 
-def decohere(alpha: complex, spec: LatticeSpec, mass_deficit: float = 1e-6) -> LatticeDistribution:
+def decohere(alpha: complex, spec: LatticeSpec, min_prob: float = 1e-6) -> LatticeDistribution:
     """Send |alpha> through the channel: P(n, m) = |<q_n, p_m | alpha>|^2.
 
-    The window is sized here: boxes cover the Gaussian in q to 1% of the
-    deficit budget, and the momentum half-width grows (the probability tail
-    falls off as C/m) until the captured mass reaches 1 - mass_deficit.
+    One window is evaluated, and it holds every cell with P >= ``min_prob``.
+    With phi(q) = pi^{-1/4} e^{-(q - q_bar)^2/2} = |psi_alpha(q)|:
 
-    Each window is evaluated in column blocks of ``GRID_BLOCK_CELLS`` cells
-    (at least one column), written straight into the float array of
-    probabilities, so the working set is that array plus one block's complex
-    temporaries.  No window may hold more than ``GRID_BUDGET_CELLS`` cells
-    (256 MiB of probabilities).
+    * boxes cover q_bar +- r, erfc(r) = eps = min(1e-8, min_prob), and one
+      more box on each side.  A box left out lies wholly beyond r, so there
+      P(n, m) <= w_n <= eps/2, w_n the box's mass (``_window_masses``).
+    * columns span m_c +- M, m_c nearest p_bar.  Integrating the overlap by
+      parts over a box gives P <= 4 max_box(phi)^2 / (Delta (p_m - p_bar)^2),
+      so P >= min_prob needs |m - m_c| <= 1/2 + pi^{-5/4} sqrt(Delta/min_prob);
+      M = max(512, ceil(1/2 + pi^{-5/4} sqrt(Delta / min_prob))).  The floor
+      keeps ``coherent_fidelity`` (sum P^2) near the lattice's own value.
+
+    ``captured_mass`` is sum_n w_n >= 1 - eps, each w_n being by Parseval its
+    box's full momentum sum.  The window is evaluated by ``_probabilities``.
 
     Raises
     ------
     ValueError
-        If the boxes times the first window's 1025 momentum points exceed
-        ``GRID_BUDGET_CELLS``, or a box or momentum index of any window could
-        exceed 2^52 in modulus, where float64 stops holding every integer;
-        both are checked before any box is listed or evaluated.
+        If ``min_prob`` is not in (0, 1], the window would hold more than
+        ``GRID_BUDGET_CELLS`` cells, or a lattice index in it could pass
+        2^52, where float64 stops holding every integer; all before any box
+        is listed.
     WindowError
-        If the requested mass needs a momentum half-width above 2^20 (the
-        message names the last window evaluated, its mass and the estimated
-        window needed), or a later window more than ``GRID_BUDGET_CELLS``
-        cells (the message names the cells needed), or the q-window alone
-        misses it.
+        If the listed boxes hold less than 1 - eps of the mass.
     """
     from scipy.special import erfcinv
 
     alpha = complex(alpha)
     if not (np.isfinite(alpha.real) and np.isfinite(alpha.imag)):
         raise ValueError("alpha must be finite")
-    if not 0 < mass_deficit < 1:
-        raise ValueError("mass_deficit must be in (0, 1)")
+    if not 0 < min_prob <= 1:
+        raise ValueError(f"min_prob must be in (0, 1], got {min_prob!r}")
     delta = spec.delta
     qb, pb = _coherent_qp(alpha)
 
-    # q-side gets 1% of the budget, momentum the rest
-    eps_n = 0.01 * mass_deficit
-    r = float(erfcinv(eps_n))
+    eps = min(1e-8, min_prob)
+    r = float(erfcinv(eps))
     lo, hi = np.floor((qb - r) / delta), np.ceil((qb + r) / delta)
     # inf - inf is nan when both ends overflow: that many boxes are too many
     boxes = np.nan_to_num(float(hi) - float(lo) + 3, nan=math.inf)
-    m_half = 512
+    m_half = max(512.0, np.ceil(0.5 + np.pi ** -1.25 * math.sqrt(delta / min_prob)))
+    m_c = np.round(pb * delta / (2 * np.pi))
+    beyond = (f"alpha = {alpha:g} at delta = {delta:g} needs lattice indices "
+              f"beyond 2^52, where float64 no longer holds every integer")
+    # a coarse lattice is refused for its momentum indices, a fine one or a
+    # tiny min_prob for its cells (a window with M >= 2^25 fails the budget)
+    if abs(m_c) + min(m_half, GRID_BUDGET_CELLS) > 2 ** 52:
+        raise ValueError(beyond)
     if boxes * (2 * m_half + 1) > GRID_BUDGET_CELLS:
         raise ValueError(
-            f"delta = {delta:g} needs {boxes:g} boxes x {2 * m_half + 1} momentum points, "
-            f"more than the {GRID_BUDGET_CELLS} cells allowed")
-    m_c = np.round(pb * delta / (2 * np.pi))
-    if max(-lo, hi) + 1 > 2 ** 52 or abs(m_c) + 2 ** 20 > 2 ** 52:
-        raise ValueError(f"alpha = {alpha:g} at delta = {delta:g} needs lattice indices "
-                         f"beyond 2^52, where float64 no longer holds every integer")
+            f"delta = {delta:g}, min_prob = {min_prob:g} needs {boxes:g} boxes x "
+            f"{2 * m_half + 1:g} momentum points, more than the {GRID_BUDGET_CELLS} "
+            f"cells allowed")
+    if max(-lo, hi) + 1 > 2 ** 52:
+        raise ValueError(beyond)
     ns = np.arange(int(lo) - 1, int(hi) + 2)
-    w_total = float(_window_masses(alpha, delta, ns).sum())
-    budget_m = mass_deficit - (1.0 - w_total)
-    if budget_m <= 0:
-        raise WindowError(f"q-window captured only {w_total:.9f}")
-
-    m_c = int(m_c)
-    while m_half <= 2 ** 20:
-        cells = len(ns) * (2 * m_half + 1)
-        if cells > GRID_BUDGET_CELLS:  # never the first window: checked above
-            raise WindowError(
-                f"captured mass 1 - {mass_deficit:g} needs a window of {cells} cells "
-                f"({len(ns)} boxes x {2 * m_half + 1} momentum points), more than the "
-                f"{GRID_BUDGET_CELLS} allowed; the last window evaluated had {len(ms)} "
-                f"points and captured mass {mass:.9f}")
-        ms = np.arange(m_c - m_half, m_c + m_half + 1)
-        P = _probabilities(alpha, delta, ns, ms)
-        mass = float(P.sum())
-        deficit_m = w_total - mass
-        if deficit_m <= budget_m:
-            return LatticeDistribution(delta=delta, ns=ns, ms=ms, probabilities=P,
-                                       captured_mass=mass)
-        del P  # free this window before the next one is evaluated
-        # tail behaves as C/m_half: jump to the estimated requirement
-        m_half = int(np.ceil(1.3 * deficit_m * m_half / budget_m))
-    raise WindowError(
-        f"captured mass 1 - {mass_deficit:g} needs about {2 * m_half + 1} momentum points, "
-        f"more than the {2 ** 21 + 1} allowed; the last window evaluated had {len(ms)} "
-        f"points and captured mass {mass:.9f}"
-    )
+    mass = float(_window_masses(alpha, delta, ns).sum())
+    if mass < 1 - eps:
+        raise WindowError(f"q-window captured only {mass:.9f}")
+    ms = np.arange(int(m_c) - int(m_half), int(m_c) + int(m_half) + 1)
+    return LatticeDistribution(alpha=alpha, delta=delta, ns=ns, ms=ms,
+                               probabilities=_probabilities(alpha, delta, ns, ms),
+                               captured_mass=mass)
 
 
 def output_mean_amplitude(dist: LatticeDistribution) -> complex:
-    """Coherent amplitude sum P(n,m) (q_n + i p_m)/sqrt(2) after the channel,
-    on the lattice of spacing ``dist.delta``.
+    """Coherent amplitude sum P(n,m) (q_n + i p_m)/sqrt(2) of the channel
+    output, summed over the whole lattice in closed form.
 
-    This is what survives complete decoherence: for |alpha| >> 1 it stays
-    within a fraction of alpha in modulus and a few hundredths of a radian in
-    phase (exactly how close is set by the lattice discretization).
+    Box n spans [a_n, b_n] and has mass w_n, its column sum (Parseval), so
+    the real part is sum_n q_n w_n / sqrt(2).  In box n, e^{i p_m q}/sqrt(Delta)
+    is a Fourier basis of the periodic extension, with coefficients
+    c_m = <q_n, p_m|alpha> of psi and c'_m of psi'.  As p_m Delta = 2 pi m,
+    integrating by parts gives
+
+        p_m c_m = -i c'_m + i Delta^{-1/2} e^{-i p_m a_n} (psi(b_n) - psi(a_n)).
+
+    Summed against c_m^* over windows symmetric about the peak, the first
+    term gives -i int_box psi^* psi' (Parseval) and the second holds the
+    Fourier series of psi at its jump, which converges to (psi(a_n) +
+    psi(b_n))/2.  The real part of the total is
+
+        sum_m p_m |c_m|^2 = int_box Im(psi^* psi') dq - Im(psi(b_n) psi^*(a_n)).
+
+    For |alpha>, psi = phi e^{i p_bar q} up to a constant phase, phi(q) =
+    pi^{-1/4} e^{-(q - q_bar)^2/2}, so Im(psi^* psi') = p_bar phi^2 and
+
+        <a>_out = [sum q_n w_n + i (p_bar sum w_n
+                   - sin(p_bar Delta) sum phi(a_n) phi(b_n))] / sqrt(2).
+
+    The jump term is formed from the real phi, so no e^{i p_bar q} phase is
+    rounded.  It vanishes on the real axis and is why |<a>_out| = 5.2618 at
+    alpha = 3+4i.
     """
-    if dist.captured_mass < 1 - 1e-6:
-        raise ValueError(f"captured mass {dist.captured_mass:.9f} below 1 - 1e-6")
-    qn = dist.delta * dist.ns
-    pm = 2 * np.pi * dist.ms / dist.delta
-    wq = dist.probabilities.sum(axis=1) @ qn
-    wp = dist.probabilities.sum(axis=0) @ pm
-    return (wq + 1j * wp) / math.sqrt(2)
+    qb, pb = _coherent_qp(dist.alpha)
+    delta, qn = dist.delta, dist.delta * dist.ns
+    w = _window_masses(dist.alpha, delta, dist.ns)
+    phi_a = np.pi ** -0.25 * np.exp(-(qn - delta / 2 - qb) ** 2 / 2)
+    phi_b = np.pi ** -0.25 * np.exp(-(qn + delta / 2 - qb) ** 2 / 2)
+    jump = math.sin(pb * delta) * float(phi_a @ phi_b)
+    return complex(float(qn @ w), pb * dist.captured_mass - jump) / math.sqrt(2)
 
 
 def coherent_fidelity(dist: LatticeDistribution) -> float:

@@ -170,15 +170,11 @@ def _run_phasevar(a):
 
 def _run_channel(a):
     mod, arg, delta, min_prob = a.alpha_mod, a.alpha_arg, a.delta, a.min_prob
-    deficit = a.mass_deficit
-    _require(0 < deficit <= 1e-6, "--mass-deficit must be in (0, 1e-6]: "
-                                  "output_mean_amplitude needs captured mass >= 1 - 1e-6")
     _require(0 <= mod < math.inf, "--alpha-mod must be finite and >= 0")
     _require(math.isfinite(arg), "--alpha-arg must be finite")
-    _require(0 <= min_prob <= 1, "--min-prob must be in [0, 1]")
     alpha = mod * complex(math.cos(arg), math.sin(arg))
     spec = ch.LatticeSpec(delta=delta)
-    dist = ch.decohere(alpha, spec, mass_deficit=deficit)
+    dist = ch.decohere(alpha, spec, min_prob=min_prob)
     amp = ch.output_mean_amplitude(dist)
     fid = ch.coherent_fidelity(dist)
     seed = a.seed
@@ -191,8 +187,7 @@ def _run_channel(a):
     rows = [[seed, 0, 0, delta, mod, arg, *cell, amp.real, amp.imag, dist.captured_mass]
             for cell in zip(n.tolist(), m.tolist(), spec.q(n).tolist(), spec.p(m).tolist(),
                             P[i, j].tolist())]
-    config = dict(alpha_mod=mod, alpha_arg=arg, delta=delta, mass_deficit=deficit,
-                  min_prob=min_prob, seed=seed)
+    config = dict(alpha_mod=mod, alpha_arg=arg, delta=delta, min_prob=min_prob, seed=seed)
     summary = {"output_amplitude": [amp.real, amp.imag],
                "output_modulus": abs(amp), "output_phase_rad": math.atan2(amp.imag, amp.real),
                "captured_mass": dist.captured_mass,
@@ -326,7 +321,6 @@ def _build_parser():
         ("--alpha-mod", dict(type=f, default=5.0, dest="alpha_mod")),
         ("--alpha-arg", dict(type=f, default=0.0, dest="alpha_arg")),
         ("--delta", dict(type=f, default=1.0)),
-        ("--mass-deficit", dict(type=f, default=1e-6, dest="mass_deficit")),
         ("--min-prob", dict(type=f, default=1e-6, dest="min_prob")),
     ])
     add("limits", "analytic synchronization limits", [

@@ -10,4 +10,4 @@ class LinewidthFitError(NumericalCheckError):
 
 
 class WindowError(NumericalCheckError):
-    """A lattice window did not capture the requested probability mass."""
+    """The listed lattice boxes did not capture the probability mass they must hold."""

@@ -5,7 +5,8 @@ Each oracle takes the general-numerics or one-step route to a quantity that
 filters, the canonical phase density by a direct sum over a density matrix,
 the dense master-equation superoperator and loss-only sectors, the decay fit
 on ``scipy.linalg.expm(L1 dt)`` applied by numpy, the lattice-channel overlaps
-by adaptive quadrature and the scaled erf by boolean masks.
+by adaptive quadrature, the scaled erf by boolean masks and the channel's
+output amplitude by a sum over one window of lattice states.
 """
 import math
 
@@ -178,3 +179,13 @@ def scaled_erf_masked(u, s):
     out[neg] = -np.exp(-sn ** 2) + np.exp(-un ** 2 + 2j * un * sn) * wofz(-sn - 1j * un)
     out[zer] = -2j / math.sqrt(math.pi) * dawsn(s[zer])
     return out
+
+
+def windowed_amplitude(delta, ns, ms, probabilities):
+    """sum P(n, m) (q_n + i p_m)/sqrt(2) over the window ns x ms of the lattice
+    of spacing delta, the lattice states' mean amplitudes weighted by P."""
+    qn = delta * np.asarray(ns)
+    pm = 2 * np.pi * np.asarray(ms) / delta
+    wq = probabilities.sum(axis=1) @ qn
+    wp = probabilities.sum(axis=0) @ pm
+    return (wq + 1j * wp) / math.sqrt(2)

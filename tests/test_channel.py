@@ -124,10 +124,8 @@ def test_overlap_translation_covariance():
 
 
 def _lattice_state_amplitude(spec, n, m):
-    """output_mean_amplitude of the one-point distribution on (n, m)."""
-    dist = ch.LatticeDistribution(delta=spec.delta, ns=np.array([n]), ms=np.array([m]),
-                                  probabilities=np.ones((1, 1)), captured_mass=1.0)
-    return ch.output_mean_amplitude(dist)
+    """The windowed amplitude of the one-point distribution on (n, m)."""
+    return oracles.windowed_amplitude(spec.delta, [n], [m], np.ones((1, 1)))
 
 
 def test_mean_amplitude_values():
@@ -140,6 +138,74 @@ def test_mean_amplitude_values():
     assert _lattice_state_amplitude(spec2, 1, 1) == pytest.approx((2 + 1j * np.pi) / math.sqrt(2))
 
 
+AMPLITUDE_CASES = [(5.0, 1.0), (10.0, 1.0), (3 + 4j, 1.0), (5j, 1.0), (2 + 1j, 1.0),
+                   (3 + 4j, 1.7), (10 * np.exp(0.3j), 0.8), (1e15, 1.0)]
+
+
+@pytest.mark.parametrize("alpha, delta", AMPLITUDE_CASES)
+def test_amplitude_closed_form_is_the_windowed_limit(alpha, delta):
+    # windowed sums over m_c +- M, M = 2^11 and 2^13.  The cells beyond a
+    # window carry its mass deficit D = captured_mass - window mass.  Their
+    # q_n are at most max|q_n|; their momenta, paired +-j about m_c, average
+    # to p_bar within one lattice spacing 2 pi / Delta, since the tails fall
+    # as 1/(p_m - p_bar)^2 (measured: within 0.48 of a spacing here).  So the
+    # closed form and the window differ by at most
+    # D (max|q_n| + |p_bar| + 2 pi / Delta) / sqrt(2).  D and the difference
+    # both fall as 1/M, so their ratio stays fixed; a closed form off the
+    # limit by a constant E would move it by E/D.
+    alpha = complex(alpha)
+    spec = ch.LatticeSpec(delta=delta)
+    dist = ch.decohere(alpha, spec)
+    closed = ch.output_mean_amplitude(dist)
+    _, pb = ch._coherent_qp(alpha)
+    m_c = dist.ms[len(dist.ms) // 2]
+    ratios = []
+    for m_half in (2 ** 11, 2 ** 13):
+        ms = np.arange(m_c - m_half, m_c + m_half + 1)
+        P = ch._probabilities(alpha, delta, dist.ns, ms)
+        deficit = dist.captured_mass - float(P.sum())
+        assert deficit > 0
+        reach = np.abs(spec.q(dist.ns)).max() + abs(pb) + 2 * np.pi / delta
+        # 1e-12: the rounding of the two mass sums
+        bound = (deficit + 1e-12) * reach / math.sqrt(2)
+        diff = closed - oracles.windowed_amplitude(delta, dist.ns, ms, P)
+        assert abs(diff) <= bound
+        ratios.append(diff / deficit)
+    assert abs(ratios[1] - ratios[0]) <= 1e-3 * abs(ratios[0])
+
+
+CELL_CASES = [(5.0, 1.0), (3 + 4j, 1.0), (5j, 1.0), (2 + 1j, 1.0), (3 + 4j, 1.7),
+              (10 * np.exp(0.3j), 0.8)]
+
+
+@pytest.mark.parametrize("min_prob", [1e-8, 1e-10])
+@pytest.mark.parametrize("alpha, delta", CELL_CASES)
+def test_window_holds_every_cell_above_min_prob(alpha, delta, min_prob):
+    # the derived half-width M (2139 to 31175 here) is above its 512 floor;
+    # the cells >= min_prob are those of a window 4x wider, in the same
+    # order and bitwise, and the boxes left out hold less than min_prob in all
+    alpha = complex(alpha)
+    dist = ch.decohere(alpha, ch.LatticeSpec(delta=delta), min_prob=min_prob)
+    m_half = len(dist.ms) // 2
+    assert m_half > 512
+    m_c = dist.ms[m_half]
+    wide = np.arange(m_c - 4 * m_half, m_c + 4 * m_half + 1)
+    P = ch._probabilities(alpha, delta, dist.ns, wide)
+    i, j = np.nonzero(P >= min_prob)
+    k, l = np.nonzero(dist.probabilities >= min_prob)
+    assert np.array_equal(dist.ns[i], dist.ns[k]) and np.array_equal(wide[j], dist.ms[l])
+    assert P[i, j].tobytes() == dist.probabilities[k, l].tobytes()
+    outside = np.r_[dist.ns[0] - 3:dist.ns[0], dist.ns[-1] + 1:dist.ns[-1] + 4]
+    assert ch._window_masses(alpha, delta, outside).max() < min_prob
+
+
+@pytest.mark.parametrize("min_prob", [0.0, -1e-6, 1.5, math.inf, math.nan])
+def test_min_prob_outside_0_1_is_refused_before_any_box(monkeypatch, min_prob):
+    monkeypatch.setattr(ch, "_window_masses", lambda *a: pytest.fail("boxes listed"))
+    with pytest.raises(ValueError, match=r"min_prob must be in \(0, 1\]"):
+        ch.decohere(5.0, SPEC, min_prob=min_prob)
+
+
 def test_decohere_captured_mass_and_argmax():
     dist = ch.decohere(5.0, SPEC)
     assert dist.captured_mass >= 1 - 1e-6
@@ -150,7 +216,7 @@ def test_decohere_captured_mass_and_argmax():
 
 
 def test_decohere_probabilities_match_quadrature():
-    dist = ch.decohere(5.0, SPEC, mass_deficit=1e-4)
+    dist = ch.decohere(5.0, SPEC)
     i = list(dist.ns).index(7)
     for m in [0, 1, -3]:
         j = list(dist.ms).index(m)
@@ -173,14 +239,18 @@ def test_decohere_concentration():
 
 
 def test_captured_mass_monotone_in_window():
-    # a smaller mass deficit grows the momentum window, and the mass with it
-    deficits = (1e-4, 1e-5, 1e-6)
-    dists = [ch.decohere(5.0, SPEC, mass_deficit=d) for d in deficits]
-    sizes = [len(dist.ms) for dist in dists]
+    # a smaller min_prob widens the window once its bound passes the 512
+    # floor, and adds boxes once it is below the 1e-8 box radius; the mass is
+    # that of the boxes, at least 1 - min(1e-8, min_prob)
+    min_probs = (1e-4, 1e-6, 1e-8, 1e-9)
+    dists = [ch.decohere(5.0, SPEC, min_prob=p) for p in min_probs]
+    assert [len(dist.ms) for dist in dists] == [1025, 1025, 4785, 15125]
+    assert [len(dist.ns) for dist in dists] == [12, 12, 12, 13]
     masses = [dist.captured_mass for dist in dists]
-    assert sizes[0] < sizes[1] < sizes[2]
-    assert masses[0] < masses[1] < masses[2] <= 1 + 1e-9
-    assert all(m >= 1 - d for m, d in zip(masses, deficits))
+    assert masses[0] == masses[1] == masses[2] < masses[3] <= 1 + 1e-9
+    assert all(m >= 1 - min(1e-8, p) for m, p in zip(masses, min_probs))
+    for dist in dists:
+        assert dist.captured_mass == float(ch._window_masses(5.0, 1.0, dist.ns).sum())
 
 
 def test_output_amplitude_survives_channel():
@@ -199,7 +269,7 @@ def test_output_amplitude_vacuum_smears_symmetrically():
 
 @pytest.mark.parametrize("mod", [2.0, 5.0, 10.0])
 def test_amplitude_survival_all_scales(mod):
-    # |<a>_out - alpha| sits at the window-truncation floor (~1e-5) for all
+    # |<a>_out - alpha| is the lattice's own q-discretization (~5e-6) for all
     # real alpha in {2, 5, 10}; it does not grow as alpha shrinks to 2
     dist = ch.decohere(mod, SPEC)
     out = ch.output_mean_amplitude(dist)
@@ -247,25 +317,23 @@ def test_coherent_fidelity_diagnostic():
                                           (10 * np.exp(0.3j), 0.8)])
 def test_coherent_fidelity_is_overlap_with_the_input(alpha, delta):
     # sum P |<n,m|alpha>|^2 with the overlap recomputed at the input alpha
-    dist = ch.decohere(alpha, ch.LatticeSpec(delta=delta), mass_deficit=1e-4)
+    dist = ch.decohere(alpha, ch.LatticeSpec(delta=delta))
     overlap = np.abs(ch._overlap_closed(complex(alpha), delta, dist.ns, dist.ms)) ** 2
     assert ch.coherent_fidelity(dist) == float(np.sum(dist.probabilities * overlap))
 
 
-def test_window_checks_and_validation():
+def test_window_checks_and_validation(monkeypatch):
     with pytest.raises(ValueError):
         ch.LatticeSpec(delta=0.0)
     with pytest.raises(ValueError):
         ch.decohere(complex(np.nan, 0.0), SPEC)
-    # the first size estimate already jumps past the cap, so the message
-    # names the one window evaluated (1025 points) and the estimate
-    with pytest.raises(WindowError) as info:
-        ch.decohere(5.0, SPEC, mass_deficit=1e-12)
-    msg = str(info.value)
-    assert "last window evaluated had 1025 points and captured mass 0.999956302" in msg
-    needed = int(msg.split(" needs about ")[1].split()[0])
-    assert needed > 2 ** 21 + 1
-    assert f"more than the {2 ** 21 + 1} allowed" in msg
+    # boxes that miss more than 1e-8 of the mass are a failed numerical
+    # check, named with the mass they hold, before any column is evaluated
+    masses = ch._window_masses
+    monkeypatch.setattr(ch, "_window_masses", lambda *a: masses(*a) * (1 - 2e-8))
+    monkeypatch.setattr(ch, "_probabilities", lambda *a: pytest.fail("window evaluated"))
+    with pytest.raises(WindowError, match="q-window captured only 0.99999998"):
+        ch.decohere(5.0, SPEC)
 
 
 @pytest.mark.parametrize("alpha, delta", [
@@ -286,10 +354,9 @@ def test_lattice_indices_beyond_2_52_are_refused(monkeypatch, alpha, delta):
 
 
 def test_lattice_indices_below_2_52_still_run():
-    # box index sqrt(2) 1e15 = 1.41e15, a third of 2^52; the amplitude is
-    # short of alpha by about the missing mass
+    # box index sqrt(2) 1e15 = 1.41e15, a third of 2^52
     dist = ch.decohere(1e15, SPEC)
-    assert dist.captured_mass == pytest.approx(0.99999923, abs=1e-8)
+    assert 1 - 1e-8 <= dist.captured_mass <= 1 + 1e-9
     assert ch.output_mean_amplitude(dist).real == pytest.approx(1e15, rel=1e-6)
 
 
@@ -303,11 +370,9 @@ def _single_call_grid(alpha, delta, dist):
 
 @pytest.mark.parametrize("alpha, delta", GRID_CASES)
 def test_blocked_grid_is_bitwise_the_single_call(alpha, delta):
-    # at mass deficit 1e-5 the single call's complex temporaries stay under
-    # about 100 MB; the windows span 1 to 12 column blocks
-    dist = ch.decohere(alpha, ch.LatticeSpec(delta=delta), mass_deficit=1e-5)
+    # the windows span 1 to 13 column blocks
+    dist = ch.decohere(alpha, ch.LatticeSpec(delta=delta))
     assert dist.probabilities.tobytes() == _single_call_grid(alpha, delta, dist).tobytes()
-    assert dist.captured_mass == float(dist.probabilities.sum())
 
 
 @pytest.mark.parametrize("alpha, delta", [(3 + 4j, 1.0), (3 + 4j, 1.7), (1.5, 0.05)])
@@ -316,7 +381,7 @@ def test_block_width_changes_no_probability(monkeypatch, alpha, delta):
     # window) and wider than the grid; at Delta = 0.05 the 166 rows exceed a
     # 100-cell block, which then still holds one column
     spec = ch.LatticeSpec(delta=delta)
-    ref = ch.decohere(alpha, spec, mass_deficit=0.05)
+    ref = ch.decohere(alpha, spec)
     rows, cols = ref.probabilities.shape
     assert cols == 1025
     widths = []
@@ -331,7 +396,7 @@ def test_block_width_changes_no_probability(monkeypatch, alpha, delta):
         step = min(cols, max(1, cells // rows))
         monkeypatch.setattr(ch, "GRID_BLOCK_CELLS", cells)
         widths.clear()
-        dist = ch.decohere(alpha, spec, mass_deficit=0.05)
+        dist = ch.decohere(alpha, spec)
         assert widths == [step] * (cols // step) + [cols % step] * (cols % step > 0)
         assert dist.probabilities.tobytes() == ref.probabilities.tobytes()
     monkeypatch.setattr(ch, "_overlap_closed", overlap)
@@ -344,17 +409,17 @@ def test_grid_working_set_is_one_block():
     # and at most three temporaries as large as F while one of its row slices
     # is filled; after F is freed, _overlap_closed's E and its gather are two
     # blocks.  So four F-sized complex arrays, under 5 complex blocks.
-    ch.decohere(3 + 4j, SPEC, mass_deficit=1e-3)  # scipy loaded, caches warm
+    ch.decohere(3 + 4j, SPEC)  # scipy loaded, caches warm
     tracemalloc.start()
     try:
-        dist = ch.decohere(3 + 4j, SPEC)
+        dist = ch.decohere(3 + 4j, SPEC, min_prob=1e-10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     rows = len(dist.ns)
     block_bytes = 16 * (ch.GRID_BLOCK_CELLS // rows) * rows
-    assert dist.probabilities.shape == (12, 97121)
-    # the whole-grid evaluation peaked at 56.4 MiB for this 8.9 MiB P
+    # 13 rows of 47821 columns: 10 column blocks
+    assert dist.probabilities.shape == (13, 47821)
     assert peak <= dist.probabilities.nbytes + dist.ms.nbytes + 5 * block_bytes
 
 
@@ -371,21 +436,9 @@ def test_grid_over_budget_is_refused_before_it_is_evaluated(monkeypatch):
     assert peak < 2 ** 16
     with pytest.raises(ValueError, match="needs inf boxes"):
         ch.decohere(5.0, ch.LatticeSpec(delta=5e-324))
-    # a later window over the budget: the first 12 x 1025 window fits, the
-    # 58173 points that alpha = 5 needs do not
-    evaluated = []
-    probabilities = ch._probabilities
-
-    def recording(alpha, delta, ns, ms):
-        evaluated.append(len(ns) * len(ms))
-        return probabilities(alpha, delta, ns, ms)
-
-    monkeypatch.setattr(ch, "_probabilities", recording)
-    monkeypatch.setattr(ch, "GRID_BUDGET_CELLS", 4 * 12 * 1025)
-    with pytest.raises(WindowError) as info:
-        ch.decohere(5.0, SPEC)
-    assert evaluated == [12 * 1025]
-    msg = str(info.value)
-    cells = int(msg.split(" needs a window of ")[1].split()[0])
-    assert cells > 4 * 12 * 1025 and f"more than the {4 * 12 * 1025} allowed" in msg
-    assert "last window evaluated had 1025 points" in msg
+    # min_prob = 1e-14 needs 15 boxes x 4.8e6 momentum points; at 1e-300 the
+    # 4.8e149 points would also pass index 2^52, but the budget is named
+    monkeypatch.setattr(ch, "_window_masses", lambda *a: pytest.fail("boxes listed"))
+    for min_prob in (1e-14, 1e-300):
+        with pytest.raises(ValueError, match=f"more than the {ch.GRID_BUDGET_CELLS} cells"):
+            ch.decohere(5.0, SPEC, min_prob=min_prob)

@@ -71,6 +71,41 @@ def test_sync_outputs_are_pinned(tmp_path, argv, csv_sha256, sidecar_sha256):
     assert hashlib.sha256(out.with_suffix(".json").read_bytes()).hexdigest() == sidecar_sha256
 
 
+_PINNED = [
+    ("track --flux 1e3 --linewidth 1 --trials 20 --seed 3",
+     "22c106d97b4437bc6801da64d4f660451b368e60b912d6428c23dc61e9ff6e89",
+     "0565ff65e239c4d5f24a3128550e7d9b5d1928aeaf08068193805c5987dec742"),
+    ("sweep --axis n --values 1e2,1e3 --trials 20 --seed 5",
+     "45a9e303d3b03349289a73dbc5a5f2e3e35eea48cdfbbdb786cf5ef66af372fe",
+     "22e874690ec32736b888340ebf5993c56d64d5b8e44646bc6042512ce9e648b2"),
+    ("linewidth --kappa 1 --mu 4,16",
+     "c996fb8207941328d7d4fccb73e23788064b0ffdf2a11f6b17cdb4228d9997d6",
+     "0cf1c233a996221555904c6518ab9e2ad72c9999a117ce4dd8caccfd011dde7b"),
+    ("phasevar --mu 25,100 --grid-size 1024",
+     "43ace3cf7ac4bafb41ad1ff6a9fa8ce9174f6f57f47d6254f09560eb9980bba1",
+     "8b49992782ead6766918c2e9b02f75140471f608eff92c67934b28fdd69a9754"),
+]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_small_runs_are_pinned(tmp_path):
+    # the CSV and sidecar of one small run per subcommand, and the lattice
+    # cells (seed ... probability, the first 11 columns) of a channel run;
+    # a pin is re-recorded only with a CHANGES.md entry naming the move
+    out = tmp_path / "run.csv"
+    for argv, csv_sha256, sidecar_sha256 in _PINNED:
+        assert main(argv.split() + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha256, argv
+        sidecar = out.with_suffix(".json").read_bytes()
+        assert hashlib.sha256(sidecar).hexdigest() == sidecar_sha256, argv
+    assert main(["channel", "--alpha-mod", "5", "--alpha-arg", "0.9272952180016122",
+                 "--out", str(out)]) == 0
+    cells = b"".join(b",".join(line.split(b",")[:11]) + b"\n"
+                     for line in out.read_bytes().splitlines())
+    assert hashlib.sha256(cells).hexdigest() == \
+        "9a7009af1dc5ef37c3668548730680229554539c75550be6bccc886c7b4ece92"
+
+
 @pytest.mark.parametrize("argv, named", [
     # every limit overflows (the sidecar ratio was a NaN, which is not JSON)
     ("limits --mu 1e-320 --parties 1,4", "mu 1e-320 "),
@@ -280,8 +315,8 @@ def _no_noise(*args, **kwargs):
     raise AssertionError("noise drawn")
 
 
-def _no_window(*args, **kwargs):
-    raise AssertionError("channel window evaluated")
+def _no_boxes(*args, **kwargs):
+    raise AssertionError("channel boxes listed")
 
 
 @pytest.mark.parametrize("argv", [
@@ -314,7 +349,7 @@ def _no_window(*args, **kwargs):
     "channel --delta -1",
     # an explicit 0 is used as given, never replaced by the default
     "channel --delta 0",
-    "channel --mass-deficit 0",
+    "channel --min-prob 0",
     "channel --delta inf",
     "channel --delta nan",
     "channel --alpha-arg inf",
@@ -323,8 +358,8 @@ def _no_window(*args, **kwargs):
     "channel --min-prob nan",
     "channel --min-prob -1",
     "channel --min-prob 2",
-    # above the 1e-6 that the output amplitude needs: refused, not replaced
-    "channel --alpha-mod 2 --mass-deficit 1e-3",
+    # an old sidecar that still holds the removed mass_deficit key
+    'channel --config {"mass_deficit": 1e-6}',
     "phasevar --mu 100 --grid-size 0",
     "linewidth --kappa 1 --mu 16 --truncation 0",
     # a --config key that is not a flag of the subcommand is named and refused
@@ -345,7 +380,7 @@ def _no_window(*args, **kwargs):
 ])
 def test_out_of_domain_input_is_usage_error(monkeypatch, capsys, tmp_path, argv):
     monkeypatch.setattr("laserclock.tracking._noise_columns", _no_noise)
-    monkeypatch.setattr("laserclock.channel.decohere", _no_window)
+    monkeypatch.setattr("laserclock.channel._window_masses", _no_boxes)
     argv, _, config = argv.partition(" --config ")
     if config:
         if config != "missing":
@@ -354,7 +389,8 @@ def test_out_of_domain_input_is_usage_error(monkeypatch, capsys, tmp_path, argv)
     assert main(argv.split()) == 2
     if config:  # the message names --config and the offending key or file
         err = capsys.readouterr().err
-        named = [k for k in ("trails", "flux", "mu", "trials", "mode", "seed") if k in config]
+        named = [k for k in ("trails", "flux", "mu", "trials", "mode", "seed", "mass_deficit")
+                 if k in config]
         assert "--config" in err and all(k in err for k in named)
         assert "c.json" in err or config != "missing"
 
@@ -434,26 +470,29 @@ def test_nonpositive_linewidth_exits_3(monkeypatch, capsys):
     assert "LinewidthFitError" in capsys.readouterr().err
 
 
-def test_numerical_failure_exit_code(tmp_path, capsys):
-    # unreachable channel mass target: distinct exit code naming the check
+def test_numerical_failure_exit_code(monkeypatch, tmp_path, capsys):
+    # boxes that miss more than 1e-8 of the mass: a distinct exit code naming
+    # the check, and no output written
+    from laserclock import channel
+
+    masses = channel._window_masses
+    monkeypatch.setattr(channel, "_window_masses", lambda *a: masses(*a) * (1 - 2e-8))
     out = tmp_path / "ch.csv"
-    assert main(["channel", "--alpha-mod", "5", "--mass-deficit", "1e-12",
-                 "--out", str(out)]) == 3
+    assert main(["channel", "--alpha-mod", "5", "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert "WindowError" in err
+    assert "WindowError" in err and "q-window captured only" in err
+    assert not out.exists()
 
 
-def test_channel_mass_deficit_names_the_amplitude_bound(capsys):
-    assert main(["channel", "--alpha-mod", "2", "--mass-deficit", "1e-3"]) == 2
-    err = capsys.readouterr().err
-    assert "--mass-deficit" in err and "1e-6" in err
+def test_channel_min_prob_names_its_range(capsys):
+    assert main(["channel", "--alpha-mod", "2", "--min-prob", "0"]) == 2
+    assert "min_prob must be in (0, 1]" in capsys.readouterr().err
 
 
 def test_channel_output(tmp_path):
     out = tmp_path / "chan.csv"
     assert main(["channel", "--alpha-mod", "5", "--alpha-arg", "0",
-                 "--delta", "1", "--mass-deficit", "1e-6",
-                 "--min-prob", "1e-4", "--out", str(out)]) == 0
+                 "--delta", "1", "--min-prob", "1e-4", "--out", str(out)]) == 0
     rows = rows_of(out)
     best = max(rows, key=lambda r: float(r["probability"]))
     assert (int(best["n"]), int(best["m"])) == (7, 0)
