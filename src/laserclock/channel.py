@@ -223,7 +223,7 @@ def decohere(alpha: complex, spec: LatticeSpec, min_prob: float = 1e-6) -> Latti
     r = float(erfcinv(eps))
     lo, hi = np.floor((qb - r) / delta), np.ceil((qb + r) / delta)
     # inf - inf is nan when both ends overflow: that many boxes are too many
-    boxes = np.nan_to_num(float(hi) - float(lo) + 3, nan=math.inf)
+    boxes = np.nan_to_num(float(hi) - float(lo) + 3, nan=math.inf, posinf=math.inf)
     m_half = max(512.0, np.ceil(0.5 + np.pi ** -1.25 * math.sqrt(delta / min_prob)))
     m_c = np.round(pb * delta / (2 * np.pi))
     beyond = (f"alpha = {alpha:g} at delta = {delta:g} needs lattice indices "

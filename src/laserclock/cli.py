@@ -145,23 +145,27 @@ def _run_linewidth(a):
     return header, rows, config, summary
 
 
+def _phasevar_row(seed, mu, grid):
+    # one row per call, so one mu's state and distribution are freed before
+    # the next mu's transform runs
+    state = fock.coherent_state(math.sqrt(mu))
+    v = fock.phase_variance(fock.canonical_phase_distribution(state, grid_size=grid))
+    return [seed, 0, 0, mu, grid, state.truncation, v, 1.0 / (4.0 * mu), v * 4.0 * mu - 1.0]
+
+
 def _run_phasevar(a):
     mus = _floats(a.mu or "")
     _require(all(m > 0 for m in mus), "--mu entries must be positive")
     grid = a.grid_size
     _require(grid >= 256, "--grid-size must be >= 256")
+    _require(grid <= fock.PHASE_GRID_BUDGET,
+             f"--grid-size {grid} is more than the {fock.PHASE_GRID_BUDGET} points allowed")
     for mu, trunc in zip(mus, map(fock.default_truncation, mus)):
         _require(grid > trunc, f"--grid-size {grid} must exceed the truncation {trunc} "
                                f"of --mu {mu!r}")
     header = ["seed", "dt", "trials", "mu_photons", "grid_size", "truncation",
               "phase_variance_rad2", "coherent_limit_rad2", "rel_deviation"]
-    rows = []
-    for mu in mus:
-        state = fock.coherent_state(math.sqrt(mu))
-        dist = fock.canonical_phase_distribution(state, grid_size=grid)
-        v = fock.phase_variance(dist)
-        rows.append([a.seed, 0, 0, mu, grid, state.truncation, v,
-                     1.0 / (4.0 * mu), v * 4.0 * mu - 1.0])
+    rows = [_phasevar_row(a.seed, mu, grid) for mu in mus]
     config = dict(mu=",".join(repr(m) for m in mus), grid_size=grid, seed=a.seed)
     summary = {"max_abs_rel_deviation": max(abs(r[8]) for r in rows),
                "truncations": [r[5] for r in rows]}

@@ -27,6 +27,9 @@ __all__ = [
     "wrap_angle",
 ]
 
+# largest phase grid: the transform's complex output alone is then 256 MiB
+PHASE_GRID_BUDGET = 2 ** 24
+
 
 def wrap_angle(x):
     """Wrap an angle (or array of angles) into (-pi, pi], in one new array."""
@@ -143,21 +146,26 @@ def canonical_phase_distribution(state: FockVector, grid_size: int = 4096) -> Ph
     Raises
     ------
     ValueError
-        If the input norm deficit exceeds 1e-6, or the grid is too small.
+        If the input norm deficit exceeds 1e-6, or the grid is too small or
+        larger than ``PHASE_GRID_BUDGET`` points.
     """
     if grid_size < 256:
         raise ValueError("grid_size must be >= 256")
+    if grid_size > PHASE_GRID_BUDGET:
+        raise ValueError(f"grid_size {grid_size} is more than the {PHASE_GRID_BUDGET} "
+                         "points allowed")
     if grid_size <= state.truncation:
         raise ValueError("grid_size must exceed the truncation")
     if state.norm_deficit > 1e-6:
         raise ValueError(f"state norm deficit {state.norm_deficit:.2e} exceeds 1e-6")
     G = grid_size
-    theta = -np.pi + 2 * np.pi * (np.arange(G) + 1) / G
     n = np.arange(state.truncation + 1)
     # e^{-i n theta_j} = (-1)^n e^{-2pi i n (j+1)/G}: an FFT of length G, exact
     # on the uniform grid as G >= truncation + 1
     density = np.abs(np.fft.fft(state.amplitudes * (-1.0) ** n * np.exp(-2j * np.pi * n / G), G))
     np.divide(np.square(density, out=density), 2 * np.pi, out=density)  # |f|^2 / 2 pi in place
+    # the grid is built once the transform is freed, so it is not live beside it
+    theta = -np.pi + 2 * np.pi * (np.arange(G) + 1) / G
     return PhaseDistribution(grid=theta, density=density)
 
 

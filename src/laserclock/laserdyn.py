@@ -228,7 +228,7 @@ def extract_linewidth(
                                 select="i", select_range=(top, top))[0]
         ell = float(-2.0 * lam1)
     else:
-        L1 = build_liouvillian_sector(params, 1, truncation).matrix
+        A = build_liouvillian_sector(params, 1, truncation).matrix
         # X(0) = a rho_ss in the k=1 sector; w are the weights of Tr(a^dag X)
         w = np.sqrt(np.arange(1.0, truncation + 1))
         x = w * stationary_state(params, truncation)[1:]
@@ -238,7 +238,8 @@ def extract_linewidth(
         dt = 16.0 * params.mu / params.kappa / nsteps
         # first multiple of dt at or after 8/kappa: (8/kappa)/dt = 30/mu exactly
         skip = math.ceil(30.0 / params.mu)
-        U = _propagator(L1 * dt)
+        A *= dt  # L1 dt in place, so L1 is not kept beside it
+        U = _propagator(A)
         for _ in range(skip):
             x = dgemv(1.0, U, x)
         ts = dt * np.arange(skip, skip + nsteps + 1)
@@ -263,21 +264,26 @@ def _propagator(A: np.ndarray) -> np.ndarray:
 
     ``scipy.linalg.expm`` takes its Pade step on A / 2^s, with
     s = ceil(log2(||A||_1 / THETA_13)); the s squarings then run through
-    ``scipy.linalg.blas.dgemm``, the BLAS that step used.  Before each
-    squaring, entries below FLUSH_BELOW are set to zero.  exp(L1 t) is
-    entrywise nonnegative with column sums at most 1 (L1 has nonnegative
-    off-diagonals and nonpositive column sums), so a dropped product is
-    below 2^-500 against entries of order 1; the tests find the squared
-    propagator bitwise unchanged.
+    ``scipy.linalg.blas.dgemm``, the BLAS that step used, each into one
+    spare Fortran buffer, so the squarings hold two T x T arrays.  Before
+    each squaring, entries below FLUSH_BELOW in magnitude are set to zero,
+    found without a T x T copy of the magnitudes.  exp(L1 t) is entrywise
+    nonnegative with column sums at most 1 (L1 has nonnegative off-diagonals
+    and nonpositive column sums), so a dropped product is below 2^-500
+    against entries of order 1; the tests find the squared propagator
+    bitwise unchanged.
     """
     from scipy.linalg import expm
     from scipy.linalg.blas import dgemm
 
     s = max(0, math.ceil(math.log2(np.linalg.norm(A, 1) / THETA_13)))
     U = np.asfortranarray(expm(A / 2.0 ** s))
+    V = np.empty_like(U, order="F")
     for _ in range(s):
-        U[np.abs(U) < FLUSH_BELOW] = 0.0
-        U = dgemm(1.0, U, U)
+        U[(U < FLUSH_BELOW) & (U > -FLUSH_BELOW)] = 0.0
+        # square into the spare buffer, which then holds U; the old U is the
+        # next spare
+        U, V = dgemm(1.0, U, U, c=V, overwrite_c=1), U
     return U
 
 

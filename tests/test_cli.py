@@ -3,6 +3,7 @@ import json
 import math
 import tempfile
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from laserclock import fock
 from laserclock.cli import main
 
 
@@ -462,6 +464,40 @@ def test_phasevar_grid_is_checked_before_any_state(monkeypatch, capsys):
     assert "truncation 1010010 of --mu 1000000.0" in err
 
 
+def test_phasevar_grid_over_budget_is_refused_before_any_state(monkeypatch, capsys):
+    # 1e11 points would exhaust memory in the transform: refused by name with
+    # exit 2, before any state or grid is built
+    def no_state(*args, **kwargs):
+        raise AssertionError("coherent state built")
+
+    monkeypatch.setattr("laserclock.fock.coherent_state", no_state)
+    assert main(["phasevar", "--mu", "25", "--grid-size", "100000000000"]) == 2
+    err = capsys.readouterr().err
+    assert f"more than the {fock.PHASE_GRID_BUDGET} points allowed" in err
+
+
+def test_phasevar_working_set_is_one_distribution(capsys):
+    # In blocks of one grid-sized float64 array (8 G bytes).  Each mu's row
+    # holds its distribution (grid and density: 2 blocks) only while that row
+    # runs.  The transform peaks at its complex output (2 blocks) and |f|
+    # (1 block), with no grid beside them; pocketfft's scratch is not traced.
+    # phase_variance holds the distribution and its two wrap temporaries
+    # (4 blocks).  The largest state (mu = 1e4, 11011 amplitudes) and its
+    # temporaries stay under one block, so the peak is under 5 blocks; a
+    # previous mu's distribution held through the next transform would add 2.
+    G = 65536
+    argv = ["phasevar", "--mu", "25,100,1e4", "--grid-size", str(G)]
+    assert main(argv) == 0  # scipy loaded, caches warm
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak <= 5 * 8 * G
+
+
 def test_nonpositive_linewidth_exits_3(monkeypatch, capsys):
     # a propagator that grows the coherence fits a negative rate: a failed
     # numerical check, not an invalid configuration
@@ -487,6 +523,13 @@ def test_numerical_failure_exit_code(monkeypatch, tmp_path, capsys):
 def test_channel_min_prob_names_its_range(capsys):
     assert main(["channel", "--alpha-mod", "2", "--min-prob", "0"]) == 2
     assert "min_prob must be in (0, 1]" in capsys.readouterr().err
+
+
+def test_channel_infinite_box_count_is_named_inf(capsys):
+    # erfcinv(5e-324) is inf, so the box count overflows to +inf: the refusal
+    # names inf boxes, not the largest float
+    assert main(["channel", "--min-prob", "5e-324"]) == 2
+    assert "needs inf boxes x inf momentum points" in capsys.readouterr().err
 
 
 def test_channel_output(tmp_path):

@@ -144,6 +144,8 @@ def test_canonical_distribution_grid_validation():
     s = fock.coherent_state(2.0)
     with pytest.raises(ValueError):
         fock.canonical_phase_distribution(s, grid_size=128)
+    with pytest.raises(ValueError, match=f"more than the {fock.PHASE_GRID_BUDGET} points"):
+        fock.canonical_phase_distribution(s, grid_size=fock.PHASE_GRID_BUDGET + 1)
 
 
 def test_density_route_matches_pure_state_route():
