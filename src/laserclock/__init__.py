@@ -2,8 +2,11 @@
 
 Each module holds only the production route to its quantities; the general
 numerics that cross-check them are test oracles (tests/oracles.py).
-scipy is imported inside the functions that need it, so importing the
-package, and the Monte Carlo and closed-form paths, load numpy only.
+Every module but ``channel`` runs on numpy alone.  The channel's lattice
+overlaps need the Faddeeva function and the error functions (scipy.special's
+``wofz``, ``dawsn``, ``erf`` and ``erfcinv``), which numpy lacks; it imports
+them inside the functions that use them, so importing the package, and every
+subcommand but ``channel``, load numpy only.
 
 fock
     Truncated Fock-space states, canonical phase distributions, wrapped

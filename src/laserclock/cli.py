@@ -127,12 +127,14 @@ def _run_linewidth(a):
     header = ["seed", "dt", "trials", "kappa_per_s", "mu_photons", "truncation",
               "linewidth_eig_rad_per_s", "linewidth_fit_rad_per_s", "methods_rel_diff",
               "hl_limit_rad_per_s", "sql_limit_rad_per_s"]
-    rows, diffs, tails = [], [], []
+    rows, diffs, tails, brackets = [], [], [], []
     for params in lasers:
         trunc = fock.default_truncation(params.mu) if _auto(a.truncation) is None \
             else int(a.truncation)
         le = ld.extract_linewidth(params, trunc, method="eigenvalue")
         lf = ld.extract_linewidth(params, trunc, method="decay_fit")
+        lo, hi = ld.linewidth_bracket(params, trunc)
+        brackets.append((hi - lo) / lo)
         diffs.append(abs(le / lf - 1.0))
         tails.append(1.0 - float(ld.poisson_weights(params.mu, trunc).sum()))
         rows.append([a.seed, 0, 0, a.kappa, params.mu, trunc, le, lf,
@@ -141,6 +143,7 @@ def _run_linewidth(a):
                   truncation=a.truncation, seed=a.seed)
     summary = {"max_methods_rel_diff": max(diffs),
                "max_stationary_tail_mass": max(tails),
+               "max_eigenvalue_bracket_rel": max(brackets),
                "solvers": dict(ld.LINEWIDTH_METHODS)}
     return header, rows, config, summary
 

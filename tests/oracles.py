@@ -3,16 +3,19 @@
 Each oracle takes the general-numerics or one-step route to a quantity that
 ``laserclock`` computes by a structured one: scalar steps of the two tracking
 filters, the canonical phase density by a direct sum over a density matrix,
-the dense master-equation superoperator and loss-only sectors, the decay fit
-on ``scipy.linalg.expm(L1 dt)`` applied by numpy, the lattice-channel overlaps
-by adaptive quadrature, the scaled erf by boolean masks and the channel's
-output amplitude by a sum over one window of lattice states.
+the dense master-equation superoperator and loss-only sectors, the linewidth
+eigenvalue by ``scipy.linalg.eigh_tridiagonal`` and by Sturm bisection in
+``decimal``, the decay fit on ``scipy.linalg.expm(L1 dt)`` applied by numpy,
+the lattice-channel overlaps by adaptive quadrature, the scaled erf by
+boolean masks and the channel's output amplitude by a sum over one window of
+lattice states.
 """
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal, expm
 from scipy.special import dawsn, wofz
 
 from laserclock import laserdyn as ld
@@ -89,6 +92,57 @@ def loss_sector(kappa, k, truncation):
     kappa [sqrt((n+1)(n+k+1)) x_{n+1} - (n + k/2) x_n]."""
     n = np.arange(truncation - k + 1.0)
     return kappa * (np.diag(np.sqrt((n[:-1] + 1) * (n[:-1] + k + 1)), 1) - np.diag(n + k / 2))
+
+
+def symmetric_sector_1(params, truncation):
+    """(diagonal, off-diagonal) of the symmetric tridiagonal matrix similar to
+    the k=1 sector: its diagonal, and sqrt(b_n c) from its loss super-diagonal
+    b_n and gain sub-diagonal c, by the diagonal similarity
+    D_{n+1}/D_n = sqrt(c/b_n)."""
+    L1 = ld.build_liouvillian_sector(params, 1, truncation).matrix
+    return np.diag(L1).copy(), np.sqrt(np.diag(L1, 1) * np.diag(L1, -1))
+
+
+def linewidth_eigh_tridiagonal(params, truncation):
+    """-2 lambda_1, lambda_1 the largest eigenvalue of the symmetrized k=1
+    sector, taken alone by ``scipy.linalg.eigh_tridiagonal`` (bisection)."""
+    diag, off = symmetric_sector_1(params, truncation)
+    top = len(diag) - 1
+    return float(-2.0 * eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                         select_range=(top, top))[0])
+
+
+def linewidth_sturm_decimal(params, truncation, digits=30):
+    """-2 lambda_1 of the k=1 sector as a ``Decimal`` to ``digits`` digits, by
+    bisection on the Sturm count of the symmetrized sector.
+
+    Every entry is formed in ``decimal`` from kappa and mu: the diagonal
+    -kappa (n + 1/2) - kappa mu, with kappa mu / 2 at the top state, and the
+    squared off-diagonal kappa^2 mu sqrt((n+1)(n+2)).  The number of
+    eigenvalues of -L1 below x is the number of negative pivots q_n of
+    -L1 - x I, and lambda_1 is the largest eigenvalue of L1.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+        kappa, mu, T = Decimal(params.kappa), Decimal(params.mu), truncation
+        diag = [kappa * (n + Decimal("0.5")) + kappa * mu for n in range(T)]
+        diag[-1] -= kappa * mu / 2
+        off2 = [kappa * kappa * mu * Decimal((n + 1) * (n + 2)).sqrt() for n in range(T - 1)]
+
+        def below(x):
+            q = diag[0] - x
+            count = q < 0
+            for d, e2 in zip(diag[1:], off2):
+                q = d - x - e2 / q
+                count += q < 0
+            return count
+
+        # the smallest eigenvalue of -L1 lies in (0, min diagonal]
+        lo, hi = Decimal(0), min(diag)
+        while hi - lo > hi * Decimal(10) ** -digits:
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if below(mid) else (mid, hi)
+        return lo + hi
 
 
 def decay_fit_dense_expm(params, truncation):

@@ -74,10 +74,10 @@ def test_every_public_name_has_a_production_caller():
 
 
 def test_cli_import_leaves_general_numerics_unloaded(tmp_path):
-    # the Monte Carlo and closed-form subcommands run on numpy alone; scipy
-    # loads inside the spectral ones, which still work in the same process,
-    # and the quadrature, optimization and sparse packages stay with the
-    # test oracles
+    # the Monte Carlo, closed-form, linewidth and phase-variance subcommands
+    # run on numpy alone; scipy.special loads inside channel, which still
+    # works in the same process, and scipy.linalg and the quadrature,
+    # optimization and sparse packages stay with the test oracles
     code = f"""
 import sys, warnings
 warnings.simplefilter("ignore")
@@ -92,13 +92,28 @@ for argv in ("track --flux 1e3 --linewidth 1 --trials 2",
              "limits --mu 100 --parties 1,4"):
     run(argv)
 print(loaded(("scipy",)))
-for argv in ("linewidth --kappa 1 --mu 8", "phasevar --mu 25",
-             "channel --alpha-mod 2"):
+for argv in ("linewidth --kappa 1 --mu 8", "phasevar --mu 25"):
     run(argv)
-print(loaded(("scipy.integrate", "scipy.optimize", "scipy.sparse")))
+print(loaded(("scipy",)))
+run("channel --alpha-mod 2")
+print(loaded(("scipy.linalg", "scipy.integrate", "scipy.optimize", "scipy.sparse")))
 """
     src = str(Path(laserclock.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split("\n")[:2] == ["[]", "[]"]
+    assert out.stdout.split("\n")[:3] == ["[]", "[]", "[]"]
+
+
+def test_only_channel_imports_scipy():
+    # the error functions of the lattice channel (Faddeeva wofz, dawsn, erf,
+    # erfcinv) have no numpy equivalent; every other module is numpy alone
+    src = Path(laserclock.__file__).resolve().parent
+    importers = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else \
+                [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                importers.add(path.name)
+    assert importers == {"channel.py"}

@@ -81,11 +81,11 @@ _PINNED = [
      "45a9e303d3b03349289a73dbc5a5f2e3e35eea48cdfbbdb786cf5ef66af372fe",
      "22e874690ec32736b888340ebf5993c56d64d5b8e44646bc6042512ce9e648b2"),
     ("linewidth --kappa 1 --mu 4,16",
-     "c996fb8207941328d7d4fccb73e23788064b0ffdf2a11f6b17cdb4228d9997d6",
-     "0cf1c233a996221555904c6518ab9e2ad72c9999a117ce4dd8caccfd011dde7b"),
+     "15f8397389b055b89d2ed32ccf7e28042b5b9156f3db94ac84a4aa04392859ac",
+     "010fcbc5a58d1e387f29ed90ed62d40616d161a4d3964eefaa57dd6ae3a2e1bb"),
     ("phasevar --mu 25,100 --grid-size 1024",
-     "43ace3cf7ac4bafb41ad1ff6a9fa8ce9174f6f57f47d6254f09560eb9980bba1",
-     "8b49992782ead6766918c2e9b02f75140471f608eff92c67934b28fdd69a9754"),
+     "231e9fcfff2418b402464dc7a3b224ba72a7ba23cfcc74760bc6886bc7ca1a12",
+     "1d9b595c0f1057314a86dfaf2b59641d4128c04863e005e1c2028072cbc5873b"),
 ]
 
 
@@ -481,13 +481,14 @@ def test_phasevar_working_set_is_one_distribution(capsys):
     # holds its distribution (grid and density: 2 blocks) only while that row
     # runs.  The transform peaks at its complex output (2 blocks) and |f|
     # (1 block), with no grid beside them; pocketfft's scratch is not traced.
-    # phase_variance holds the distribution and its two wrap temporaries
-    # (4 blocks).  The largest state (mu = 1e4, 11011 amplitudes) and its
-    # temporaries stay under one block, so the peak is under 5 blocks; a
-    # previous mu's distribution held through the next transform would add 2.
+    # phase_variance holds the distribution and one temporary, wrapped in
+    # place (3 blocks).  The largest state (mu = 1e4, 11011 amplitudes) and
+    # its temporaries stay under one block, so the peak is under 4 blocks; a
+    # second wrap temporary would add 1, and a previous mu's distribution
+    # held through the next transform 2.
     G = 65536
     argv = ["phasevar", "--mu", "25,100,1e4", "--grid-size", str(G)]
-    assert main(argv) == 0  # scipy loaded, caches warm
+    assert main(argv) == 0  # caches warm
     tracemalloc.start()
     try:
         assert main(argv) == 0
@@ -495,7 +496,7 @@ def test_phasevar_working_set_is_one_distribution(capsys):
     finally:
         tracemalloc.stop()
     capsys.readouterr()
-    assert peak <= 5 * 8 * G
+    assert peak <= 4 * 8 * G
 
 
 def test_nonpositive_linewidth_exits_3(monkeypatch, capsys):
@@ -568,4 +569,7 @@ def test_linewidth_subcommand(tmp_path):
     results = json.loads((tmp_path / "lw.json").read_text())["results"]
     assert results["max_methods_rel_diff"] == max(float(r["methods_rel_diff"]) for r in rows)
     assert abs(results["max_stationary_tail_mass"]) <= 1e-12
-    assert results["solvers"] == {"eigenvalue": "eigh_tridiagonal", "decay_fit": "expm"}
+    assert results["solvers"] == {"eigenvalue": "gth_inverse_iteration",
+                                  "decay_fit": "pade13_squaring"}
+    # each row's bracket is T eps wide on each side (T = 66 at mu = 16)
+    assert 2 * 66 * 2.2e-16 < results["max_eigenvalue_bracket_rel"] <= 3 * 66 * 2.3e-16

@@ -1,10 +1,10 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eig, expm
-from scipy.linalg.blas import dgemm
 
 import oracles
 from laserclock import fock, laserdyn as ld
@@ -158,14 +158,14 @@ def test_linewidth_mu8ts_frozen_value():
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(mu=st.floats(0.5, 64.0), kappa=st.floats(0.1, 10.0))
 def test_tridiagonal_eigenvalue_matches_dense_eig(mu, kappa):
-    # Both routes are backward stable: each returns an exact eigenvalue of a
-    # matrix within a small multiple of eps*||L1|| of the sector.  The
-    # symmetric tridiagonal solve has eigenvalue condition number 1; the
-    # dense nonsymmetric eig multiplies its backward error by cond(lambda_1)
-    # (2 to 6 over this range), computed here from its left and right
-    # eigenvectors.  So |delta lambda|/|lambda_1| <= c (1 + cond) eps
-    # ||L1|| / |lambda_1|, with the stated safety factor c = 10 for the
-    # backward-error constants of the two solvers.
+    # The dense nonsymmetric eig is backward stable: it returns an exact
+    # eigenvalue of a matrix within a small multiple of eps*||L1|| of the
+    # sector, and multiplies that backward error by cond(lambda_1) (2 to 6
+    # over this range), computed here from its left and right eigenvectors.
+    # The bracketed route is within T eps of lambda_1, relative, which is
+    # below eps ||L1|| / |lambda_1| (||L1|| >= kappa T, |lambda_1| <= kappa/2).
+    # So |delta lambda|/|lambda_1| <= c (1 + cond) eps ||L1|| / |lambda_1|,
+    # with the stated safety factor c = 10 for the backward-error constants.
     params = ld.LaserParams(kappa=kappa, mu=mu)
     trunc = fock.default_truncation(mu)
     L1 = ld.build_liouvillian_sector(params, 1, trunc).matrix
@@ -181,6 +181,43 @@ def test_tridiagonal_eigenvalue_matches_dense_eig(mu, kappa):
     assert abs(w[i].imag) <= rel_bound * abs(lam_dense)
 
 
+@pytest.mark.parametrize("kappa", [0.37, 1.0, 3e6])
+@pytest.mark.parametrize("mu", [0.5, 4.0, 8.0, 16.0, 64.0, 256.0])
+def test_bracket_within_eigh_tridiagonal_error_model(mu, kappa):
+    # eigh_tridiagonal's bisection is backward stable on the symmetrized
+    # sector S: |delta lambda| <= eps ||S||_2 <= eps ||S||_1.  Relative to
+    # lambda_1 ~ -kappa/(8 mu), with ||S||_1 ~ 3 kappa mu, that is the
+    # eps mu^2 growth its error shows (1.6e-10 at mu = 256); the bracket is
+    # far tighter, so the two differ by at most eps ||S||_1 / |lambda_1|.
+    params = ld.LaserParams(kappa=kappa, mu=mu)
+    trunc = fock.default_truncation(mu)
+    lo, hi = ld.linewidth_bracket(params, trunc)
+    # T eps on each side, around a bracket converged to within T eps
+    assert 0 < lo < hi and (hi - lo) / lo <= 3 * trunc * EPS
+    diag, off = oracles.symmetric_sector_1(params, trunc)
+    s_norm = max(np.abs(diag) + np.append(off, 0) + np.append(0, off))
+    ell = ld.extract_linewidth(params, trunc, "eigenvalue")
+    assert ell == (lo + hi) / 2
+    rel_bound = EPS * s_norm / (ell / 2)
+    assert abs(oracles.linewidth_eigh_tridiagonal(params, trunc) / ell - 1) <= rel_bound
+
+
+@pytest.mark.parametrize("mu", [16.0, 256.0])
+@pytest.mark.parametrize("smallest", [False, True])
+def test_bracket_holds_the_decimal_sturm_oracle(mu, smallest):
+    # the 30-digit Sturm-bisection linewidth of the exact sector lies inside
+    # the bracket, T eps wide on each side; leaks formed by subtraction,
+    # kappa (i + 1/2 - sqrt(i (i+1))), move the linewidth by 3e-14 (mu = 16)
+    # and 2.5e-12 (mu = 256) relative, outside it.  At the smallest accepted
+    # truncation the top state holds enough weight that dropping its
+    # truncated gain kappa mu / 2 from the leaks moves it outside too.
+    params = ld.LaserParams(kappa=1.0, mu=mu)
+    trunc = smallest_accepted_truncation(mu) if smallest else fock.default_truncation(mu)
+    lo, hi = ld.linewidth_bracket(params, trunc)
+    exact = oracles.linewidth_sturm_decimal(params, trunc)
+    assert Decimal(lo) <= exact <= Decimal(hi)
+
+
 def test_linewidth_methods_agree():
     for mu in [4.0, 8.0, 16.0]:
         params = ld.LaserParams(kappa=1.0, mu=mu)
@@ -192,16 +229,14 @@ def test_linewidth_methods_agree():
 
 @pytest.mark.parametrize("mu", [4.0, 16.0, 64.0])
 def test_decay_fit_is_one_propagator_past_the_transients(monkeypatch, mu):
-    # the fit calls expm once, on L1 dt / 2^s with the least s that brings
-    # the 1-norm to THETA_13 or below, and samples from the first multiple
-    # of dt at or after the 8/kappa the fast transients need; it agrees with
-    # the eigenvalue to the 1e-7 the README states
-    import scipy.linalg
-
+    # the fit takes one Pade step, on L1 dt / 2^s with the least s that
+    # brings the 1-norm to THETA_13 or below, and samples from the first
+    # multiple of dt at or after the 8/kappa the fast transients need; it
+    # agrees with the eigenvalue to the 1e-7 the README states
     kappa = 0.5
-    expm, polyfit = scipy.linalg.expm, np.polyfit
+    pade, polyfit = ld._pade13, np.polyfit
     built, sampled = [], []
-    monkeypatch.setattr(scipy.linalg, "expm", lambda a: built.append(a) or expm(a))
+    monkeypatch.setattr(ld, "_pade13", lambda a: built.append(a) or pade(a))
     monkeypatch.setattr(np, "polyfit", lambda x, y, deg: sampled.append(x) or polyfit(x, y, deg))
     params = ld.LaserParams(kappa=kappa, mu=mu)
     trunc = fock.default_truncation(mu)
@@ -237,11 +272,11 @@ def test_flushed_squaring_is_bitwise_unflushed(mu):
     # zeroing the entries below FLUSH_BELOW before each squaring changes no
     # bit of the propagator, although it zeroes thousands of them
     A, _, s = scaled_step(mu)
-    U = np.asfortranarray(expm(A / 2.0 ** s))
+    U = ld._pade13(A / 2.0 ** s)
     flushed = 0
     for _ in range(s):
         flushed += int(np.count_nonzero((U != 0) & (np.abs(U) < ld.FLUSH_BELOW)))
-        U = dgemm(1.0, U, U)
+        U = U @ U
     assert flushed > 1000
     assert np.array_equal(ld._propagator(A), U)
 
@@ -249,16 +284,22 @@ def test_flushed_squaring_is_bitwise_unflushed(mu):
 @pytest.mark.parametrize("mu", [64.0, 128.0, 256.0])
 def test_propagator_within_squaring_error_of_expm(mu):
     # At these mu scipy's expm(A) picks the same scaling s (scipy 1.17), so
-    # both routes square the same Pade result s times and differ by the
-    # squarings' rounding.  exp(L1 t) is entrywise nonnegative with 1-norm at most 1,
-    # so a squaring X -> fl(X X) errs by at most gamma_n ||X||_1^2 <= gamma_n,
-    # and an error E in X becomes E X + X E, at most doubled: after s
-    # squarings each route is within (2^s - 1) gamma_n of the exact power
-    # (Higham 2005).  The flush adds at most n 2^-500 per squaring, also
-    # doubled by each later one.
+    # both routes take a degree-13 Pade step on A / 2^s, which differ only
+    # by the rounding of their evaluation (asserted below gamma_n), and
+    # square it s times.  exp(L1 t) is entrywise nonnegative with 1-norm at
+    # most 1, so a squaring X -> fl(X X) errs by at most
+    # gamma_n ||X||_1^2 <= gamma_n, and an error E in X becomes E X + X E,
+    # at most doubled: after s squarings each route is within
+    # (2^s - 1) gamma_n of the exact power of its own step (Higham 2005).
+    # The flush adds at most n 2^-500 per squaring, also doubled by each
+    # later one.  The steps' difference d would add up to 2^s d, which the
+    # bound below leaves out; the measured difference sits over 400 times
+    # below it.
     A, n, s = scaled_step(mu)
     U = ld._propagator(A)
     assert U.min() >= 0 and np.linalg.norm(U, 1) <= 1
+    step = A / 2.0 ** s
+    assert np.linalg.norm(ld._pade13(step) - expm(step), 1) <= gamma(n)
     bound = 2 * (2 ** s - 1) * gamma(n) + 2 ** s * s * n * ld.FLUSH_BELOW
     assert np.linalg.norm(U - expm(A), 1) <= bound
 
@@ -318,15 +359,21 @@ def test_sql_linewidth_values():
 def test_nonpositive_linewidth_is_a_failed_check(monkeypatch):
     # a growing coherence fits an exponential as well as a decaying one; its
     # negative rate is a failed numerical check, not a bad input
-    import scipy.linalg
-
     params = ld.LaserParams(kappa=1.0, mu=8.0)
     monkeypatch.setattr(ld, "_propagator", lambda A: 1.01 * np.eye(len(A)))
     with pytest.raises(LinewidthFitError, match="decay_fit linewidth .* is not positive"):
         ld.extract_linewidth(params, 60, "decay_fit")
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", lambda *a, **kw: np.array([0.01]))
+    # an eigenvalue of 0.01: the linewidth -2 * 0.01
+    monkeypatch.setattr(ld, "linewidth_bracket", lambda params, truncation: (-0.02, -0.02))
     with pytest.raises(LinewidthFitError, match="eigenvalue linewidth .* is not positive"):
         ld.extract_linewidth(params, 60, "eigenvalue")
+
+
+def test_unconverged_bracket_is_a_failed_check(monkeypatch):
+    # one inverse iteration from x = 1 leaves the bracket far wider than T eps
+    monkeypatch.setattr(ld, "MAX_INVERSE_ITERATIONS", 1)
+    with pytest.raises(LinewidthFitError, match="left the linewidth bracket .* above T eps"):
+        ld.extract_linewidth(ld.LaserParams(kappa=1.0, mu=8.0), 60)
 
 
 def test_linewidth_rejects_unknown_method():
