@@ -2,11 +2,10 @@
 
 Each module holds only the production route to its quantities; the general
 numerics that cross-check them are test oracles (tests/oracles.py).
-Every module but ``channel`` runs on numpy alone.  The channel's lattice
-overlaps need the Faddeeva function and the error functions (scipy.special's
-``wofz``, ``dawsn``, ``erf`` and ``erfcinv``), which numpy lacks; it imports
-them inside the functions that use them, so importing the package, and every
-subcommand but ``channel``, load numpy only.
+Every module runs on numpy alone.  The channel's lattice overlaps need the
+Faddeeva function, which numpy lacks: ``channel`` evaluates it by Weideman's
+rational series (SIAM J. Numer. Anal. 31 (1994) 1497), within 1.1e-15
+relative of 30-digit values, and takes erf and erfc from ``math``.
 
 fock
     Truncated Fock-space states, canonical phase distributions, wrapped

@@ -19,8 +19,12 @@ can transmit no quantum information.
 Overlaps fall off only as 1/p_m^2 in probability (the boxcar edges).
 ``decohere`` evaluates one window, sized by a derived bound to hold every
 cell with P >= min_prob, with the overlaps in closed form (stably, via the
-Faddeeva function).  The rest of the lattice enters in closed form too: by
-Parseval each box's full momentum sum is its erf mass, and
+Faddeeva function w).  w is Weideman's rational series with N = 40 terms
+(J.A.C. Weideman, SIAM J. Numer. Anal. 31 (1994) 1497); where ``decohere``
+evaluates it, it measures within 1.1e-15 relative of 30-digit values, and
+within 2.6e-14 of ``scipy.special.wofz``, most of which is scipy's own
+error.  erf and erfc come from ``math``.  The rest of the lattice enters in
+closed form too: by Parseval each box's full momentum sum is its erf mass, and
 ``output_mean_amplitude`` sums those masses and a boundary term at the box
 edges.  The tests check the overlaps, and the lattice's orthonormality,
 against adaptive quadrature, and the amplitude against windowed sums.  The
@@ -57,6 +61,23 @@ __all__ = [
 GRID_BLOCK_CELLS = 2 ** 16
 # cells of the largest window evaluated (256 MiB of float64 probabilities)
 GRID_BUDGET_CELLS = 2 ** 25
+# Weideman's N = 40 series for w(z): its scale L = sqrt(N / sqrt 2) and the
+# coefficients a_39 .. a_0 of p(Z) = sum a_k Z^k, highest degree first, from
+# the FFT of exp(-t^2) (L^2 + t^2) at t = L tan(k pi / 160), |k| < 80
+WEIDEMAN_L = math.sqrt(40 / math.sqrt(2))
+WEIDEMAN_40 = (-1.7356980998791865e-15, 1.201674910759281e-15, 1.1519170220749485e-14,
+               -5.231716366324404e-15, -7.071088022159408e-14, 1.3778224047664046e-14,
+               4.5341448909434655e-13, 1.203330952919568e-13, -2.90771851041427e-12,
+               -2.7277735625830245e-12, 1.771418567386718e-11, 3.4727420938907015e-11,
+               -9.055138860958323e-11, -3.5632350403602684e-10, 2.1085990731251058e-10,
+               3.017780425551564e-09, 3.249746582945079e-09, -1.8315616834296834e-08,
+               -6.351773483015411e-08, 1.419864237295343e-08, 5.912136953029057e-07,
+               1.4835661133172014e-06, -1.066013898416273e-06, -1.8007447144723407e-05,
+               -5.5913092642348794e-05, -3.939363145483805e-05, 0.000439807015986967,
+               0.002705405633073729, 0.010048186242783535, 0.02920291647124188,
+               0.07182361779074328, 0.15504263802479504, 0.2998943799615006,
+               0.5266528988277086, 0.8472174576593815, 1.2563815675765133,
+               1.7253830848179779, 2.201513794878312, 2.6160541527618597, 2.899624509389705)
 
 
 @dataclass(frozen=True)
@@ -109,26 +130,72 @@ def _coherent_qp(alpha: complex):
     return math.sqrt(2) * alpha.real, math.sqrt(2) * alpha.imag
 
 
+def _wofz(z):
+    """The Faddeeva function w(z) = e^{-z^2} erfc(-iz) for Im z >= 0.
+
+    Weideman's series: w(z) = 2 p(Z)/(L - iz)^2 + pi^{-1/2}/(L - iz) with
+    Z = (L + iz)/(L - iz), p the degree-39 polynomial ``WEIDEMAN_40``,
+    evaluated by Horner's rule in place.  Besides z, it holds three arrays
+    of z's size.
+    """
+    iz = 1j * z
+    lz = WEIDEMAN_L - iz
+    Z = iz
+    Z += WEIDEMAN_L
+    Z /= lz
+    p = np.full_like(Z, WEIDEMAN_40[0])
+    for c in WEIDEMAN_40[1:]:
+        p *= Z
+        p += c
+    p *= 2
+    p /= lz
+    p += 1 / math.sqrt(math.pi)
+    p /= lz
+    return p
+
+
+def _erf(x):
+    """erf of each entry of the 1-D array x, by ``math.erf``."""
+    return np.fromiter(map(math.erf, x), float, len(x))
+
+
+def _erfcinv(eps):
+    """The r > 0 with erfc(r) = eps, for 0 < eps <= 1e-8.
+
+    Newton's method on log erfc(r) = log eps, from the asymptotic root of
+    r^2 + log(r sqrt(pi)) = -log eps, until a step no longer moves r.  Each
+    step divides by the slope as erfc(r) / e^{-r^2}, which stays finite down
+    to the subnormal eps = 5e-324 (r = 27.2).
+    """
+    t = -math.log(eps)
+    r = math.sqrt(t - 0.5 * math.log(math.pi * t))
+    for _ in range(20):
+        e = math.erfc(r)
+        step = math.log(e / eps) * (math.sqrt(math.pi) / 2) * e / math.exp(-r * r)
+        if r + step == r:
+            break
+        r += step
+    return r
+
+
 def _scaled_erf(u, s):
     """e^{-s^2} erf(u_i - i s_j) without overflow, on the grid of sorted 1-D u
     and 1-D s.
 
     Returns the (len(u), len(s)) array.  Uses erfc(z) = e^{-z^2} w(iz)
-    (upper half plane) and the Dawson function on the imaginary axis.  As u
-    is sorted, u < 0, u == 0 and u > 0 are row slices, and e^{-s^2} and the
-    u == 0 row are computed once per column.
+    (upper half plane), and where u = 0, -i Im w(s), which is -2i/sqrt(pi)
+    times the Dawson function.  As u is sorted, u < 0, u == 0 and u > 0 are
+    row slices, and e^{-s^2} and the u == 0 row are computed once per column.
     """
-    from scipy.special import dawsn, wofz
-
     u = np.asarray(u, dtype=float)
     s = np.asarray(s, dtype=float)
     lo, hi = np.searchsorted(u, 0.0, "left"), np.searchsorted(u, 0.0, "right")
     es = np.exp(-s ** 2)
     out = np.empty((len(u), len(s)), dtype=complex)
     un, up = u[:lo, None], u[hi:, None]
-    out[:lo] = -es + np.exp(-un ** 2 + 2j * un * s) * wofz(-s - 1j * un)
-    out[lo:hi] = -2j / math.sqrt(math.pi) * dawsn(s)
-    out[hi:] = es - np.exp(-up ** 2 + 2j * up * s) * wofz(s + 1j * up)
+    out[:lo] = -es + np.exp(-un ** 2 + 2j * un * s) * _wofz(-s - 1j * un)
+    out[lo:hi] = -1j * _wofz(s).imag
+    out[hi:] = es - np.exp(-up ** 2 + 2j * up * s) * _wofz(s + 1j * up)
     return out
 
 
@@ -157,12 +224,10 @@ def _overlap_closed(alpha: complex, delta: float, ns, ms):
 
 def _window_masses(alpha, delta, ns):
     """Exact per-box full-momentum mass int_box |psi_alpha|^2 dq (Parseval)."""
-    from scipy.special import erf
-
     qb, _ = _coherent_qp(alpha)
     a = delta * ns - delta / 2
     b = delta * ns + delta / 2
-    return 0.5 * (erf(b - qb) - erf(a - qb))
+    return 0.5 * (_erf(b - qb) - _erf(a - qb))
 
 
 def _probabilities(alpha, delta, ns, ms):
@@ -209,8 +274,6 @@ def decohere(alpha: complex, spec: LatticeSpec, min_prob: float = 1e-6) -> Latti
     WindowError
         If the listed boxes hold less than 1 - eps of the mass.
     """
-    from scipy.special import erfcinv
-
     alpha = complex(alpha)
     if not (np.isfinite(alpha.real) and np.isfinite(alpha.imag)):
         raise ValueError("alpha must be finite")
@@ -220,7 +283,7 @@ def decohere(alpha: complex, spec: LatticeSpec, min_prob: float = 1e-6) -> Latti
     qb, pb = _coherent_qp(alpha)
 
     eps = min(1e-8, min_prob)
-    r = float(erfcinv(eps))
+    r = _erfcinv(eps)
     lo, hi = np.floor((qb - r) / delta), np.ceil((qb + r) / delta)
     # inf - inf is nan when both ends overflow: that many boxes are too many
     boxes = np.nan_to_num(float(hi) - float(lo) + 3, nan=math.inf, posinf=math.inf)

@@ -28,8 +28,8 @@ Collatz-Wielandt bracket around it.  The dense matrix-exponential decay fit
 is kept as the independent cross-check: a degree-13 Pade step (Higham 2005)
 on the scaled generator, then squarings with numpy's ``@`` with entries
 below 2^-500 flushed to zero, so the fit does not run on subnormal numbers.
-None of these routes needs scipy: only the lattice channel loads it, for
-error functions numpy lacks.  The general routes (the dense
+None of these routes needs scipy, and no module loads it.  The general
+routes (the dense
 (T+1)^2 x (T+1)^2 superoperator, a least-squares null vector, the pure-loss
 sectors, scipy's ``eigh_tridiagonal`` and ``expm``) live in the tests, which
 hold the sectors, the stationary state, the eigenvalue and the propagator to

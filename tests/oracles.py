@@ -7,8 +7,8 @@ the dense master-equation superoperator and loss-only sectors, the linewidth
 eigenvalue by ``scipy.linalg.eigh_tridiagonal`` and by Sturm bisection in
 ``decimal``, the decay fit on ``scipy.linalg.expm(L1 dt)`` applied by numpy,
 the lattice-channel overlaps by adaptive quadrature, the scaled erf by
-boolean masks and the channel's output amplitude by a sum over one window of
-lattice states.
+boolean masks and on ``scipy.special``'s ``wofz`` and ``dawsn``, and the
+channel's output amplitude by a sum over one window of lattice states.
 """
 import math
 from decimal import Decimal, localcontext
@@ -18,6 +18,7 @@ from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal, expm
 from scipy.special import dawsn, wofz
 
+from laserclock import channel as ch
 from laserclock import laserdyn as ld
 from laserclock.errors import NumericalCheckError
 
@@ -221,17 +222,34 @@ def orthonormality_defect(spec, n_span, m_span):
 
 def scaled_erf_masked(u, s):
     """e^{-s^2} erf(u - i s) on the broadcast grid of u and s, each sign of u
-    gathered by a boolean mask."""
+    gathered by a boolean mask, with the channel's own Faddeeva function
+    ``_wofz``; on u = 0, -i Im w(s) is -2i/sqrt(pi) times the Dawson function.
+    """
     u, s = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(s, dtype=float))
     out = np.empty(u.shape, dtype=complex)
     pos = u > 0
     neg = u < 0
     zer = ~(pos | neg)
     up, sp = u[pos], s[pos]
-    out[pos] = np.exp(-sp ** 2) - np.exp(-up ** 2 + 2j * up * sp) * wofz(sp + 1j * up)
+    out[pos] = np.exp(-sp ** 2) - np.exp(-up ** 2 + 2j * up * sp) * ch._wofz(sp + 1j * up)
     un, sn = u[neg], s[neg]
-    out[neg] = -np.exp(-sn ** 2) + np.exp(-un ** 2 + 2j * un * sn) * wofz(-sn - 1j * un)
-    out[zer] = -2j / math.sqrt(math.pi) * dawsn(s[zer])
+    out[neg] = -np.exp(-sn ** 2) + np.exp(-un ** 2 + 2j * un * sn) * ch._wofz(-sn - 1j * un)
+    out[zer] = -1j * ch._wofz(s[zer]).imag
+    return out
+
+
+def scaled_erf_scipy(u, s):
+    """e^{-s^2} erf(u_i - i s_j) on the grid of sorted 1-D u and 1-D s, on
+    ``scipy.special``'s ``wofz`` and ``dawsn`` in the channel's row slices."""
+    u = np.asarray(u, dtype=float)
+    s = np.asarray(s, dtype=float)
+    lo, hi = np.searchsorted(u, 0.0, "left"), np.searchsorted(u, 0.0, "right")
+    es = np.exp(-s ** 2)
+    out = np.empty((len(u), len(s)), dtype=complex)
+    un, up = u[:lo, None], u[hi:, None]
+    out[:lo] = -es + np.exp(-un ** 2 + 2j * un * s) * wofz(-s - 1j * un)
+    out[lo:hi] = -2j / math.sqrt(math.pi) * dawsn(s)
+    out[hi:] = es - np.exp(-up ** 2 + 2j * up * s) * wofz(s + 1j * up)
     return out
 
 

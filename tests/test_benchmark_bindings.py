@@ -74,10 +74,8 @@ def test_every_public_name_has_a_production_caller():
 
 
 def test_cli_import_leaves_general_numerics_unloaded(tmp_path):
-    # the Monte Carlo, closed-form, linewidth and phase-variance subcommands
-    # run on numpy alone; scipy.special loads inside channel, which still
-    # works in the same process, and scipy.linalg and the quadrature,
-    # optimization and sparse packages stay with the test oracles
+    # every subcommand runs on numpy alone, the lattice channel included:
+    # scipy stays with the test oracles
     code = f"""
 import sys, warnings
 warnings.simplefilter("ignore")
@@ -96,7 +94,7 @@ for argv in ("linewidth --kappa 1 --mu 8", "phasevar --mu 25"):
     run(argv)
 print(loaded(("scipy",)))
 run("channel --alpha-mod 2")
-print(loaded(("scipy.linalg", "scipy.integrate", "scipy.optimize", "scipy.sparse")))
+print(loaded(("scipy",)))
 """
     src = str(Path(laserclock.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -105,9 +103,9 @@ print(loaded(("scipy.linalg", "scipy.integrate", "scipy.optimize", "scipy.sparse
     assert out.stdout.split("\n")[:3] == ["[]", "[]", "[]"]
 
 
-def test_only_channel_imports_scipy():
-    # the error functions of the lattice channel (Faddeeva wofz, dawsn, erf,
-    # erfcinv) have no numpy equivalent; every other module is numpy alone
+def test_no_module_imports_scipy():
+    # the lattice channel's Faddeeva function is Weideman's series and its
+    # real error functions come from math, so every module is numpy alone
     src = Path(laserclock.__file__).resolve().parent
     importers = set()
     for path in sorted(src.glob("*.py")):
@@ -116,4 +114,4 @@ def test_only_channel_imports_scipy():
                 [node.module or ""] if isinstance(node, ast.ImportFrom) else []
             if any(n == "scipy" or n.startswith("scipy.") for n in names):
                 importers.add(path.name)
-    assert importers == {"channel.py"}
+    assert importers == set()

@@ -1,10 +1,11 @@
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import erf
+from scipy.special import dawsn, erf, erfcinv, wofz
 
 import oracles
 from laserclock import channel as ch
@@ -51,9 +52,146 @@ def test_quadrature_matches_closed_form(alpha, nm):
     assert abs(c_quad - c_erf) < 1e-10
 
 
+# |w - scipy's wofz| / |wofz| measured at most 2.6e-14 on the decohere domain
+# below (dense grids, the worst near Re z = 8, Im z = 0.09); most of it is
+# scipy's own error, since against 30-digit mpmath w is within 1.1e-15
+W_SCIPY_REL = 3e-14
+
+
+def _decohere_domain():
+    """The w arguments decohere reaches: Im z from 0 to the box edges of the
+    min_prob = 1e-10 windows (radius erfcinv(1e-10), then a box, one more
+    box and half a box, at Delta up to 1.7) in the scaled variable
+    u = (q - q_bar)/sqrt 2; |Re z| from 0 to the columns of the 1e-10 window
+    at Delta = 1 and 0.05 (m within M of m_c, p_bar at most pi/Delta from
+    its lattice momentum)."""
+    im_max = (ch._erfcinv(1e-10) + 2.5 * 1.7) / math.sqrt(2)
+    re_max = max((math.pi + 2 * math.pi * math.ceil(0.5 + math.pi ** -1.25 * math.sqrt(d / 1e-10)))
+                 / d / math.sqrt(2) for d in (1.0, 0.05))
+    far = np.geomspace(12.0, re_max, 2000)
+    re = np.concatenate([-far[::-1], np.linspace(-12, 12, 4801), far])
+    return re, np.linspace(0.0, im_max, 64)
+
+
+def test_wofz_matches_scipy_on_the_decohere_domain():
+    re, im = _decohere_domain()
+    assert re[-1] > 4.7e5 and im[-1] > 6.2
+    z = re[None, :] + 1j * im[:, None]
+    ref = wofz(z)
+    assert np.max(np.abs(ch._wofz(z) - ref) / np.abs(ref)) <= W_SCIPY_REL
+
+
+def test_wofz_matches_mpmath():
+    # 30-digit values; measured within 1.1e-15 on 6000 random points of the
+    # domain, where scipy's wofz is off by up to 2.6e-14
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(5)
+    z = np.concatenate([rng.uniform(-12, 12, 150) + 1j * rng.uniform(0, 1, 150),
+                        rng.uniform(-100, 100, 100) + 1j * rng.uniform(0, 6.3, 100),
+                        [0, 5j, 8 + 0.09j, -2e5 + 1j, 4.7e5]])
+    with mpmath.workdps(30):
+        ref = np.array([complex(mpmath.exp(-mpmath.mpc(v) ** 2) * mpmath.erfc(-1j * mpmath.mpc(v)))
+                        for v in z])
+    assert np.max(np.abs(ch._wofz(z) - ref) / np.abs(ref)) <= 2e-15
+
+
+def test_dawson_from_w_matches_scipy():
+    # the u = 0 row of _scaled_erf is -i Im w(s) = -2i/sqrt(pi) D(s); measured
+    # within 1.4e-14 relative of scipy's dawsn, and exactly 0 at s = 0
+    re, _ = _decohere_domain()
+    dawson = math.sqrt(math.pi) / 2 * ch._wofz(re).imag
+    ref = dawsn(re)
+    nonzero = re != 0
+    assert np.max(np.abs(dawson - ref)[nonzero] / np.abs(ref[nonzero])) <= W_SCIPY_REL
+    assert np.all(dawson[~nonzero] == 0)
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-10, 1e-14, 1e-100, 1e-300])
+def test_erfcinv_matches_scipy(eps):
+    r = ch._erfcinv(eps)
+    assert abs(r - erfcinv(eps)) <= 4 * np.spacing(erfcinv(eps))
+
+
+def _erf_decimal(x):
+    """erf(x) by its Taylor series in 60-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = Decimal(x)
+        term, total, n = x, x, 0
+        while abs(term) > Decimal(10) ** -50 * abs(total):
+            n += 1
+            term *= -x * x / n
+            total += term / (2 * n + 1)
+        pi = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+        return float(2 * total / pi.sqrt())
+
+
+def test_erf_matches_scipy_and_a_decimal_series():
+    # math.erf is within 1 ulp of the series; scipy's erf differs from it
+    # by up to 2 ulp, its own error near |x| = 0.5 .. 1 (measured 1.95 ulp
+    # against mpmath at x = -0.983)
+    x = np.linspace(-30, 30, 60001)
+    got = ch._erf(x)
+    assert np.all(np.abs(got - erf(x)) <= 2 * np.spacing(np.abs(erf(x))))
+    some = np.concatenate([np.linspace(-6, 6, 241), [-0.9996, -0.9828, 1e-300, 0.0]])
+    ref = np.array([_erf_decimal(v) for v in some])
+    assert np.all(np.abs(ch._erf(some) - ref) <= np.spacing(np.abs(ref)))
+
+
+def test_weideman_coefficients_are_the_fft_formula():
+    # Weideman (1994): a_k from the FFT of f(t) = exp(-t^2) (L^2 + t^2) at
+    # t = L tan(theta/2), theta = k pi / M, |k| < M = 2N, with f = 0 at
+    # theta = pi; the FFT rounds each by about log2(4N) ~ 8 ulps of sum |f|
+    n = 40
+    big_m = 2 * n
+    k = np.arange(-big_m + 1, big_m)
+    ell = math.sqrt(n / math.sqrt(2))
+    t = ell * np.tan(k * np.pi / big_m / 2)
+    f = np.concatenate([[0.0], np.exp(-t ** 2) * (ell ** 2 + t ** 2)])
+    a = np.real(np.fft.fft(np.fft.fftshift(f))) / (2 * big_m)
+    assert ch.WEIDEMAN_L == ell
+    assert len(ch.WEIDEMAN_40) == n
+    tol = 8 * 2.0 ** -53 * np.abs(f).sum() / (2 * big_m)
+    assert np.max(np.abs(np.array(ch.WEIDEMAN_40) - a[n:0:-1])) <= tol
+
+
+@pytest.mark.parametrize("alpha, delta", [(5.0, 1.0), (10.0, 1.0), (3 + 4j, 1.0), (5j, 1.0),
+                                          (2 + 1j, 1.0), (3 + 4j, 1.7),
+                                          (10 * np.exp(0.3j), 0.8), (1e15, 1.0)])
+def test_probabilities_match_the_scipy_route(monkeypatch, alpha, delta):
+    # The scipy route differs only in w.  Each edge's value is
+    # e^{-s^2} - e^{-u^2 + 2ius} w(s + iu) (signs as in _scaled_erf), so w's
+    # relative error W_SCIPY_REL moves it by at most W_SCIPY_REL T, with
+    # T = e^{-u^2} |w(s + i|u|)| the w term's size, and each route rounds
+    # the product and the subtraction within 4 ulps of e^{-s^2} + T.  The
+    # box difference E = F_b - F_a then moves by dE, and P = |pref E|^2 by
+    # at most 2 dE / |E| relative, plus 12 ulps of the rounding after E
+    # (both routes).
+    alpha = complex(alpha)
+    spec = ch.LatticeSpec(delta=delta)
+    new = ch.decohere(alpha, spec)
+    monkeypatch.setattr(ch, "_scaled_erf", oracles.scaled_erf_scipy)
+    old = ch.decohere(alpha, spec)
+    assert np.array_equal(new.ns, old.ns) and np.array_equal(new.ms, old.ms)
+    qb, pb = ch._coherent_qp(alpha)
+    s = (pb - 2 * np.pi * old.ms / delta) / math.sqrt(2)
+    es = np.exp(-s ** 2)
+    ulp = 2.0 ** -53
+    dE = 0.0
+    E = 0.0
+    for sign in (-1, 1):
+        u = ((delta * old.ns + sign * delta / 2 - qb) / math.sqrt(2))[:, None]
+        T = np.exp(-u ** 2) * np.abs(wofz(s + 1j * np.abs(u)))
+        dE = dE + W_SCIPY_REL * T + 4 * ulp * (es + T)
+        E = oracles.scaled_erf_masked(u, s) * sign + E
+    bound = 2 * dE / np.abs(E) + 12 * ulp
+    rel = np.abs(new.probabilities - old.probabilities) / old.probabilities
+    assert np.all(rel <= bound)
+
+
 def per_box_overlap(alpha, delta, ns, ms):
     """Oracle: the masked scaled erf evaluated at both edges of every box
-    separately."""
+    separately, on the channel's own w."""
     qb, pb = math.sqrt(2) * alpha.real, math.sqrt(2) * alpha.imag
     dlt = pb - 2 * np.pi * ms.astype(float) / delta
     nn = ns.astype(float)[:, None]
@@ -406,10 +544,12 @@ def test_block_width_changes_no_probability(monkeypatch, alpha, delta):
 def test_grid_working_set_is_one_block():
     # beyond P itself (float64) and ms (int64), a block holds the edge grid F
     # of _scaled_erf, with at most rows + 1 rows at Delta = 1 (shared edges),
-    # and at most three temporaries as large as F while one of its row slices
-    # is filled; after F is freed, _overlap_closed's E and its gather are two
-    # blocks.  So four F-sized complex arrays, under 5 complex blocks.
-    ch.decohere(3 + 4j, SPEC)  # scipy loaded, caches warm
+    # and while one of its row slices is filled, five temporaries of the
+    # slice's size: the phase factor, w's argument and the three arrays
+    # _wofz holds.  Here the u < 0 and u > 0 slices are 7 of F's 14 rows
+    # each.  After F is freed, _overlap_closed's E and its gather are two
+    # blocks.  So about 3.5 F-sized complex arrays, under 5 complex blocks.
+    ch.decohere(3 + 4j, SPEC)  # caches warm
     tracemalloc.start()
     try:
         dist = ch.decohere(3 + 4j, SPEC, min_prob=1e-10)

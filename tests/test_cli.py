@@ -105,7 +105,7 @@ def test_small_runs_are_pinned(tmp_path):
     cells = b"".join(b",".join(line.split(b",")[:11]) + b"\n"
                      for line in out.read_bytes().splitlines())
     assert hashlib.sha256(cells).hexdigest() == \
-        "9a7009af1dc5ef37c3668548730680229554539c75550be6bccc886c7b4ece92"
+        "c8383bcf320f391bb8056569dc33267b8fae4d3a04c00c4a46927429f49e69f0"
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -527,10 +527,17 @@ def test_channel_min_prob_names_its_range(capsys):
 
 
 def test_channel_infinite_box_count_is_named_inf(capsys):
-    # erfcinv(5e-324) is inf, so the box count overflows to +inf: the refusal
-    # names inf boxes, not the largest float
+    # both box ends overflow at Delta = 1e-310, so the box count is +inf: the
+    # refusal names inf boxes, not the largest float
+    assert main(["channel", "--delta", "1e-310"]) == 2
+    assert "needs inf boxes x 1025 momentum points" in capsys.readouterr().err
+
+
+def test_channel_smallest_subnormal_min_prob_is_refused(capsys):
+    # erfc(r) = 5e-324 at r = 27.2, so 59 boxes; sqrt(Delta / min_prob)
+    # overflows, and the momentum points are named inf
     assert main(["channel", "--min-prob", "5e-324"]) == 2
-    assert "needs inf boxes x inf momentum points" in capsys.readouterr().err
+    assert "needs 59 boxes x inf momentum points" in capsys.readouterr().err
 
 
 def test_channel_output(tmp_path):
