@@ -193,9 +193,16 @@ def _scaled_erf(u, s):
     es = np.exp(-s ** 2)
     out = np.empty((len(u), len(s)), dtype=complex)
     un, up = u[:lo, None], u[hi:, None]
-    out[:lo] = -es + np.exp(-un ** 2 + 2j * un * s) * _wofz(-s - 1j * un)
+    # w first, then the phase factor multiplied into it in place, in this
+    # operand order (a swapped complex product may round differently under
+    # FMA): while a slice is filled, w's argument and the three arrays _wofz
+    # holds are its only slice-sized temporaries
+    w = _wofz(-s - 1j * un)
+    np.add(-es, np.multiply(np.exp(-un ** 2 + 2j * un * s), w, out=w), out=out[:lo])
+    del w
     out[lo:hi] = -1j * _wofz(s).imag
-    out[hi:] = es - np.exp(-up ** 2 + 2j * up * s) * _wofz(s + 1j * up)
+    w = _wofz(s + 1j * up)
+    np.subtract(es, np.multiply(np.exp(-up ** 2 + 2j * up * s), w, out=w), out=out[hi:])
     return out
 
 

@@ -42,7 +42,9 @@ def _floats(text):
 
 
 def _ints(text):
-    return [int(round(v)) for v in _floats(text)]
+    vals = _floats(text)
+    _require(all(map(math.isfinite, vals)), f"entries of {text!r} must be finite")
+    return [int(round(v)) for v in vals]
 
 
 def _auto(value):
@@ -158,7 +160,7 @@ def _phasevar_row(seed, mu, grid):
 
 def _run_phasevar(a):
     mus = _floats(a.mu or "")
-    _require(all(m > 0 for m in mus), "--mu entries must be positive")
+    _require(all(0 < m < math.inf for m in mus), "--mu entries must be positive and finite")
     grid = a.grid_size
     _require(grid >= 256, "--grid-size must be >= 256")
     _require(grid <= fock.PHASE_GRID_BUDGET,

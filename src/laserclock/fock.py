@@ -134,6 +134,8 @@ class PhaseDistribution:
 
 def default_truncation(mu: float) -> int:
     """Truncation mu + 10 sqrt(mu) + 10, placing the Poisson tail below 1e-12."""
+    if not 0 <= mu < math.inf:
+        raise ValueError(f"mu must be finite and nonnegative, not {mu!r}")
     return int(np.ceil(mu + 10 * np.sqrt(mu) + 10))
 
 

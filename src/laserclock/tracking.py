@@ -39,19 +39,20 @@ them per step, which lets two runs at different dt share identical Wiener paths
 for time-step convergence checks.  A batch is refused before any noise is drawn
 when it comes to over 2**30 lane-steps, with each lane counted as at least
 LANE_COST of them, or when a point's predicted error is too small for the wrap
-to resolve (WRAP_MSE_FLOOR).
+to resolve (WRAP_MSE_FLOOR).  numpy.random loads when a seed is derived or
+streams are built, and the process pool only when one starts.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 __all__ = [
     "BeamParams",
@@ -151,20 +152,38 @@ def loop_time_constant(beam: BeamParams, mode: str, bandwidth: float | None = No
 
 # --- Monte Carlo engine -----------------------------------------------------
 
+def __getattr__(name):
+    """The process pool class, imported on first access (PEP 562) and kept
+    in the module: a run at one worker never loads concurrent.futures."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def derive_seed(seed: int, index: int) -> int:
     """Seed of sub-run ``index`` (party, sweep point, M value) of the run seeded
     ``seed``: the first word numpy's seed sequence [seed, index] generates."""
     return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
 
 
-@dataclass(frozen=True)
-class _Words(ISeedSequence):
-    """A seed sequence that hands a bit generator its precomputed state words."""
+@functools.cache
+def _words_type():
+    """The type of a seed sequence that hands a bit generator its precomputed
+    state words, defined on first use: numpy.random loads only where noise is
+    drawn or a seed derived."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    words: np.ndarray
+    @dataclass(frozen=True)
+    class Words(ISeedSequence):
+        words: np.ndarray
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return Words
 
 
 def _streams(lanes):
@@ -195,7 +214,8 @@ def _streams(lanes):
             pool[j] = mix(pool[j], hashmix(v))
         h[0] = _INIT_B
         words[rows] = np.stack([hashmix(pool[k % 4], _MULT_B) for k in range(8)], axis=1)
-    return [[np.random.Generator(np.random.PCG64(_Words(w))) for w in pair]
+    words_type = _words_type()
+    return [[np.random.Generator(np.random.PCG64(words_type(w))) for w in pair]
             for pair in words.view("<u8").reshape(-1, 2, 4)]
 
 
@@ -446,7 +466,8 @@ def _run_batch(mode, points, dt, duration, burn_in, trials, workers, phi0, gain,
     if workers == 1 or sum(n_groups) == 1:
         parts = [_simulate_lanes(*g) for g in groups()]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
+        # the module attribute, so that a replacement of it is the pool started
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as ex:
             parts = list(ex.map(_simulate_lanes, *zip(*groups())))
 
     mse_w, mse_u, slips = (np.concatenate(p) for p in zip(*parts))

@@ -321,6 +321,10 @@ def _no_boxes(*args, **kwargs):
     raise AssertionError("channel boxes listed")
 
 
+def _no_state(*args, **kwargs):
+    raise AssertionError("coherent state built")
+
+
 @pytest.mark.parametrize("argv", [
     "track --flux inf --linewidth 1",
     "track --flux nan --linewidth 1",
@@ -333,6 +337,9 @@ def _no_boxes(*args, **kwargs):
     "sync --kappa 1 --mu inf",
     "sync --kappa 1 --mu nan --parties 1,4",
     "sync --kappa 1 --mu 100 --parties 1,0",
+    # a non-finite M is refused, not rounded (int(round(inf)) overflows)
+    "sync --kappa 1 --mu 1e6 --parties 1e400 --trials 2",
+    "sync --kappa 1 --mu 100 --parties 1,nan",
     # a sweep needs two distinct M values to fit its exponent
     "sync --kappa 1 --mu 100 --parties 2,2",
     "linewidth --kappa inf --mu 8",
@@ -341,6 +348,8 @@ def _no_boxes(*args, **kwargs):
     "limits --mu inf",
     "limits --mu nan",
     "limits --mu 100 --parties 1,0",
+    "limits --mu 1e6 --parties inf",
+    "limits --mu 1e6 --parties nan",
     "limits --mu 100 --power inf --wavelength 6e-7 --linewidth-hz 1e6",
     "limits --mu 100 --power 1e-3 --wavelength 0 --linewidth-hz 1e6",
     "limits --mu 100 --power 1e-3 --wavelength -1 --linewidth-hz 1e6",
@@ -363,6 +372,9 @@ def _no_boxes(*args, **kwargs):
     # an old sidecar that still holds the removed mass_deficit key
     'channel --config {"mass_deficit": 1e-6}',
     "phasevar --mu 100 --grid-size 0",
+    # refused before default_truncation(inf) or any state is built
+    "phasevar --mu inf",
+    "phasevar --mu 25,nan",
     "linewidth --kappa 1 --mu 16 --truncation 0",
     # a --config key that is not a flag of the subcommand is named and refused
     'track --flux 1e3 --linewidth 1 --config {"trails": 5}',
@@ -383,6 +395,7 @@ def _no_boxes(*args, **kwargs):
 def test_out_of_domain_input_is_usage_error(monkeypatch, capsys, tmp_path, argv):
     monkeypatch.setattr("laserclock.tracking._noise_columns", _no_noise)
     monkeypatch.setattr("laserclock.channel._window_masses", _no_boxes)
+    monkeypatch.setattr("laserclock.fock.coherent_state", _no_state)
     argv, _, config = argv.partition(" --config ")
     if config:
         if config != "missing":

@@ -45,6 +45,12 @@ def test_coherent_state_rejects_bad_input():
         fock.coherent_state(1.0, truncation=0)
 
 
+@pytest.mark.parametrize("mu", [np.inf, -np.inf, np.nan, -1.0])
+def test_default_truncation_rejects_nonfinite_or_negative_mu(mu):
+    with pytest.raises(ValueError, match="mu must be finite and nonnegative"):
+        fock.default_truncation(mu)
+
+
 def test_number_state_has_uniform_phase():
     amps = np.zeros(11, dtype=complex)
     amps[7] = 1.0
