@@ -154,9 +154,12 @@ def coherent_state(alpha: complex, truncation: int | None = None) -> FockVector:
     alpha = complex(alpha)
     if not (np.isfinite(alpha.real) and np.isfinite(alpha.imag)):
         raise ValueError("alpha must be finite")
-    mu = abs(alpha) ** 2
-    if truncation is None:
-        truncation = default_truncation(mu)
+    try:
+        mu = abs(alpha) ** 2
+    except OverflowError:  # |alpha| above about 1.3e154
+        mu = math.inf
+    default = default_truncation(mu)  # refuses an infinite mu, with or without a truncation
+    truncation = default if truncation is None else truncation
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
     n = np.arange(truncation + 1)

@@ -1,6 +1,10 @@
+import argparse
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -11,8 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import laserclock
 from laserclock import fock
-from laserclock.cli import main
+from laserclock.cli import COMMANDS, main
 
 
 def read(path):
@@ -238,6 +243,41 @@ def test_flags_override_config_file(tmp_path):
     assert row["parties"] == "4"
 
 
+def test_parser_is_built_once_per_process(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["limits", "--mu", "100"]) == 0
+    first = len(built)
+    assert main(["limits", "--mu", "400"]) == 0
+    assert len(built) == first and built.count("laserclock") <= 1
+
+
+def test_module_entry_point():
+    # python -m laserclock: the version, every flag of the table in each
+    # subcommand's help, and a usage error's exit status and message
+    src = str(Path(laserclock.__file__).resolve().parents[1])
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "laserclock", *args], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src})
+
+    out = run("--version")
+    assert out.returncode == 0 and out.stdout.strip() == laserclock.__version__
+    for name, cmd in COMMANDS.items():
+        out = run(name, "--help")
+        assert out.returncode == 0
+        for dest in [dest for dest, _, _ in cmd.flags] + ["seed", "config", "out"]:
+            assert "--" + dest.replace("_", "-") in out.stdout, (name, dest)
+    out = run("limits")
+    assert out.returncode == 2 and "--mu is required" in out.stderr
+
+
 def test_config_values_take_their_flag_type(tmp_path):
     # a config number or string is converted as the flag's text would be
     flag = tmp_path / "flag.csv"
@@ -391,19 +431,54 @@ def _no_state(*args, **kwargs):
     # sweep is refused before its N = 1e50 point runs
     "sweep --axis n --values 1e300",
     "sweep --axis n --values 1e50,1e300 --mode heterodyne",
+    # a sweep value outside its axis's domain is refused by the library
+    "sweep --axis n --values 0",
+    "sweep --axis flux --values -1",
+    "sweep --axis linewidth --flux 1e3 --values 1e3,0",
+    "sweep --mode heterodyne --axis bandwidth --flux 1e3 --values nan",
+    # a flag the run would ignore is refused, not echoed into the outputs
+    "track --flux 1e3 --linewidth 1 --bandwidth 100 => --bandwidth needs --mode heterodyne",
+    "limits --mu 100 --wavelength 6e-7 => --power, --wavelength and --linewidth-hz",
+    "limits --mu 100 --power 1e-3 --wavelength 6e-7 => --power, --wavelength and --linewidth-hz",
+    "sweep --axis n --values 1e3 --flux 5 => --flux is not used on the n axis",
+    "sweep --axis flux --values 1e3 --flux 5 => --flux is not used on the flux axis",
+    # a command-line value goes through the same conversion as a config value
+    "track --flux abc --linewidth 1 => --flux: invalid value 'abc'",
+    "track --flux 1e3 --linewidth 1 --mode balanced => --mode: 'balanced' is not one of",
+    "limits --mu x => --mu: invalid value 'x'",
+    "sync --kappa 1 --mu 100 --parties 1,nan => --parties: invalid value '1,nan'",
+    # a required flag set neither on the command line nor by --config
+    "track --linewidth 1 => --flux is required",
+    "track --flux 1e3 => --linewidth is required",
+    "sync --mu 100 => --kappa is required",
+    "sync --kappa 1 => --mu is required",
+    "linewidth --mu 8 => --kappa is required",
+    "linewidth --kappa 1 => --mu is required",
+    "phasevar --grid-size 1024 => --mu is required",
+    "limits --parties 4 => --mu is required",
+    "sweep --values 1e3 => --axis is required",
+    "sweep --axis n => --values is required",
+    'track --flux 1e3 --config {"linewidth": null} => --linewidth is required',
+    'sync --mu 100 --config {"kappa": null} => --kappa is required',
+    'linewidth --kappa 1 --config {"mu": null} => --mu is required',
+    'phasevar --config {"mu": null} => --mu is required',
+    'limits --config {"mu": null, "parties": "4"} => --mu is required',
+    'sweep --axis n --config {"values": null} => --values is required',
 ])
 def test_out_of_domain_input_is_usage_error(monkeypatch, capsys, tmp_path, argv):
     monkeypatch.setattr("laserclock.tracking._noise_columns", _no_noise)
     monkeypatch.setattr("laserclock.channel._window_masses", _no_boxes)
     monkeypatch.setattr("laserclock.fock.coherent_state", _no_state)
+    argv, _, message = argv.partition(" => ")
     argv, _, config = argv.partition(" --config ")
     if config:
         if config != "missing":
             (tmp_path / "c.json").write_text(config)
         argv += f" --config {tmp_path / 'c.json'}"
     assert main(argv.split()) == 2
+    err = capsys.readouterr().err
+    assert message in err
     if config:  # the message names --config and the offending key or file
-        err = capsys.readouterr().err
         named = [k for k in ("trails", "flux", "mu", "trials", "mode", "seed", "mass_deficit")
                  if k in config]
         assert "--config" in err and all(k in err for k in named)

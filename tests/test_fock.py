@@ -43,6 +43,12 @@ def test_coherent_state_rejects_bad_input():
         fock.coherent_state(complex(1.0, np.inf))
     with pytest.raises(ValueError):
         fock.coherent_state(1.0, truncation=0)
+    # |alpha|^2 overflows to mu = inf, which is refused, not an OverflowError
+    for alpha in (1e200, 1e200j):
+        with pytest.raises(ValueError, match="mu must be finite and nonnegative"):
+            fock.coherent_state(alpha)
+        with pytest.raises(ValueError, match="mu must be finite and nonnegative"):
+            fock.coherent_state(alpha, truncation=10)
 
 
 @pytest.mark.parametrize("mu", [np.inf, -np.inf, np.nan, -1.0])
