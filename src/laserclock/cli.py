@@ -352,7 +352,11 @@ def _resolve_flags(args):
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has written the usage error (2) or the help or version (0)
+        return exc.code
     cmd = COMMANDS[args.cmd]
     try:
         flags = _resolve_flags(args)

@@ -5,8 +5,9 @@ Each oracle takes the general-numerics or one-step route to a quantity that
 filters, the canonical phase density by a direct sum over a density matrix,
 the dense master-equation superoperator and loss-only sectors, the linewidth
 eigenvalue by ``scipy.linalg.eigh_tridiagonal`` and by Sturm bisection in
-``decimal``, the decay fit on ``scipy.linalg.expm(L1 dt)`` applied by numpy,
-the lattice-channel overlaps by adaptive quadrature, the scaled erf by
+``decimal``, the decay fit on a dense propagator ``U = exp(L1 dt)`` applied
+by numpy (from ``scipy.linalg.expm``, or from a degree-13 Pade step and
+squarings in numpy), the lattice-channel overlaps by adaptive quadrature, the scaled erf by
 boolean masks and on ``scipy.special``'s ``wofz`` and ``dawsn``, and the
 channel's output amplitude by a sum over one window of lattice states.
 """
@@ -146,8 +147,8 @@ def linewidth_sturm_decimal(params, truncation, digits=30):
         return lo + hi
 
 
-def decay_fit_dense_expm(params, truncation):
-    """The decay fit on U = scipy.linalg.expm(L1 dt), applied with numpy's @.
+def _dense_decay_fit(params, truncation, exp):
+    """The decay fit on U = exp(L1 dt), applied with numpy's @.
 
     Returns the linewidth, the sample times and the samples |Tr(a^dag X(t))|.
     Same initial vector, step, skip and fit as ``extract_linewidth``.
@@ -159,7 +160,7 @@ def decay_fit_dense_expm(params, truncation):
     nsteps = 60
     dt = 16.0 * params.mu / params.kappa / nsteps
     skip = math.ceil(30.0 / params.mu)
-    U = expm(L1 * dt)
+    U = exp(L1 * dt)
     for _ in range(skip):
         x = U @ x
     ts = dt * np.arange(skip, skip + nsteps + 1)
@@ -169,6 +170,71 @@ def decay_fit_dense_expm(params, truncation):
         x = U @ x
     slope, _ = np.polyfit(ts, np.log(g), 1)
     return -2.0 * slope, ts, g
+
+
+def decay_fit_dense_expm(params, truncation):
+    """The decay fit on U = ``scipy.linalg.expm(L1 dt)``; see ``_dense_decay_fit``."""
+    return _dense_decay_fit(params, truncation, expm)
+
+
+def decay_fit_pade(params, truncation):
+    """The decay fit on U = ``propagator(L1 dt)``; see ``_dense_decay_fit``."""
+    return _dense_decay_fit(params, truncation, propagator)
+
+
+# --- laserdyn: the dense Pade propagator -------------------------------------
+
+# the 1-norm up to which the degree-13 Pade step needs no squaring (Al-Mohy and
+# Higham 2009), and the flush threshold of the squarings
+THETA_13 = 5.371920351148152
+FLUSH_BELOW = 2.0 ** -500
+# numerator coefficients b_0 .. b_13 of the degree-13 Pade approximant to
+# exp (Higham 2005); the denominator's are the same with odd ones negated
+PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+
+
+def pade13(A):
+    """The degree-13 Pade approximant r13(A) = (V - U)^{-1} (V + U) to exp(A).
+
+    U and V are the odd and even parts, from A^2, A^4 and A^6 in six matrix
+    products and one solve (Higham 2005, coefficients ``PADE_13``).  For
+    ||A||_1 <= THETA_13 its backward error is below unit roundoff.
+    """
+    b = PADE_13
+    diag = np.s_[::len(A) + 1]
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+
+    def even(c6, c4, c2):
+        return c6 * A6 + c4 * A4 + c2 * A2
+
+    U = A6 @ even(b[13], b[11], b[9]) + even(b[7], b[5], b[3])
+    U.flat[diag] += b[1]
+    U = A @ U
+    V = A6 @ even(b[12], b[10], b[8]) + even(b[6], b[4], b[2])
+    V.flat[diag] += b[0]
+    return np.linalg.solve(V - U, V + U)
+
+
+def propagator(A):
+    """exp(A) for the real k=1 generator times dt.
+
+    ``pade13`` on A / 2^s, with s = ceil(log2(||A||_1 / THETA_13)), then s
+    squarings with numpy's ``@``.  Before each squaring, entries below
+    FLUSH_BELOW in magnitude are set to zero.  exp(L1 t) is entrywise
+    nonnegative with column sums at most 1 (L1 has nonnegative
+    off-diagonals and nonpositive column sums), so a dropped product is
+    below 2^-500 against entries of order 1.
+    """
+    s = max(0, math.ceil(math.log2(np.linalg.norm(A, 1) / THETA_13)))
+    U = pade13(A / 2.0 ** s)
+    for _ in range(s):
+        U[np.abs(U) < FLUSH_BELOW] = 0.0
+        U = U @ U
+    return U
 
 
 # --- channel: overlaps by adaptive quadrature --------------------------------

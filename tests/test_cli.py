@@ -86,8 +86,8 @@ _PINNED = [
      "45a9e303d3b03349289a73dbc5a5f2e3e35eea48cdfbbdb786cf5ef66af372fe",
      "22e874690ec32736b888340ebf5993c56d64d5b8e44646bc6042512ce9e648b2"),
     ("linewidth --kappa 1 --mu 4,16",
-     "15f8397389b055b89d2ed32ccf7e28042b5b9156f3db94ac84a4aa04392859ac",
-     "010fcbc5a58d1e387f29ed90ed62d40616d161a4d3964eefaa57dd6ae3a2e1bb"),
+     "50561145824e69dbc1158a51be03e888046bf35e4b8948d602233797725b71a8",
+     "ff999531f1a444275422ab899a72bc950b93a8dc52488b79314c89b069a82c59"),
     ("phasevar --mu 25,100 --grid-size 1024",
      "231e9fcfff2418b402464dc7a3b224ba72a7ba23cfcc74760bc6886bc7ca1a12",
      "1d9b595c0f1057314a86dfaf2b59641d4128c04863e005e1c2028072cbc5873b"),
@@ -276,6 +276,26 @@ def test_module_entry_point():
             assert "--" + dest.replace("_", "-") in out.stdout, (name, dest)
     out = run("limits")
     assert out.returncode == 2 and "--mu is required" in out.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("limits --mu", "argument --mu: expected one argument"),
+    ("limits --mu 1 --bogus 2", "unrecognized arguments: --bogus 2"),
+    ("nosuch", "invalid choice: 'nosuch'"),
+])
+def test_malformed_argv_returns_2(capsys, argv, message):
+    # argparse's usage error is returned, not raised as SystemExit, so an
+    # in-process caller keeps running; the usage goes to stderr
+    assert main(argv.split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: laserclock") and message in err
+
+
+def test_help_and_version_return_0(capsys):
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out.strip() == laserclock.__version__
+    assert main(["limits", "--help"]) == 0
+    assert "--parties" in capsys.readouterr().out
 
 
 def test_config_values_take_their_flag_type(tmp_path):
@@ -588,9 +608,10 @@ def test_phasevar_working_set_is_one_distribution(capsys):
 
 
 def test_nonpositive_linewidth_exits_3(monkeypatch, capsys):
-    # a propagator that grows the coherence fits a negative rate: a failed
-    # numerical check, not an invalid configuration
-    monkeypatch.setattr("laserclock.laserdyn._propagator", lambda A: 1.01 * np.eye(len(A)))
+    # a coherence that grows fits a negative rate: a failed numerical check,
+    # not an invalid configuration
+    monkeypatch.setattr("laserclock.laserdyn._coherence",
+                        lambda params, truncation, ts: np.exp(0.01 * ts))
     assert main(["linewidth", "--kappa", "1", "--mu", "8"]) == 3
     assert "LinewidthFitError" in capsys.readouterr().err
 
@@ -665,6 +686,6 @@ def test_linewidth_subcommand(tmp_path):
     assert results["max_methods_rel_diff"] == max(float(r["methods_rel_diff"]) for r in rows)
     assert abs(results["max_stationary_tail_mass"]) <= 1e-12
     assert results["solvers"] == {"eigenvalue": "gth_inverse_iteration",
-                                  "decay_fit": "pade13_squaring"}
+                                  "decay_fit": "hyperbolic_contour_gth"}
     # each row's bracket is T eps wide on each side (T = 66 at mu = 16)
     assert 2 * 66 * 2.2e-16 < results["max_eigenvalue_bracket_rel"] <= 3 * 66 * 2.3e-16

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -229,18 +230,18 @@ def test_linewidth_methods_agree():
 
 @pytest.mark.parametrize("mu", [4.0, 16.0, 64.0])
 def test_decay_fit_is_one_propagator_past_the_transients(monkeypatch, mu):
-    # the fit takes one Pade step, on L1 dt / 2^s with the least s that
-    # brings the 1-norm to THETA_13 or below, and samples from the first
-    # multiple of dt at or after the 8/kappa the fast transients need; it
-    # agrees with the eigenvalue to the 1e-7 the README states
+    # the dense Pade route takes one Pade step, on L1 dt / 2^s with the least
+    # s that brings the 1-norm to THETA_13 or below, and samples from the
+    # first multiple of dt at or after the 8/kappa the fast transients need;
+    # it agrees with the eigenvalue to the 1e-7 the README states
     kappa = 0.5
-    pade, polyfit = ld._pade13, np.polyfit
+    pade, polyfit = oracles.pade13, np.polyfit
     built, sampled = [], []
-    monkeypatch.setattr(ld, "_pade13", lambda a: built.append(a) or pade(a))
+    monkeypatch.setattr(oracles, "pade13", lambda a: built.append(a) or pade(a))
     monkeypatch.setattr(np, "polyfit", lambda x, y, deg: sampled.append(x) or polyfit(x, y, deg))
     params = ld.LaserParams(kappa=kappa, mu=mu)
     trunc = fock.default_truncation(mu)
-    fit = ld.extract_linewidth(params, trunc, "decay_fit")
+    fit, _, _ = oracles.decay_fit_pade(params, trunc)
     (scaled,) = built
     (ts,) = sampled
     dt = 16.0 * mu / kappa / 60
@@ -248,7 +249,7 @@ def test_decay_fit_is_one_propagator_past_the_transients(monkeypatch, mu):
     A = ld.build_liouvillian_sector(params, 1, trunc).matrix * dt
     s = round(math.log2(np.linalg.norm(A, 1) / np.linalg.norm(scaled, 1)))
     assert np.array_equal(scaled * 2.0 ** s, A)
-    assert ld.THETA_13 / 2 < np.linalg.norm(scaled, 1) <= ld.THETA_13
+    assert oracles.THETA_13 / 2 < np.linalg.norm(scaled, 1) <= oracles.THETA_13
     eig = ld.extract_linewidth(params, trunc, "eigenvalue")
     assert abs(fit / eig - 1) <= 1e-7
 
@@ -258,7 +259,7 @@ def scaled_step(mu):
     params = ld.LaserParams(kappa=1.0, mu=mu)
     trunc = fock.default_truncation(mu)
     A = ld.build_liouvillian_sector(params, 1, trunc).matrix * (16.0 * mu / 60)
-    return A, trunc, max(0, math.ceil(math.log2(np.linalg.norm(A, 1) / ld.THETA_13)))
+    return A, trunc, max(0, math.ceil(math.log2(np.linalg.norm(A, 1) / oracles.THETA_13)))
 
 
 def gamma(n):
@@ -272,13 +273,13 @@ def test_flushed_squaring_is_bitwise_unflushed(mu):
     # zeroing the entries below FLUSH_BELOW before each squaring changes no
     # bit of the propagator, although it zeroes thousands of them
     A, _, s = scaled_step(mu)
-    U = ld._pade13(A / 2.0 ** s)
+    U = oracles.pade13(A / 2.0 ** s)
     flushed = 0
     for _ in range(s):
-        flushed += int(np.count_nonzero((U != 0) & (np.abs(U) < ld.FLUSH_BELOW)))
+        flushed += int(np.count_nonzero((U != 0) & (np.abs(U) < oracles.FLUSH_BELOW)))
         U = U @ U
     assert flushed > 1000
-    assert np.array_equal(ld._propagator(A), U)
+    assert np.array_equal(oracles.propagator(A), U)
 
 
 @pytest.mark.parametrize("mu", [64.0, 128.0, 256.0])
@@ -296,39 +297,191 @@ def test_propagator_within_squaring_error_of_expm(mu):
     # bound below leaves out; the measured difference sits over 400 times
     # below it.
     A, n, s = scaled_step(mu)
-    U = ld._propagator(A)
+    U = oracles.propagator(A)
     assert U.min() >= 0 and np.linalg.norm(U, 1) <= 1
     step = A / 2.0 ** s
-    assert np.linalg.norm(ld._pade13(step) - expm(step), 1) <= gamma(n)
-    bound = 2 * (2 ** s - 1) * gamma(n) + 2 ** s * s * n * ld.FLUSH_BELOW
+    assert np.linalg.norm(oracles.pade13(step) - expm(step), 1) <= gamma(n)
+    bound = 2 * (2 ** s - 1) * gamma(n) + 2 ** s * s * n * oracles.FLUSH_BELOW
     assert np.linalg.norm(U - expm(A), 1) <= bound
 
 
-@pytest.mark.parametrize("mu", [64.0, 128.0, 256.0])
-def test_decay_fit_agrees_with_dense_expm_route(mu):
-    # The replaced route (oracles.decay_fit_dense_expm) applies
-    # U' = expm(L1 dt) with numpy's @.  With delta = ||U - U'||_1,
-    # ||U||_1 <= 1 and each matrix-vector product rounding by at most
-    # gamma_n ||x||_1, the two state vectors differ after i steps by at most
-    # i (delta + 2 gamma_n) ||x_0||_1 in the 1-norm; a sample g = |w . x|
-    # then moves by ||w||_inf times that, plus the rounding of both dot
-    # products, and log g by that over g.  The least-squares slope moves by
-    # at most sum |t - t_mean| |d log g| / sum (t - t_mean)^2, and the
-    # linewidth is -2 slope.  The roundings of log and polyfit are a few eps,
-    # far below these terms.
-    params = ld.LaserParams(kappa=1.0, mu=mu)
-    A, n, _ = scaled_step(mu)
-    ell_old, ts, g = oracles.decay_fit_dense_expm(params, n)
-    ell = ld.extract_linewidth(params, n, "decay_fit")
-    delta = np.linalg.norm(ld._propagator(A) - expm(A), 1)
-    w = np.sqrt(np.arange(1.0, n + 1))
-    p = ld.poisson_weights(mu, n)
-    x0_norm = np.sum(w * (p / p.sum())[1:])
-    steps = math.ceil(30.0 / mu) + np.arange(len(ts))
-    d_log_g = w.max() * x0_norm * (steps * (delta + 2 * gamma(n)) + 2 * gamma(n)) / g
+# --- the decay fit's contour and its tridiagonal solves ----------------------
+# The bounds below are the ones derived in laserdyn._coherence, in units of
+# t0 = 1: nodes z_k and weights W_k from ld._contour(), tau = t / t0.
+
+U_ROUND = EPS / 2
+
+
+def truncation_error(tau):
+    """The contour's truncation error bound at tau: the dropped terms
+    (h / pi) coth(u) sec(alpha) e^{mu tau (1 - sin(alpha) cosh u)}, u > N h."""
+    u = ld.CONTOUR_H * np.arange(ld.CONTOUR_N + 1, ld.CONTOUR_N + 41)
+    a, mu = ld.CONTOUR_ALPHA, ld.CONTOUR_MU
+    terms = ld.CONTOUR_H / np.pi / np.tanh(u) / math.cos(a) \
+        * np.exp(mu * np.multiply.outer(tau, 1 - math.sin(a) * np.cosh(u)))
+    return terms.sum(axis=-1)
+
+
+def node_distances(z):
+    """dist(z, (-inf, 0]), and c_theta = sec(theta/2) (42 + 66 sec(theta/2))
+    with theta = |arg z|: the solve's entrywise backward-error constant."""
+    dist = np.where(z.real >= 0, np.abs(z), np.abs(z.imag))
+    sec = 1 / np.cos(np.abs(np.angle(z)) / 2)
+    return dist, sec * (42 + 66 * sec)
+
+
+def symmetrizer(params, trunc):
+    """D with L1 = D S D^{-1}, S symmetric: D_{n+1}^2 / D_n^2 is the ratio
+    kappa mu / (kappa sqrt((n+1)(n+2))) of gain to loss, so D_n^2 = p_{n+1}
+    sqrt(n+1) with p the Poisson weights."""
+    p = ld.poisson_weights(params.mu, trunc)
+    return np.sqrt(p[1:] * np.sqrt(np.arange(1.0, trunc + 1)))
+
+
+def fit_times(params):
+    nsteps, dt = 60, 16.0 * params.mu / params.kappa / 60
+    return dt * np.arange(math.ceil(30.0 / params.mu), math.ceil(30.0 / params.mu) + nsteps + 1)
+
+
+def solve_bounds(params, trunc, t0):
+    """Per node: the bound rho_k on the solve's relative error in D^{-1} y,
+    dist_k, and N_x = ||D w|| ||D^{-1} x|| (t0 = 1 units)."""
+    z, _ = ld._contour()
+    dist, c_theta = node_distances(z)
+    diag, off = oracles.symmetric_sector_1(params, trunc)
+    s_norm = max(np.abs(diag) + np.append(off, 0) + np.append(0, off)) * t0
+    D = symmetrizer(params, trunc)
+    w = np.sqrt(np.arange(1.0, trunc + 1))
+    x = w * ld.stationary_state(params, trunc)[1:]
+    n_x = np.linalg.norm(D * w) * np.linalg.norm(x / D)
+    return c_theta * U_ROUND * (np.abs(z) + s_norm) / dist, dist, n_x
+
+
+def sample_bounds(params, trunc, ts):
+    """|g_computed - g| at each sample time: the quadrature's truncation
+    error, each solve's error weighted by |W_k e^{z_k tau}|, and the
+    rounding of the nodes' terms and of their sum, times N_x."""
+    z, weight = ld._contour()
+    rho, dist, n_x = solve_bounds(params, trunc, ts[0])
+    tau = ts / ts[0]
+    size = np.abs(weight) * np.exp(np.multiply.outer(tau, z.real)) / dist
+    rounding = (ld.CONTOUR_N + 4 + np.multiply.outer(tau, np.abs(z)) + np.abs(z) / dist) * U_ROUND
+    return n_x * (truncation_error(tau) + (size * (rho + rounding)).sum(axis=1))
+
+
+def slope_bound(ts, d_log_g):
+    # the least-squares slope moves by at most sum |t - t_mean| |d log g| /
+    # sum (t - t_mean)^2
     tc = ts - ts.mean()
-    bound = np.sum(np.abs(tc) * d_log_g) / np.sum(tc ** 2) / (ell_old / 2)
-    assert abs(ell / ell_old - 1) <= bound
+    return np.sum(np.abs(tc) * d_log_g) / np.sum(tc ** 2)
+
+
+def test_contour_quadrature_within_its_bound():
+    # e^{lambda tau} against the contour rule, for lambda t0 over the whole
+    # spectrum of the largest sector (mu = 256 at the cap T = 512) and tau
+    # over [1, 61], in floating point: within the truncation error plus the
+    # rounding of the terms and of their sum
+    params = ld.LaserParams(kappa=1.0, mu=256.0)
+    t0 = fit_times(params)[0]
+    L1 = ld.build_liouvillian_sector(params, 1, 512)
+    l1_norm = max(np.abs(L1.diag) + np.append(L1.sub, 0) + np.append(0, L1.sup))
+    z, weight = ld._contour()
+    lam = -np.concatenate([[0.0], np.geomspace(1e-6, l1_norm * t0, 200)])
+    tau = np.linspace(1.0, 61.0, 61)
+    terms = weight[:, None, None] * np.exp(np.multiply.outer(z, tau))[:, None, :] \
+        / np.subtract.outer(z, lam)[:, :, None]
+    err = np.abs(np.exp(np.multiply.outer(lam, tau)) - terms.sum(axis=0).real)
+    growth = np.abs(z)[:, None, None] * (tau + 1 / np.abs(z[:, None, None] - lam[:, None]))
+    rounding = U_ROUND * ((ld.CONTOUR_N + 4 + growth) * np.abs(terms)).sum(axis=0)
+    assert truncation_error(1.0) <= 2.6e-15
+    assert np.all(err <= truncation_error(tau) + rounding)
+
+
+@pytest.mark.parametrize("mu, trunc", [(4.0, None), (16.0, None), (64.0, None),
+                                       (256.0, None), (256.0, 512)])
+def test_resolvent_solves_hold_dense_solve(mu, trunc):
+    # Each node's elimination against np.linalg.solve on the dense z - L1.
+    # The elimination's error in s_k = w . y_k is at most rho_k N_x / dist_k
+    # (laserdyn._coherence).  The dense solve is partially pivoted LU, with
+    # ||E||_1 <= 24 gamma_{3T} ||A||_1 on a tridiagonal A (bidiagonal L with
+    # |l| <= 1, U of three diagonals with growth at most 2 (Higham 2002,
+    # sec. 9.6), doubled for complex arithmetic), so its y errs by at most
+    # kappa_1(A) times that, relative, and s_k by ||w||_inf times the 1-norm.
+    params = ld.LaserParams(kappa=1.0, mu=mu)
+    trunc = trunc or fock.default_truncation(mu)
+    t0 = fit_times(params)[0]
+    z = ld._contour()[0] / t0
+    s = ld._resolvent_products(params, trunc, z)
+    rho, dist, n_x = solve_bounds(params, trunc, t0)
+    L1 = ld.build_liouvillian_sector(params, 1, trunc).matrix
+    w = np.sqrt(np.arange(1.0, trunc + 1))
+    x = w * ld.stationary_state(params, trunc)[1:]
+    for k, zk in enumerate(z):
+        A = zk * np.eye(trunc) - L1
+        y = np.linalg.solve(A, x)
+        kappa_1 = np.linalg.norm(A, 1) * np.linalg.norm(np.linalg.inv(A), 1)
+        dense = w.max() * kappa_1 * 24 * gamma(3 * trunc) * np.linalg.norm(y, 1)
+        assert abs(s[k] - w @ y) <= rho[k] * n_x * t0 / dist[k] + dense, k
+
+
+def assert_fit_agrees_with_dense_expm(mu, kappa):
+    # |g| from the contour errs by at most sample_bounds.  The dense route
+    # applies U' = expm(L1 dt): Pade's backward error (below u ||A||_1 by
+    # its choice of degree and scaling s <= ceil(log2(||A||_1 / THETA_13)))
+    # moves exp(A) by at most that in the 1-norm, its evaluation rounds by
+    # about gamma_T, amplified 2^s times by the squarings, and the squarings
+    # add 2 (2^s - 1) gamma_T (see the propagator tests).  Each step and the
+    # sample's dot product round by gamma_T on nonnegative data, so the i-th
+    # sample errs by at most ||w||_inf ||x_0||_1 (n_i (delta + gamma_T) +
+    # gamma_T) after n_i steps.  Both move log g by their sum over g, and
+    # the slope as in slope_bound.
+    params = ld.LaserParams(kappa=kappa, mu=mu)
+    trunc = fock.default_truncation(mu)
+    ell_dense, ts, g = oracles.decay_fit_dense_expm(params, trunc)
+    ell = ld.extract_linewidth(params, trunc, "decay_fit")
+    assert np.array_equal(ts, fit_times(params))
+    A = ld.build_liouvillian_sector(params, 1, trunc).matrix * (ts[1] - ts[0])
+    s = max(0, math.ceil(math.log2(np.linalg.norm(A, 1) / oracles.THETA_13)))
+    delta = U_ROUND * np.linalg.norm(A, 1) + (3 * 2 ** s - 2) * gamma(trunc)
+    w = np.sqrt(np.arange(1.0, trunc + 1))
+    x0_norm = np.sum(w * ld.stationary_state(params, trunc)[1:])
+    steps = math.ceil(30.0 / mu) + np.arange(len(ts))
+    d_dense = w.max() * x0_norm * (steps * (delta + gamma(trunc)) + gamma(trunc))
+    d_log_g = (sample_bounds(params, trunc, ts) + d_dense) / g
+    assert abs(ell / ell_dense - 1) <= slope_bound(ts, d_log_g) / (ell_dense / 2)
+
+
+@pytest.mark.parametrize("mu", [64.0, 128.0, 256.0])
+def test_decay_fit_agrees_with_dense_expm_route(monkeypatch, mu):
+    # the largest sectors, always run; the property below draws the rest.
+    # The contour is sampled at the dense route's times.
+    coherence, sampled = ld._coherence, []
+    monkeypatch.setattr(ld, "_coherence",
+                        lambda params, trunc, ts: sampled.append(ts) or coherence(params, trunc, ts))
+    assert_fit_agrees_with_dense_expm(mu, 1.0)
+    (ts,) = sampled
+    assert np.array_equal(ts, fit_times(ld.LaserParams(kappa=1.0, mu=mu)))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(mu=st.floats(4.0, 256.0), kappa=st.sampled_from([0.37, 1.0, 3e6]))
+def test_contour_fit_within_derived_bound_of_dense_expm(mu, kappa):
+    assert_fit_agrees_with_dense_expm(mu, kappa)
+
+
+def test_decay_fit_memory_stays_below_one_dense_sector():
+    # the contour route holds two T x 61 complex arrays, never a T x T one:
+    # at mu = 256 (T = 426) it peaks below one T x T float array
+    params = ld.LaserParams(kappa=1.0, mu=256.0)
+    trunc = fock.default_truncation(256.0)
+    ld.extract_linewidth(params, trunc, "decay_fit")  # warm caches
+    tracemalloc.start()
+    try:
+        ld.extract_linewidth(params, trunc, "decay_fit")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < trunc * trunc * 8
 
 
 def test_linewidth_linearity_in_kappa():
@@ -360,7 +513,7 @@ def test_nonpositive_linewidth_is_a_failed_check(monkeypatch):
     # a growing coherence fits an exponential as well as a decaying one; its
     # negative rate is a failed numerical check, not a bad input
     params = ld.LaserParams(kappa=1.0, mu=8.0)
-    monkeypatch.setattr(ld, "_propagator", lambda A: 1.01 * np.eye(len(A)))
+    monkeypatch.setattr(ld, "_coherence", lambda params, truncation, ts: np.exp(0.01 * ts))
     with pytest.raises(LinewidthFitError, match="decay_fit linewidth .* is not positive"):
         ld.extract_linewidth(params, 60, "decay_fit")
     # an eigenvalue of 0.01: the linewidth -2 * 0.01
