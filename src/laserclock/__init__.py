@@ -8,8 +8,8 @@ rational series (SIAM J. Numer. Anal. 31 (1994) 1497), within 1.1e-15
 relative of 30-digit values, and takes erf and erfc from ``math``.
 
 fock
-    Truncated Fock-space states, canonical phase distributions, wrapped
-    phase variances, optimal-cloning variance.
+    Truncated Fock-space states, the exact canonical phase variance from a
+    state's own support, optimal-cloning variance.
 laserdyn
     Noiseless-gain laser master equation, stationary state, linewidth
     extraction, SQL/HL linewidth limits.

@@ -1,13 +1,14 @@
-"""Truncated Fock-space numerics of pure states: coherent states, the
-canonical phase distribution, and wrapped phase variances.
+"""Truncated Fock-space numerics of pure states: coherent states and the
+exact variance of their canonical phase.
 
 The phase statistics of a state with number-basis amplitudes a_n are those of
 the canonical phase measurement, P(theta) = |sum_n a_n e^{-i n theta}|^2 / 2pi.
 For a coherent state of mean photon number mu this distribution has wrapped
 variance 1/(4 mu) in the large-mu limit, which is the elementary scale against
 which all the tracking and synchronization limits in this package are set.
-The density is one FFT of the amplitudes; the tests hold it to a direct,
-FFT-free sum that also takes mixed states (tests/oracles.py).
+The variance is evaluated exactly from the state's own support, by two FFTs
+and a closed-form aliasing correction; the tests hold it to the finite series
+in exact arithmetic and to a density sampled on a fine grid (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -15,24 +16,22 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "FockVector",
-    "PhaseDistribution",
     "default_truncation",
     "coherent_state",
-    "canonical_phase_distribution",
+    "phase_support",
     "phase_variance",
     "clone_phase_variance",
-    "wrap_angle",
     "log_factorials",
 ]
 
-# largest phase grid: the transform's complex output alone is then 256 MiB
-PHASE_GRID_BUDGET = 2 ** 24
+# largest truncation: the complex amplitudes alone are then 256 MiB
+STATE_BUDGET = 2 ** 24
 # ln n! for n below STIRLING_FROM, each from the exact integer n!; above it the
 # Stirling series, whose first omitted term 1/(1260 (n+1)^5) is then below
 # 1e-15, under 0.01 ulp of ln n! > 1100
@@ -61,19 +60,6 @@ def log_factorials(top: int) -> np.ndarray:
         tail += 0.5 * math.log(2.0 * math.pi)
         tail += np.divide(1.0 / 12.0 - 1.0 / 360.0 / (x * x), x, out=x)
     return out
-
-
-def wrap_angle(x, out=None):
-    """Wrap an angle (or array of angles) into (-pi, pi], in one new array, or
-    in ``out`` (which may be ``x`` itself)."""
-    if out is None:
-        out = np.empty(np.shape(x), np.result_type(x, np.pi))
-    w = np.negative(x, out=out)
-    np.remainder(np.add(w, np.pi, out=w), 2 * np.pi, out=w)
-    np.negative(np.subtract(w, np.pi, out=w), out=w)  # -((-x + pi) % 2 pi - pi)
-    # just above an odd multiple of pi the modulo rounds up to 2 pi: fold -pi onto pi
-    np.copyto(w, np.pi, where=w == -np.pi)
-    return w[()]
 
 
 @dataclass(frozen=True)
@@ -108,35 +94,19 @@ class FockVector:
         return 1.0 - float(np.sum(np.abs(self.amplitudes) ** 2))
 
 
-@dataclass(frozen=True)
-class PhaseDistribution:
-    """Phase density on a uniform grid over (-pi, pi], normalized to 1."""
-
-    grid: np.ndarray
-    density: np.ndarray
-    dtheta: float = field(init=False)
-
-    def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        p = np.asarray(self.density, dtype=float)
-        if g.ndim != 1 or g.shape != p.shape or g.size < 2:
-            raise ValueError("grid and density must be equal-length 1-d arrays")
-        if np.min(p) < -1e-12:
-            raise ValueError("density must be nonnegative")
-        dth = 2 * np.pi / g.size
-        total = float(np.sum(p) * dth)
-        if abs(total - 1.0) > 1e-6:
-            raise ValueError(f"density integrates to {total}, not 1 within 1e-6")
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "density", np.maximum(p, 0.0))
-        object.__setattr__(self, "dtheta", dth)
-
-
 def default_truncation(mu: float) -> int:
-    """Truncation mu + 10 sqrt(mu) + 10, placing the Poisson tail below 1e-12."""
+    """Truncation mu + 10 sqrt(mu) + 10, placing the Poisson tail below 1e-12.
+
+    Raises ValueError for a mu that is not finite and nonnegative, or whose
+    truncation is above ``STATE_BUDGET``.
+    """
     if not 0 <= mu < math.inf:
         raise ValueError(f"mu must be finite and nonnegative, not {mu!r}")
-    return int(np.ceil(mu + 10 * np.sqrt(mu) + 10))
+    truncation = int(np.ceil(mu + 10 * np.sqrt(mu) + 10))
+    if truncation > STATE_BUDGET:
+        raise ValueError(f"mu {mu!r} needs a truncation of {truncation}, more than the "
+                         f"state budget of {STATE_BUDGET}")
+    return truncation
 
 
 def coherent_state(alpha: complex, truncation: int | None = None) -> FockVector:
@@ -162,63 +132,101 @@ def coherent_state(alpha: complex, truncation: int | None = None) -> FockVector:
     truncation = default if truncation is None else truncation
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    n = np.arange(truncation + 1)
     if mu == 0.0:
         amps = np.zeros(truncation + 1, dtype=complex)
         amps[0] = 1.0
     else:
-        # log-space magnitudes to stay finite at large n
-        logmag = -mu / 2 + n * np.log(np.abs(alpha)) - 0.5 * log_factorials(truncation)
-        amps = np.exp(logmag) * np.exp(1j * n * np.angle(alpha))
+        # log-space magnitudes to stay finite at large n: -mu/2 + n log|alpha|
+        # - ln(n!)/2, rounded step by step in that order, in one array
+        amps = np.arange(truncation + 1.0) * np.log(np.abs(alpha))
+        amps += -mu / 2
+        amps -= 0.5 * log_factorials(truncation)
+        np.exp(amps, out=amps)
+        if alpha.imag or alpha.real < 0:  # a real alpha >= 0 has phase factors 1 + 0j
+            amps = amps * np.exp(1j * np.arange(truncation + 1) * np.angle(alpha))
     return FockVector(truncation=truncation, amplitudes=amps)
 
 
-def canonical_phase_distribution(state: FockVector, grid_size: int = 4096) -> PhaseDistribution:
-    """Canonical phase density P(theta) = |sum_n a_n e^{-i n theta}|^2 / 2pi.
+# amplitudes below this share of the largest are dropped from the support
+PHASE_TRIM = 2.0 ** -200
+# (-1)^j / (2j + 3)!: x - sin x = x^3 sum_j (-x^2)^j / (2j + 3)!, whose first
+# omitted term is below 1e-17 of the sum for 0 < x < pi/2
+_X_MINUS_SIN = [(-1) ** j / math.factorial(2 * j + 3) for j in range(11)]
 
-    Evaluated exactly on a uniform grid over (-pi, pi] (FFT; the density is a
-    trigonometric polynomial, so with grid_size > 2*truncation the grid sum
-    reproduces the integral exactly).  Number states give the uniform density;
-    a vacuum or any |n> carries no phase.
+
+def _inverse_square_alias(x: np.ndarray) -> np.ndarray:
+    """1/sin^2 x - 1/x^2 for 0 < x < pi/2, as (x - sin x)(x + sin x)/(x sin x)^2
+    with x - sin x from its series, so no step cancels."""
+    x2 = x * x
+    series = np.full_like(x, _X_MINUS_SIN[-1])
+    for c in _X_MINUS_SIN[-2::-1]:
+        series *= x2
+        series += c
+    s = np.sin(x)
+    return x * series * (x + s) / (s * s)
+
+
+def phase_support(state: FockVector) -> tuple[np.ndarray, int]:
+    """The amplitudes ``phase_variance`` keeps, and the FFT length it takes.
+
+    The kept amplitudes run from the first to the last of those at or above
+    ``PHASE_TRIM`` of the largest in modulus; W of them are sampled at the
+    smallest power of two G above 2W.
+    """
+    mag = np.abs(state.amplitudes)
+    kept = np.flatnonzero(mag >= PHASE_TRIM * mag.max())
+    support = state.amplitudes[kept[0]:kept[-1] + 1]
+    return support, 2 ** (2 * len(support)).bit_length()
+
+
+def phase_variance(state: FockVector) -> float:
+    """Exact canonical phase variance V = int theta^2 P(theta) dtheta over
+    (-pi, pi], in rad^2, about phase 0 (the wrapped second moment that the
+    tracking and synchronization modules use, not the Holevo variance).
+
+    With R_k = sum_n a_{n+k} conj(a_n), P(theta) = sum_k R_k e^{-ik theta}/2pi,
+    and theta^2 has Fourier coefficients g_0 = pi^2/3 and g_k = 2(-1)^k/k^2,
+    so V = sum_k g_k R_k, a finite sum over |k| < W.  It is evaluated as:
+
+    - S, the rectangle rule on the G-point grid theta_j = 2pi m_j/G, m_j the
+      index j wrapped into (-G/2, G/2]: A = fft(a, G) samples the amplitude
+      sum, so S = (2pi/G)^2 sum_j m_j^2 |A_j|^2 / G.
+    - E, the aliasing in S.  By Poisson summation S = sum_k R_k sum_m g_{k+mG},
+      and sum_{m != 0} (mG - k)^-2 = (pi/G)^2/sin^2(pi k/G) - 1/k^2, so
+      S - V = E = 2 [R_0 e_0 + 2 sum_{k=1}^{W-1} (-1)^k Re R_k e_k], with
+      e_k = (pi/G)^2 (1/sin^2 x_k - 1/x_k^2), x_k = pi k/G, e_0 = pi^2/(3G^2).
+      R_k is the inverse transform of |A|^2, exact as G > 2W.
+
+    The trim changes V by far less than 1 ulp.  Write a = a' + d, d the
+    dropped amplitudes: ||d|| <= 2^-200 sqrt(T + 1) for a truncation T.  V is
+    the Toeplitz form a^H K a of the symbol theta^2, so ||K|| <= pi^2 and
+    |V(a) - V(a')| <= pi^2 (2||d|| + ||d||^2).  As theta^2 >= 2 - 2 cos theta,
+    V is at least the least eigenvalue of tridiag(-1, 2, -1) times ||a||^2,
+    4 sin^2(pi/(2W + 2)) ||a||^2 >= 4 ||a||^2/(T + 2)^2.  For T up to 2^40
+    the change is then below 2^-90 of V, and an ulp is at least 2^-53 of V.
+    The trim also keeps pocketfft off subnormal tail amplitudes, on which it
+    is several times slower.
 
     Raises
     ------
     ValueError
-        If the input norm deficit exceeds 1e-6, or the grid is too small or
-        larger than ``PHASE_GRID_BUDGET`` points.
+        If the state's norm deficit exceeds 1e-6.
     """
-    if grid_size < 256:
-        raise ValueError("grid_size must be >= 256")
-    if grid_size > PHASE_GRID_BUDGET:
-        raise ValueError(f"grid_size {grid_size} is more than the {PHASE_GRID_BUDGET} "
-                         "points allowed")
-    if grid_size <= state.truncation:
-        raise ValueError("grid_size must exceed the truncation")
-    if state.norm_deficit > 1e-6:
-        raise ValueError(f"state norm deficit {state.norm_deficit:.2e} exceeds 1e-6")
-    G = grid_size
-    n = np.arange(state.truncation + 1)
-    # e^{-i n theta_j} = (-1)^n e^{-2pi i n (j+1)/G}: an FFT of length G, exact
-    # on the uniform grid as G >= truncation + 1
-    density = np.abs(np.fft.fft(state.amplitudes * (-1.0) ** n * np.exp(-2j * np.pi * n / G), G))
-    np.divide(np.square(density, out=density), 2 * np.pi, out=density)  # |f|^2 / 2 pi in place
-    # the grid is built once the transform is freed, so it is not live beside it
-    theta = -np.pi + 2 * np.pi * (np.arange(G) + 1) / G
-    return PhaseDistribution(grid=theta, density=density)
-
-
-def phase_variance(dist: PhaseDistribution, reference: float = 0.0) -> float:
-    """Wrapped second moment of the phase about ``reference``, in rad^2.
-
-    Integrates wrap(theta - reference)^2 P(theta) over the grid, with the
-    difference wrapped into (-pi, pi].  This is the mean-square phase error
-    convention used throughout the tracking and synchronization modules (not
-    the Holevo variance).
-    """
-    # one grid-sized temporary: the difference is wrapped where it is
-    d = np.subtract(dist.grid, reference)
-    wrap_angle(d, out=d)
-    return float(np.sum(np.multiply(np.square(d, out=d), dist.density, out=d)) * dist.dtheta)
+    a, G = phase_support(state)
+    W = len(a)
+    A = np.fft.fft(a, G)
+    p = np.square(A.real)
+    p += np.square(A.imag)
+    m = np.arange(G, dtype=float)
+    m = np.minimum(m, G - m)  # |m_j|
+    S = float(np.dot(np.square(m, out=m), p)) * (2 * math.pi / G) ** 2 / G
+    R = np.fft.rfft(p)[:W].real / G  # Re R_k: for real p, rfft is G conj(ifft)
+    if 1.0 - R[0] > 1e-6:
+        raise ValueError(f"state norm deficit {1.0 - R[0]:.2e} exceeds 1e-6")
+    e = _inverse_square_alias(np.arange(1, W) * (math.pi / G))  # k = 1 .. W-1
+    e[::2] *= -1.0  # (-1)^k: the odd k sit at the even indices
+    E = 2 * (math.pi / G) ** 2 * (R[0] / 3 + 2 * float(np.dot(e, R[1:])))
+    return S - E
 
 
 def clone_phase_variance(mu: float, m_copies: int) -> float:

@@ -2,16 +2,20 @@
 
 Each oracle takes the general-numerics or one-step route to a quantity that
 ``laserclock`` computes by a structured one: scalar steps of the two tracking
-filters, the canonical phase density by a direct sum over a density matrix,
-the dense master-equation superoperator and loss-only sectors, the linewidth
+filters, the canonical phase density by a direct sum over a density matrix
+and by one FFT on a uniform grid, the phase variance as that grid's wrapped
+sum and as its finite Fourier series summed by ``math.fsum``, the dense
+master-equation superoperator and loss-only sectors, the linewidth
 eigenvalue by ``scipy.linalg.eigh_tridiagonal`` and by Sturm bisection in
 ``decimal``, the decay fit on a dense propagator ``U = exp(L1 dt)`` applied
 by numpy (from ``scipy.linalg.expm``, or from a degree-13 Pade step and
-squarings in numpy), the lattice-channel overlaps by adaptive quadrature, the scaled erf by
-boolean masks and on ``scipy.special``'s ``wofz`` and ``dawsn``, and the
-channel's output amplitude by a sum over one window of lattice states.
+squarings in numpy), the lattice-channel overlaps by adaptive quadrature,
+the scaled erf by boolean masks and on ``scipy.special``'s ``wofz`` and
+``dawsn``, and the channel's output amplitude by a sum over one window of
+lattice states.
 """
 import math
+from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -20,6 +24,7 @@ from scipy.linalg import eigh_tridiagonal, expm
 from scipy.special import dawsn, wofz
 
 from laserclock import channel as ch
+from laserclock import fock
 from laserclock import laserdyn as ld
 from laserclock.errors import NumericalCheckError
 
@@ -70,6 +75,109 @@ def canonical_phase_density(rho, grid_size):
     theta = -np.pi + 2 * np.pi * (np.arange(grid_size) + 1) / grid_size
     E = np.exp(1j * np.outer(np.arange(len(rho)), theta))
     return theta, np.real(np.sum(np.conj(E) * (rho @ E), axis=0)) / (2 * np.pi)
+
+
+# --- fock: the phase density on a uniform grid -------------------------------
+
+# largest phase grid: the transform's complex output alone is then 256 MiB
+PHASE_GRID_BUDGET = 2 ** 24
+
+
+def wrap_angle(x, out=None):
+    """Wrap an angle (or array of angles) into (-pi, pi], in one new array, or
+    in ``out`` (which may be ``x`` itself)."""
+    if out is None:
+        out = np.empty(np.shape(x), np.result_type(x, np.pi))
+    w = np.negative(x, out=out)
+    np.remainder(np.add(w, np.pi, out=w), 2 * np.pi, out=w)
+    np.negative(np.subtract(w, np.pi, out=w), out=w)  # -((-x + pi) % 2 pi - pi)
+    # just above an odd multiple of pi the modulo rounds up to 2 pi: fold -pi onto pi
+    np.copyto(w, np.pi, where=w == -np.pi)
+    return w[()]
+
+
+@dataclass(frozen=True)
+class PhaseDistribution:
+    """Phase density on a uniform grid over (-pi, pi], normalized to 1."""
+
+    grid: np.ndarray
+    density: np.ndarray
+    dtheta: float = field(init=False)
+
+    def __post_init__(self):
+        g = np.asarray(self.grid, dtype=float)
+        p = np.asarray(self.density, dtype=float)
+        if g.ndim != 1 or g.shape != p.shape or g.size < 2:
+            raise ValueError("grid and density must be equal-length 1-d arrays")
+        if np.min(p) < -1e-12:
+            raise ValueError("density must be nonnegative")
+        dth = 2 * np.pi / g.size
+        total = float(np.sum(p) * dth)
+        if abs(total - 1.0) > 1e-6:
+            raise ValueError(f"density integrates to {total}, not 1 within 1e-6")
+        object.__setattr__(self, "grid", g)
+        object.__setattr__(self, "density", np.maximum(p, 0.0))
+        object.__setattr__(self, "dtheta", dth)
+
+
+def canonical_phase_distribution(state: fock.FockVector,
+                                 grid_size: int = 4096) -> PhaseDistribution:
+    """Canonical phase density P(theta) = |sum_n a_n e^{-i n theta}|^2 / 2pi.
+
+    Evaluated exactly on a uniform grid over (-pi, pi] (FFT; the density is a
+    trigonometric polynomial, so with grid_size > 2*truncation the grid sum
+    reproduces the integral exactly).  Number states give the uniform density;
+    a vacuum or any |n> carries no phase.
+
+    Raises
+    ------
+    ValueError
+        If the input norm deficit exceeds 1e-6, or the grid is too small or
+        larger than ``PHASE_GRID_BUDGET`` points.
+    """
+    if grid_size < 256:
+        raise ValueError("grid_size must be >= 256")
+    if grid_size > PHASE_GRID_BUDGET:
+        raise ValueError(f"grid_size {grid_size} is more than the {PHASE_GRID_BUDGET} "
+                         "points allowed")
+    if grid_size <= state.truncation:
+        raise ValueError("grid_size must exceed the truncation")
+    if state.norm_deficit > 1e-6:
+        raise ValueError(f"state norm deficit {state.norm_deficit:.2e} exceeds 1e-6")
+    G = grid_size
+    n = np.arange(state.truncation + 1)
+    # e^{-i n theta_j} = (-1)^n e^{-2pi i n (j+1)/G}: an FFT of length G, exact
+    # on the uniform grid as G >= truncation + 1
+    density = np.abs(np.fft.fft(state.amplitudes * (-1.0) ** n * np.exp(-2j * np.pi * n / G), G))
+    np.divide(np.square(density, out=density), 2 * np.pi, out=density)  # |f|^2 / 2 pi in place
+    # the grid is built once the transform is freed, so it is not live beside it
+    theta = -np.pi + 2 * np.pi * (np.arange(G) + 1) / G
+    return PhaseDistribution(grid=theta, density=density)
+
+
+def grid_phase_variance(dist: PhaseDistribution, reference: float = 0.0) -> float:
+    """Wrapped second moment of the phase about ``reference``, in rad^2.
+
+    Integrates wrap(theta - reference)^2 P(theta) over the grid, with the
+    difference wrapped into (-pi, pi].  This is the mean-square phase error
+    convention used throughout the tracking and synchronization modules (not
+    the Holevo variance).
+    """
+    # one grid-sized temporary: the difference is wrapped where it is
+    d = np.subtract(dist.grid, reference)
+    wrap_angle(d, out=d)
+    return float(np.sum(np.multiply(np.square(d, out=d), dist.density, out=d)) * dist.dtheta)
+
+
+def phase_variance_series(amplitudes):
+    """int theta^2 P(theta) dtheta over (-pi, pi] as its finite Fourier series
+    pi^2 R_0/3 + 4 sum_k (-1)^k Re R_k / k^2, R_k = sum_n a_{n+k} conj(a_n),
+    each sum taken by ``math.fsum``."""
+    a = np.asarray(amplitudes, dtype=complex)
+    terms = [math.pi ** 2 / 3 * math.fsum(np.abs(a) ** 2)]
+    for k in range(1, len(a)):
+        terms.append(4 * (-1) ** k * math.fsum((a[k:] * np.conj(a[:-k])).real) / k ** 2)
+    return math.fsum(terms)
 
 
 # --- laserdyn: dense superoperator, loss-only sectors -----------------------

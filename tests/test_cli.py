@@ -89,8 +89,12 @@ _PINNED = [
      "50561145824e69dbc1158a51be03e888046bf35e4b8948d602233797725b71a8",
      "ff999531f1a444275422ab899a72bc950b93a8dc52488b79314c89b069a82c59"),
     ("phasevar --mu 25,100 --grid-size 1024",
-     "231e9fcfff2418b402464dc7a3b224ba72a7ba23cfcc74760bc6886bc7ca1a12",
+     "78c0519426376845748096eb76edad222db5536daebbe8a3c45ad963309925da",
      "1d9b595c0f1057314a86dfaf2b59641d4128c04863e005e1c2028072cbc5873b"),
+    # the benchmark's scale
+    ("phasevar --mu 1e4,1e5",
+     "3a67c15c7fb604c84213abaf70b3fbfc23771fe8588ad922db4dc1a270586406",
+     "cdcb1c25b620c3aaae65556245e5b2870cdd6762e624690fd4507916da28fe0e"),
 ]
 
 
@@ -431,7 +435,7 @@ def _no_state(*args, **kwargs):
     "channel --min-prob 2",
     # an old sidecar that still holds the removed mass_deficit key
     'channel --config {"mass_deficit": 1e-6}',
-    "phasevar --mu 100 --grid-size 0",
+    "phasevar --mu 100 --grid-size x",  # still parsed as an int
     # refused before default_truncation(inf) or any state is built
     "phasevar --mu inf",
     "phasevar --mu 25,nan",
@@ -561,41 +565,48 @@ def test_channel_lattice_index_beyond_2_52_is_usage_error(capsys, argv):
     assert "lattice indices beyond 2^52" in capsys.readouterr().err
 
 
-def test_phasevar_grid_is_checked_before_any_state(monkeypatch, capsys):
-    # a grid too small for any --mu is refused before the first state is built
+def test_phasevar_state_budget_is_checked_before_any_state(monkeypatch, capsys):
+    # a --mu whose truncation is over the state budget is refused by name,
+    # with exit 2, before the first --mu's state is built
     def no_state(*args, **kwargs):
         raise AssertionError("coherent state built")
 
     monkeypatch.setattr("laserclock.fock.coherent_state", no_state)
-    assert main(["phasevar", "--mu", "25,1e6", "--grid-size", "4096"]) == 2
+    assert main(["phasevar", "--mu", "25,1e12"]) == 2
     err = capsys.readouterr().err
-    assert "truncation 1010010 of --mu 1000000.0" in err
+    assert f"mu 1000000000000.0 needs a truncation of 1000010000010, more than the " \
+           f"state budget of {fock.STATE_BUDGET}" in err
+    assert fock.default_truncation(16_736_000) <= fock.STATE_BUDGET
 
 
-def test_phasevar_grid_over_budget_is_refused_before_any_state(monkeypatch, capsys):
-    # 1e11 points would exhaust memory in the transform: refused by name with
-    # exit 2, before any state or grid is built
-    def no_state(*args, **kwargs):
-        raise AssertionError("coherent state built")
+def test_phasevar_grid_size_changes_no_csv_byte(tmp_path):
+    # --grid-size is still parsed as an int and echoed in the sidecar, but the
+    # variance is exact and grid_size is the FFT length of each --mu's support
+    out = tmp_path / "pv.csv"
+    assert main(["phasevar", "--mu", "25,100,1e4", "--out", str(out)]) == 0
+    want = out.read_bytes()
+    assert [int(r["grid_size"]) for r in rows_of(out)] == [256, 512, 8192]
+    for grid in ("0", "256", "1024", "262144", "100000000000"):
+        assert main(["phasevar", "--mu", "25,100,1e4", "--grid-size", grid,
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == want, grid
+        assert json.loads(out.with_suffix(".json").read_text())["config"]["grid_size"] == \
+            int(grid)
 
-    monkeypatch.setattr("laserclock.fock.coherent_state", no_state)
-    assert main(["phasevar", "--mu", "25", "--grid-size", "100000000000"]) == 2
-    err = capsys.readouterr().err
-    assert f"more than the {fock.PHASE_GRID_BUDGET} points allowed" in err
 
-
-def test_phasevar_working_set_is_one_distribution(capsys):
-    # In blocks of one grid-sized float64 array (8 G bytes).  Each mu's row
-    # holds its distribution (grid and density: 2 blocks) only while that row
-    # runs.  The transform peaks at its complex output (2 blocks) and |f|
-    # (1 block), with no grid beside them; pocketfft's scratch is not traced.
-    # phase_variance holds the distribution and one temporary, wrapped in
-    # place (3 blocks).  The largest state (mu = 1e4, 11011 amplitudes) and
-    # its temporaries stay under one block, so the peak is under 4 blocks; a
-    # second wrap temporary would add 1, and a previous mu's distribution
-    # held through the next transform 2.
-    G = 65536
-    argv = ["phasevar", "--mu", "25,100,1e4", "--grid-size", str(G)]
+def test_phasevar_working_set_is_one_state(capsys):
+    # In blocks of 8 (T + 1) bytes, T = 103173 the truncation at mu = 1e5,
+    # the largest --mu; each earlier row's state is freed before the next is
+    # built.  coherent_state holds 5 blocks at most: its real magnitudes
+    # beside log_factorials' output and its three temporaries, and later
+    # beside FockVector's complex copy (2), |a| and |a|^2.  phase_variance
+    # then holds the state (2), |a| (1), and arrays of its G = 32768 <
+    # (T + 1)/3 points: the transform (16 G bytes), and |A|^2, the weights
+    # and the half spectrum (8 G each), under 2 blocks together.  So the peak
+    # is 5 blocks, with 64 KiB for the CSV rows and text; the transform of a
+    # 2^18-point grid would be 5.1 blocks by itself.
+    T = fock.default_truncation(1e5)
+    argv = ["phasevar", "--mu", "25,100,1e4,1e5"]
     assert main(argv) == 0  # caches warm
     tracemalloc.start()
     try:
@@ -604,7 +615,7 @@ def test_phasevar_working_set_is_one_distribution(capsys):
     finally:
         tracemalloc.stop()
     capsys.readouterr()
-    assert peak <= 4 * 8 * G
+    assert peak <= 5 * 8 * (T + 1) + 2 ** 16
 
 
 def test_nonpositive_linewidth_exits_3(monkeypatch, capsys):

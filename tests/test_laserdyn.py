@@ -553,8 +553,8 @@ def test_loss_only_variance_growth_against_fock_evolution():
         if k > 0:
             rho_t[idx + k, idx] = np.conj(xt)
     grid, density = oracles.canonical_phase_density(rho_t, 8192)
-    v_t = fock.phase_variance(fock.PhaseDistribution(grid, density))
-    v_0 = fock.phase_variance(fock.canonical_phase_distribution(psi, 8192))
+    v_t = oracles.grid_phase_variance(oracles.PhaseDistribution(grid, density))
+    v_0 = fock.phase_variance(psi)
     growth = v_t - v_0
     assert growth == pytest.approx(kappa * t / (4 * mu), rel=0.10)
 
