@@ -52,13 +52,15 @@ def log_factorials(top: int) -> np.ndarray:
     out = np.empty(top + 1)
     head = min(top + 1, STIRLING_FROM)
     out[:head] = _LOG_FACTORIAL_TABLE[:head]
-    if top >= STIRLING_FROM:
+    if top >= STIRLING_FROM:  # in place, beside x and one temporary
         x = np.arange(STIRLING_FROM + 1.0, top + 2.0)
-        tail = out[STIRLING_FROM:]
-        np.multiply(np.log(x), x - 0.5, out=tail)
+        tail = np.log(x, out=out[STIRLING_FROM:])
+        y = x - 0.5
+        tail *= y
         tail -= x
         tail += 0.5 * math.log(2.0 * math.pi)
-        tail += np.divide(1.0 / 12.0 - 1.0 / 360.0 / (x * x), x, out=x)
+        y = np.divide(1.0 / 360.0, np.multiply(x, x, out=y), out=y)
+        tail += np.divide(np.subtract(1.0 / 12.0, y, out=y), x, out=x)
     return out
 
 
@@ -67,7 +69,8 @@ class FockVector:
     """Pure state in a number basis truncated at ``truncation``.
 
     ``amplitudes[n]`` is the probability amplitude on the n-photon state,
-    n = 0 .. truncation.  The squared norm must not exceed 1 (a deficit is
+    n = 0 .. truncation, kept as a float array when it is real and as a
+    complex one otherwise.  The squared norm must not exceed 1 (a deficit is
     allowed: it is the truncated tail).
     """
 
@@ -77,21 +80,22 @@ class FockVector:
     def __post_init__(self):
         if self.truncation < 1:
             raise ValueError("truncation must be >= 1")
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.asarray(self.amplitudes,
+                          dtype=complex if np.iscomplexobj(self.amplitudes) else float)
         if amps.shape != (self.truncation + 1,):
             raise ValueError(
                 f"amplitudes must have length truncation+1 = {self.truncation + 1}"
             )
-        if not (np.all(np.isfinite(amps.real)) and np.all(np.isfinite(amps.imag))):
+        norm2 = float(np.vdot(amps, amps).real)  # not finite for a non-finite amplitude
+        if not math.isfinite(norm2) and not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
-        norm2 = float(np.sum(np.abs(amps) ** 2))
-        if norm2 > 1 + 1e-9 or norm2 <= 0:
+        if not 0 < norm2 <= 1 + 1e-9:
             raise ValueError(f"squared norm {norm2} outside (0, 1]")
         object.__setattr__(self, "amplitudes", amps)
 
     @property
     def norm_deficit(self) -> float:
-        return 1.0 - float(np.sum(np.abs(self.amplitudes) ** 2))
+        return 1.0 - float(np.vdot(self.amplitudes, self.amplitudes).real)
 
 
 def default_truncation(mu: float) -> int:
@@ -137,13 +141,14 @@ def coherent_state(alpha: complex, truncation: int | None = None) -> FockVector:
         amps[0] = 1.0
     else:
         # log-space magnitudes to stay finite at large n: -mu/2 + n log|alpha|
-        # - ln(n!)/2, rounded step by step in that order, in one array
-        amps = np.arange(truncation + 1.0) * np.log(np.abs(alpha))
-        amps += -mu / 2
-        amps -= 0.5 * log_factorials(truncation)
-        np.exp(amps, out=amps)
+        # - ln(n!)/2, rounded step by step in that order, in the array of
+        # ln(n!)/2, which is built first so that it outlives no temporary
+        mag = log_factorials(truncation)
+        mag *= 0.5
+        np.subtract(np.arange(truncation + 1.0) * np.log(np.abs(alpha)) - mu / 2, mag, out=mag)
+        amps = np.exp(mag, out=mag).astype(complex)
         if alpha.imag or alpha.real < 0:  # a real alpha >= 0 has phase factors 1 + 0j
-            amps = amps * np.exp(1j * np.arange(truncation + 1) * np.angle(alpha))
+            amps *= np.exp(1j * np.arange(truncation + 1) * np.angle(alpha))
     return FockVector(truncation=truncation, amplitudes=amps)
 
 
@@ -217,6 +222,7 @@ def phase_variance(state: FockVector) -> float:
     A = np.fft.fft(a, G)
     p = np.square(A.real)
     p += np.square(A.imag)
+    del A  # only |A|^2 is read from here on
     m = np.arange(G, dtype=float)
     m = np.minimum(m, G - m)  # |m_j|
     S = float(np.dot(np.square(m, out=m), p)) * (2 * math.pi / G) ** 2 / G

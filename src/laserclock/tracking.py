@@ -39,8 +39,12 @@ them per step, which lets two runs at different dt share identical Wiener paths
 for time-step convergence checks.  A batch is refused before any noise is drawn
 when it comes to over 2**30 lane-steps, with each lane counted as at least
 LANE_COST of them, or when a point's predicted error is too small for the wrap
-to resolve (WRAP_MSE_FLOOR).  numpy.random loads when a seed is derived or
-streams are built, and the process pool only when one starts.
+to resolve (WRAP_MSE_FLOOR).  That prediction, the linearized steady-state MSE
+at the point's own gain or bandwidth, is computed once per point and returned
+as ``TrackingResult.predicted``.  numpy.random loads when a seed is derived or
+streams are built, and the process pool only when one starts; it starts at
+most as many processes as the CPUs this process may run on, whatever
+``workers`` asks for.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -108,7 +113,8 @@ class BeamParams:
 @dataclass(frozen=True)
 class TrackingResult:
     """Ensemble- and time-averaged steady-state tracking errors at the
-    resolved dt, burn_in, duration and bandwidth."""
+    resolved dt, burn_in, duration and bandwidth, and ``predicted``, the
+    linearized steady-state MSE there."""
 
     mse_wrapped: float
     mse_unwrapped: float
@@ -119,6 +125,7 @@ class TrackingResult:
     slips_significant: bool
     dt: float
     bandwidth: float | None
+    predicted: float
 
 
 def adaptive_mse_limit(N: float) -> float:
@@ -357,11 +364,19 @@ def run_tracking_batch(mode: str, points, *, dt: float | None = None,
     """Ensemble steady-state tracking error at each point of one experiment.
 
     A point is a ``(beam, seeds, bandwidth)`` triple, where a bandwidth of
-    None means the optimal one.  The result holds one tuple per point of one
+    None means the optimal one in heterodyne mode, and is the only bandwidth
+    adaptive mode takes.  The result holds one tuple per point of one
     :class:`TrackingResult` per seed, each bitwise that of :func:`run_tracking`
     at that point and seed.  The trials of all points run as lanes, in lockstep
     groups that consecutive points of one step count share, on at most one
-    pool of ``workers`` processes.
+    pool of ``workers`` processes, capped at the CPUs this process may run on.
+
+    ``predicted`` is the linearized steady-state MSE at the loop's gain g or
+    the filter's bandwidth lambda: lag ell/(2g) plus shot noise g/(8f)
+    adaptive, ell/(2 lambda) + lambda/(4f) heterodyne.  At the default gain
+    and at the optimal bandwidth (the resolved bandwidth equal to
+    :func:`optimal_bandwidth`) it is the closed form
+    :func:`adaptive_mse_limit` or :func:`heterodyne_mse_limit` of N.
 
     dt, burn_in and duration default, for each point, to 1e-2, 10 and 30 of its
     loop time constants.  The wrapped MSE is averaged over time (after
@@ -377,7 +392,7 @@ def run_tracking_batch(mode: str, points, *, dt: float | None = None,
     Raises ValueError before any seed is iterated or any noise is drawn for no
     points or seeds, a dt or duration that is not positive and finite, a
     negative burn_in, trials or workers below 1, a gain that is not positive
-    and finite, a point whose linearized steady-state MSE is below
+    and finite, a bandwidth in adaptive mode, a point whose ``predicted`` is below
     WRAP_MSE_FLOOR, or a batch over LANE_STEP_BUDGET lane-steps, summed over
     all points with each lane counted as at least LANE_COST lane-steps; and
     before any noise is drawn for a seed that is not a nonnegative integer.
@@ -386,22 +401,30 @@ def run_tracking_batch(mode: str, points, *, dt: float | None = None,
 
 
 def _resolve(mode, beam, bandwidth, dt, duration, burn_in, gain, noise_dt):
-    """A point's loop time constant, its resolved dt, burn_in, duration and
-    bandwidth (as TrackingResult fields), and its noise refinement."""
+    """A point's loop time constant, its resolved dt, burn_in, duration,
+    bandwidth and predicted MSE (as TrackingResult fields), and its noise
+    refinement."""
     if gain is not None and not 0 < gain < math.inf:
         raise ValueError(f"gain must be positive and finite, not {gain!r}")
+    if mode == "adaptive" and bandwidth is not None:
+        raise ValueError(f"bandwidth {bandwidth!r} is for heterodyne mode only")
     if mode == "heterodyne" and bandwidth is None:
         bandwidth = optimal_bandwidth(beam)
     if mode == "adaptive" and gain is not None:
         tau = 1.0 / gain
     else:  # also rejects an unknown mode, a bandwidth <= 0 and ell = 0 without a gain
         tau = loop_time_constant(beam, mode, bandwidth)
-    # linearized steady state: lag ell tau/2 plus shot noise 1/(8 f tau)
-    # adaptive, 1/(4 f tau) heterodyne
-    mse = beam.ell * tau / 2 + 1 / ((8 if mode == "adaptive" else 4) * beam.f * tau)
-    if not mse >= WRAP_MSE_FLOOR:
-        raise ValueError(f"predicted steady-state MSE {mse:.3g} is below {WRAP_MSE_FLOOR:.3g}, "
-                         "the least that the error wrap resolves to 1%")
+    # lag plus shot noise at gain or bandwidth r, or the closed form at the
+    # optimum; the choice reads only resolved values, which a sidecar echoes
+    if mode == "adaptive":
+        predicted = adaptive_mse_limit(beam.N) if gain is None \
+            else beam.ell / (2 * gain) + gain / (8 * beam.f)
+    else:
+        predicted = heterodyne_mse_limit(beam.N) if bandwidth == optimal_bandwidth(beam) \
+            else beam.ell / (2 * bandwidth) + bandwidth / (4 * beam.f)
+    if not predicted >= WRAP_MSE_FLOOR:
+        raise ValueError(f"predicted steady-state MSE {predicted:.3g} is below "
+                         f"{WRAP_MSE_FLOOR:.3g}, the least that the error wrap resolves to 1%")
     if dt is None:
         dt = 1e-2 * tau
     if burn_in is None:
@@ -415,7 +438,8 @@ def _resolve(mode, beam, bandwidth, dt, duration, burn_in, gain, noise_dt):
         refine = int(round(dt / noise_dt))
         if refine < 1 or abs(refine * noise_dt - dt) > 1e-9 * dt:
             raise ValueError("noise_dt must divide dt")
-    return tau, dict(dt=dt, burn_in=burn_in, duration=duration, bandwidth=bandwidth), refine
+    return tau, dict(dt=dt, burn_in=burn_in, duration=duration, bandwidth=bandwidth,
+                     predicted=predicted), refine
 
 
 def _run_batch(mode, points, dt, duration, burn_in, trials, workers, phi0, gain, noise_dt):
@@ -444,6 +468,7 @@ def _run_batch(mode, points, dt, duration, burn_in, trials, workers, phi0, gain,
         if not (isinstance(seed, (int, np.integer)) and seed >= 0):
             raise ValueError(f"seed {seed!r} is not a nonnegative integer")
 
+    workers = min(workers, _usable_cpus())  # a pool starts all its processes at once
     # consecutive points of one shape (steps, burn_steps, refine) share groups
     # of at most LANE_GROUP lanes, a multiple of workers of them; each group
     # lists its (seed, trial) lanes and their parameters only when it is run
@@ -476,6 +501,11 @@ def _run_batch(mode, points, dt, duration, burn_in, trials, workers, phi0, gain,
                                slips[lo:lo + trials], (n - burn) * c["dt"], c)
                        for lo in range(end - lanes, end, trials))
                  for (_, c, _), (n, burn), end, lanes in zip(runs, steps, ends, n_lanes))
+
+
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _result(w, u, slips, obs_time, resolved):

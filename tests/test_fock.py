@@ -70,6 +70,25 @@ def test_default_truncation_rejects_nonfinite_or_negative_mu(mu):
         fock.default_truncation(mu)
 
 
+def test_fock_vector_keeps_its_dtype_and_refuses_bad_amplitudes():
+    # a real array stays real and a complex one is kept without a copy; a
+    # non-finite amplitude is named as such, an overflowing or empty norm by
+    # its value
+    assert fock.FockVector(2, np.array([0.6, 0.8, 0.0])).amplitudes.dtype == float
+    assert fock.FockVector(2, [1, 0, 0]).amplitudes.dtype == float
+    amps = np.array([0.6, 0.8j, 0.0])
+    assert fock.FockVector(2, amps).amplitudes is amps
+    assert fock.FockVector(2, amps).norm_deficit == pytest.approx(0.0, abs=1e-15)
+    for bad in ([np.nan, 0.0, 0.0], [0.5, np.inf, 0.0], [0.5, complex(0.0, -np.inf), 0.0],
+                [complex(np.nan, 0.0), 0.0, 0.0]):
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            fock.FockVector(2, bad)
+    for bad, norm2 in (([1e200, 0.0, 0.0], "inf"), ([0.0, 0.0, 0.0], "0.0"),
+                       ([1.0, 0.0, 0.5j], "1.25")):
+        with pytest.raises(ValueError, match=rf"squared norm {norm2} outside \(0, 1\]"):
+            fock.FockVector(2, bad)
+
+
 def test_number_state_has_uniform_phase():
     amps = np.zeros(11, dtype=complex)
     amps[7] = 1.0

@@ -81,6 +81,24 @@ def test_hl_limit_equals_tracking_limit_identity():
                 tr.adaptive_mse_limit(N), rel=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("regime", sync.REGIMES)
+def test_each_party_prediction_is_the_sync_limit(regime):
+    # the tracking engine's own prediction at each party's beam, adaptive at
+    # its default gain (HL) or heterodyne at its optimal bandwidth (SQL), is
+    # the paper's sqrt(M)/(4 mu) or sqrt(M)/(2 mu) to within 4 ulp
+    grid = [(kappa, mu, m) for kappa in (1.0, 7.3) for mu in 10.0 ** np.arange(2, 9)
+            for m in (1, 2, 3, 7, 16, 31, 64, 100)]
+    points = [(sync.beam_for_party(LaserParams(kappa=kappa, mu=mu), m, regime), [0], None)
+              for kappa, mu, m in grid]
+    batch = tr.run_tracking_batch("adaptive" if regime == "hl" else "heterodyne", points,
+                                  trials=1)
+    limit = sync.hl_sync_limit if regime == "hl" else sync.sql_sync_limit
+    for (kappa, mu, m), (res,) in zip(grid, batch, strict=True):
+        want = limit(mu, m)
+        assert abs(res.predicted - want) <= 4 * math.ulp(want), (kappa, mu, m)
+
+
 def test_physical_units_worked_example():
     # 1 mW, 1 MHz linewidth, 600 nm: ~4.56e-5 rad^2, order 1e-5
     beam = sync.PhysicalBeam(power=1e-3, linewidth_hz=1e6, wavelength=600e-9)

@@ -360,10 +360,11 @@ def test_multi_point_batch_equals_per_point_runs():
                        min_size=1, max_size=3))
 def test_batch_property_equals_per_point_runs(mode, trials, timing, points):
     # random small batches equal their points run one seed at a time; with
-    # an explicit duration each point's own auto dt sets its step count
+    # an explicit duration each point's own auto dt sets its step count; only
+    # a heterodyne point takes a bandwidth
     points = [(tr.BeamParams(f=n * ell, ell=ell), seeds,
-               None if k is None else k * math.sqrt(2 * n) * ell)  # k x optimal
-              for n, ell, seeds, k in points]
+               None if k is None or mode == "adaptive" else k * math.sqrt(2 * n) * ell)
+              for n, ell, seeds, k in points]  # k x optimal
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         batch = tr.run_tracking_batch(mode, points, trials=trials, **timing)
@@ -417,6 +418,7 @@ def _no_noise(*args, **kw):
     dict(dt=1e-12),                      # 200 x 1.5e10 lane-steps
     dict(gain=0.0), dict(gain=-1.0), dict(gain=math.nan), dict(gain=math.inf),
     dict(seed=-1), dict(seed=2.0),
+    dict(bandwidth=10.0),                # the adaptive loop has no filter bandwidth
 ])
 def test_run_tracking_refuses_before_drawing_noise(monkeypatch, kwargs):
     monkeypatch.setattr(tr, "_noise_columns", _no_noise)
@@ -450,6 +452,56 @@ def test_errors_below_the_wrap_resolution_are_refused(monkeypatch):
             tr.run_tracking(mode, tr.BeamParams(f=1e300, ell=1.0))
     with pytest.raises(ValueError, match="error wrap"):
         tr.run_tracking("adaptive", tr.BeamParams(f=1e3, ell=0.0), gain=1e-40)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_prediction_is_the_linearized_mse_at_the_run_gain_or_bandwidth():
+    # the closed forms at the default gain and at the optimal bandwidth, and
+    # lag plus shot noise at any other: ell/(2g) + g/(8f) adaptive,
+    # ell/(2 lambda) + lambda/(4f) heterodyne
+    beam = tr.BeamParams(f=1e4, ell=1.0)
+
+    def predicted(mode, beam=beam, **kw):
+        return tr.run_tracking(mode, beam, trials=1, seed=1, **kw).predicted
+
+    assert predicted("adaptive") == tr.adaptive_mse_limit(beam.N)
+    for gain in (50.0, 400.0):
+        assert predicted("adaptive", gain=gain) == beam.ell / (2 * gain) + gain / (8 * beam.f)
+    static = tr.BeamParams(f=1e3, ell=0.0)
+    assert predicted("adaptive", static, gain=10.0) == 10.0 / (8 * static.f)
+    for bandwidth in (None, tr.optimal_bandwidth(beam)):
+        assert predicted("heterodyne", bandwidth=bandwidth) == tr.heterodyne_mse_limit(beam.N)
+    assert predicted("heterodyne", bandwidth=50.0) == beam.ell / 100.0 + 50.0 / (4 * beam.f)
+
+
+def test_workers_are_capped_at_the_usable_cpus(monkeypatch):
+    # a pool starts all its processes at once, so it is asked for at most
+    # the CPUs this process may run on, whatever workers is; the fake pool
+    # records its size and maps serially, so no process starts
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(tr.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(tr.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(tr, "ProcessPoolExecutor", SerialPool, raising=False)
+    beam = tr.BeamParams(f=1e3, ell=1.0)
+    one = tr.run_tracking("adaptive", beam, trials=200, seed=4)
+    assert tr.run_tracking("adaptive", beam, trials=200, seed=4, workers=10 ** 6) == one
+    monkeypatch.delattr(tr.os, "sched_getaffinity")  # the os.cpu_count route
+    assert tr.run_tracking("adaptive", beam, trials=200, seed=4, workers=10 ** 6) == one
+    assert sizes == [2, 2]
 
 
 def test_observation_chunk_changes_no_result(monkeypatch):
