@@ -21,16 +21,18 @@ three diagonals in O(T) memory.  The stationary state is the Poisson closed
 form (detailed balance of the k = 0 chain); it is diagonal, so
 :func:`stationary_state` returns its populations.  The negated, transposed
 k = 1 sector B = -L1^T is a tridiagonal M-matrix whose row sums (the column
-defects of L1) have closed forms free of cancellation, so its smallest
-eigenvalue comes to relative accuracy from GTH elimination (Grassmann,
-Taksar and Heyman 1985) and inverse iteration, in which every operation
-adds, multiplies or divides nonnegative numbers, with a Collatz-Wielandt
-bracket around it.  The independent decay fit samples the coherence
-w . exp(t L1) x as a Bromwich integral on one hyperbolic contour (Weideman
-and Trefethen 2007): 61 shifted systems (z_k - L1) y_k = x, each solved by
-the same GTH elimination with the shift added to every row sum, serve all 61
-sample times.  Its truncation error is at most 2.6e-15 of the coherence's
-start value, and every pivot stays in the cone spanned by 1 and z_k, so the
+defects of L1) have closed forms free of cancellation.  One GTH elimination
+(Grassmann, Taksar and Heyman 1985) factors z + B, the shift z added to
+every row sum, and one solve applies the factors; both routes use them.
+The smallest eigenvalue of B comes to relative accuracy from inverse
+iteration at z = 0, in which every operation adds, multiplies or divides
+nonnegative numbers, with a Collatz-Wielandt bracket around it.  The
+independent decay fit samples the coherence w . exp(t L1) x as a Bromwich
+integral on one hyperbolic contour (Weideman and Trefethen 2007): 61
+shifted systems (z_k + B) y_k = w, factored together and solved once,
+give s_k = x . y_k = w . (z_k - L1)^{-1} x and serve all 61 sample times.
+Its truncation error is at most 2.6e-15 of the coherence's start value,
+and every pivot stays in the cone spanned by 1 and z_k, so the
 elimination needs no pivoting.  None of these routes needs scipy, and no
 module loads it.  The general routes (the dense (T+1)^2 x (T+1)^2
 superoperator, a least-squares null vector, the pure-loss sectors, scipy's
@@ -163,15 +165,6 @@ def build_liouvillian_sector(params: LaserParams, sector_offset: int,
     return LiouvillianSector(k, np.full(len(n) - 1, kappa * mu), diag, sup)
 
 
-def _column_defects(params: LaserParams, truncation: int) -> np.ndarray:
-    """Column defects of the k=1 sector, the row sums of B = -L1^T: see
-    :func:`linewidth_bracket`."""
-    i = np.arange(truncation, dtype=float)
-    leak = params.kappa / (4.0 * (i + 0.5 + np.sqrt(i * (i + 1.0))))
-    leak[-1] += params.kappa * params.mu / 2.0
-    return leak
-
-
 def stationary_state(params: LaserParams, truncation: int) -> np.ndarray:
     """Stationary populations of the noiseless-gain laser: Poisson(mu) over
     0..truncation, as an array of length truncation + 1.
@@ -213,8 +206,9 @@ def extract_linewidth(
         dt = 16 mu / (60 kappa), start at t0 = skip dt, the first multiple
         of dt at or after 8/kappa, once the fast transients have died.  They
         come from :func:`_coherence`, one hyperbolic contour serving every
-        t_i / t0 in [1, 61] with 61 tridiagonal solves in O(T) memory, whose
-        docstring derives the error bounds: a truncation error of at most
+        t_i / t0 in [1, 61] with 61 shifted tridiagonal systems, factored
+        and solved together in O(T) memory per node, whose docstring
+        derives the error bounds: a truncation error of at most
         2.6e-15 of g(0), and solves that never break down without pivoting,
         each pivot lying in the cone spanned by 1 and the node.  X(0) is
         built from the populations of :func:`stationary_state`.
@@ -289,35 +283,28 @@ def _coherence(params: LaserParams, truncation: int, ts: np.ndarray) -> np.ndarr
     errs by at most that scalar error times ||D w||_2 ||D^{-1} x||_2, which
     is about g(0) = w . x.
 
-    **Solves.**  s_k = w . y_k with (z_k - L1) y_k = x, all nodes at once in
-    a forward and a backward sweep over the T rows, in O(T) memory per
-    node.  z - L1 = (z + B)^T
-    with B = -L1^T, whose row i has -left_i = -L1[i-1, i] left of its
-    diagonal, -right_i = -L1[i+1, i] right of it and row sum leak_i
-    (:func:`_column_defects`).  As in :func:`linewidth_bracket`, the
-    elimination of z + B carries each Schur complement's row sum c_i:
-    c_i = z + leak_i + m_i c_{i-1}, pivot p_i = c_i + right_i,
-    m_i = left_i / p_{i-1}, so the shift z is added to row sums of order
-    kappa, never to diagonals of order kappa (T + mu).  Let C be the
-    convex cone spanned by 1 and z, of opening theta = |arg z| < pi
-    (theta <= pi/2 + alpha on this hyperbola).  If c_{i-1} is in C, so is
-    p_{i-1}, with arg between 0 and arg c_{i-1}, hence so is m_i c_{i-1},
-    and so c_i: every c_i and p_i lies in C.  Numbers in C add with
-    |sum a| >= cos(theta/2) sum |a|, so |p_i| >= cos(theta/2)
-    (|z| + leak_i + right_i) > 0: the elimination never breaks down and
-    needs no pivoting, no sum cancels by more than sec(theta/2) <= 3.9,
-    and for real z > 0 (k = 0) every term is positive.  With each complex
+    **Solves.**  z - L1 = (z + B)^T with B = -L1^T, so
+    s_k = w . (z_k - L1)^{-1} x = x . y_k with (z_k + B) y_k = w: one GTH
+    factorization of z_k + B for all nodes at once (:func:`_eliminate`)
+    and one forward and one backward sweep over the T rows
+    (:func:`_solve`), in O(T) memory per node.  Every carried row sum and
+    pivot lies in the cone spanned by 1 and z_k, of opening
+    theta = |arg z_k| <= pi/2 + alpha on this hyperbola, so the elimination
+    needs no pivoting, no sum cancels by more than sec(theta/2) <= 3.9, and
+    at the real node z_0 > 0 every term is positive.  With each complex
     operation rounding by at most 6 u and |m_i c_{i-1}| <= sec(theta/2)
-    left_i, the computed y solves (z - L1 + E) y = x with, to first order,
-    |E| <= c_theta u |z - L1| entrywise, c_theta = sec(theta/2)
+    left_i, the computed y solves (z + B + E) y = w with, to first order,
+    |E| <= c_theta u |z + B| entrywise, c_theta = sec(theta/2)
     (42 + 66 sec(theta/2)): 18 u (1 + sec) sec from the factors' diagonal,
     24 u (1 + 2 sec) sec from the two bidiagonal solves.  An entrywise
-    bound is kept by the similarity D, and ||(z - S)^{-1}||_2 =
-    1 / dist(z, (-inf, 0]), so s_k errs by at most
+    bound is kept by the similarity B = -D^{-1} S D, and
+    ||(z - S)^{-1}||_2 = 1 / dist(z, (-inf, 0]), so s_k errs by at most
     c_theta u (|z_k| + ||S||_1) / dist(z_k, (-inf, 0])^2 times
-    ||D w||_2 ||D^{-1} x||_2.  The tests hold both bounds.  They are loose:
+    ||D w||_2 ||D^{-1} x||_2: the same bound as for the transposed solve
+    (z_k - L1) y = x, with D w and D^{-1} x trading places.  The tests hold
+    both bounds.  They are loose:
     against the same recurrences in x86 ``clongdouble`` the samples agree to
-    2.8e-14 relative from mu = 4 to 256.
+    3.4e-14 relative from mu = 4 to 256.
     """
     z, weight = _contour()
     tau = ts / ts[0]
@@ -326,54 +313,100 @@ def _coherence(params: LaserParams, truncation: int, ts: np.ndarray) -> np.ndarr
 
 
 def _resolvent_products(params: LaserParams, truncation: int, z: np.ndarray) -> np.ndarray:
-    """w . (z_k - L1)^{-1} x for each shift z_k, by the elimination of
-    :func:`_coherence` vectorized over the shifts: the forward sweep keeps
-    the multipliers and U^T-solves for v, the backward sweep overwrites v
-    with y = L^{-T} v."""
-    sector = build_liouvillian_sector(params, 1, truncation)
-    left, right = sector.sup.tolist(), sector.sub.tolist() + [0.0]
-    leak = _column_defects(params, truncation).tolist()
+    """x . (z_k + B)^{-1} w, the w . (z_k - L1)^{-1} x of :func:`_coherence`,
+    for each shift z_k: one factorization of z + B for every shift at once
+    and one solve."""
     w = np.sqrt(np.arange(1.0, truncation + 1))
-    x = (w * stationary_state(params, truncation)[1:]).tolist()
-    m = np.empty((truncation, len(z)), dtype=complex)
-    v = np.empty_like(m)
-    carried = z + leak[0]
-    pivot = carried + right[0]
-    v[0] = x[0] / pivot
-    for i in range(1, truncation):
-        np.divide(left[i - 1], pivot, out=m[i])
-        carried = z + leak[i] + m[i] * carried
-        pivot = carried + right[i]
-        np.divide(x[i] + right[i - 1] * v[i - 1], pivot, out=v[i])
-    for i in range(truncation - 2, -1, -1):
-        v[i] += m[i + 1] * v[i + 1]
-    # not w @ v: numpy's complex matrix-vector product took 8 ms here, at
+    x = w * stationary_state(params, truncation)[1:]
+    y = _solve(_eliminate(params, truncation, z), w.tolist())
+    # not x @ y: numpy's complex matrix-vector product took 8 ms here, at
     # every T from 99 up (2-vCPU VM, numpy 2.4.6 on OpenBLAS 0.3.31)
-    return np.einsum("i,ik->k", w, v)
+    return np.einsum("i,ik->k", x, y)
+
+
+def _eliminate(params: LaserParams, truncation: int, z):
+    """GTH factors of z + B, B = -L1^T, for a shift z that is a float or an
+    array of shifts: the multipliers m_i and the pivots p_i (arrays with one
+    row per sector row) and the right neighbours right_i (a list), so that
+    z + B = L U with L unit lower bidiagonal, L[i, i-1] = -m_i, and U upper
+    bidiagonal, U[i, i] = p_i, U[i, i+1] = -right_i.  It is the only reader
+    of the k = 1 sector's rows.
+
+    B is a tridiagonal M-matrix of order T = truncation: row i has
+    -left_i = -kappa sqrt(i (i+1)) left of the diagonal, -right_i =
+    -kappa mu right of it (none in the top row) and row sum leak_i, the
+    defect of column i of L1,
+
+        leak_i = kappa (i + 1/2 - sqrt(i (i+1))) = kappa / (4 (i + 1/2 + sqrt(i (i+1)))),
+
+    plus kappa mu / 2 in the top row, whose gain is truncated.  The second
+    form has no cancellation.  GTH elimination (Grassmann, Taksar and Heyman,
+    Oper. Res. 33 (1985) 1107) carries each Schur complement's row sum c_i
+    in place of its diagonal: c_i = z + leak_i + m_i c_{i-1},
+    p_i = c_i + right_i, m_i = left_i / p_{i-1}, so the shift is added to
+    row sums of order kappa, never to diagonals of order kappa (T + mu).
+
+    **No pivoting.**  For real z >= 0 every operation adds, multiplies or
+    divides nonnegative numbers, and so do the solves of :func:`_solve`, as
+    (z + B)^{-1} >= 0: nothing cancels.  For complex z, let C be the convex
+    cone spanned by 1 and z, of opening theta = |arg z| < pi.  If c_{i-1} is
+    in C, so is p_{i-1}, with arg between 0 and arg c_{i-1}, hence so is
+    m_i c_{i-1}, and so c_i: every c_i and p_i lies in C.  Numbers in C add
+    with |sum a| >= cos(theta/2) sum |a|, so |p_i| >= cos(theta/2)
+    (|z| + leak_i + right_i) > 0: the elimination never breaks down, no sum
+    cancels by more than sec(theta/2), and |m_i c_{i-1}| <= sec(theta/2)
+    left_i.
+
+    Raises
+    ------
+    ValueError
+        If the truncation leaves stationary tail mass above 1e-9.
+    """
+    sector = build_liouvillian_sector(params, 1, truncation)
+    n = np.arange(truncation, dtype=float)
+    leak = (params.kappa / (4.0 * (n + 0.5 + np.sqrt(n * (n + 1.0))))).tolist()
+    leak[-1] += params.kappa * params.mu / 2.0
+    left, right = sector.sup.tolist(), sector.sub.tolist() + [0.0]
+    mult, pivot = np.zeros((2, truncation) + np.shape(z), np.result_type(z, 1.0))
+    carried = z + leak[0]
+    pivot[0] = carried + right[0]
+    for i in range(1, truncation):
+        mult[i] = left[i - 1] / pivot[i - 1]
+        carried = z + leak[i] + mult[i] * carried
+        pivot[i] = carried + right[i]
+    return mult, pivot, right
+
+
+def _solve(factors, b) -> list:
+    """(z + B)^{-1} b as a list of rows, from the factors of
+    :func:`_eliminate`: the forward sweep solves L v = b, the backward sweep
+    overwrites v with U^{-1} v.  A row of b or of the factors is a float or
+    an array over the shifts."""
+    mult, pivot, right = factors
+    acc, y = 0.0, []
+    for bi, m in zip(b, mult):
+        acc = bi + m * acc
+        y.append(acc)
+    acc = 0.0
+    for i in range(len(y) - 1, -1, -1):
+        acc = y[i] = (y[i] + right[i] * acc) / pivot[i]
+    return y
 
 
 def linewidth_bracket(params: LaserParams, truncation: int) -> tuple[float, float]:
     """Bracket (lo, hi), in rad/s, around the linewidth ell = -2 lambda_1 of
     the k=1 sector, lambda_1 its eigenvalue closest to zero.
 
-    B = -L1^T is a tridiagonal M-matrix of order T = truncation: row i has
-    -kappa sqrt(i (i+1)) left of the diagonal, -kappa mu right of it (none in
-    the top row) and row sum leak_i, the defect of column i of L1,
-
-        leak_i = kappa (i + 1/2 - sqrt(i (i+1))) = kappa / (4 (i + 1/2 + sqrt(i (i+1)))),
-
-    plus kappa mu / 2 in the top row, whose gain is truncated.  The second
-    form has no cancellation.  GTH elimination (Grassmann, Taksar and Heyman,
-    Oper. Res. 33 (1985) 1107) carries each Schur complement's row sum in
-    place of its diagonal, so the LU factors of B come from sums, products
-    and quotients of nonnegative numbers, and so do the solves with them, as
-    B^{-1} >= 0: nothing cancels.  Inverse iteration from x = 1 converges to
-    the Perron vector of B^{-1}, and for every positive x the smallest
-    eigenvalue sigma = -lambda_1 of B lies between the least and the largest
-    x_i / (B^{-1} x)_i (Collatz-Wielandt).  The iteration stops once that
-    bracket stops narrowing; each side of 2 sigma is then widened by T eps,
-    one eps per row of the recurrences, for their rounding.  The bracket
-    needs O(T) memory; the dense sector is never built.
+    B = -L1^T is a tridiagonal M-matrix of order T = truncation, factored
+    once by GTH elimination (:func:`_eliminate` at z = 0), whose factors and
+    solves add, multiply and divide nonnegative numbers only.  Inverse
+    iteration from x = 1 converges to the Perron vector of B^{-1}, and for
+    every positive x the smallest eigenvalue sigma = -lambda_1 of B lies
+    between the least and the largest x_i / (B^{-1} x)_i
+    (Collatz-Wielandt).  The iteration stops once that bracket stops
+    narrowing; each side of 2 sigma is then widened by T eps, one eps per
+    row of the recurrences, for their rounding.  The bracket needs O(T)
+    memory; the dense sector is never built.
 
     Raises
     ------
@@ -383,35 +416,18 @@ def linewidth_bracket(params: LaserParams, truncation: int) -> tuple[float, floa
     ValueError
         If the truncation leaves stationary tail mass above 1e-9.
     """
-    sector = build_liouvillian_sector(params, 1, truncation)
-    leak, right = _column_defects(params, truncation).tolist(), sector.sub.tolist() + [0.0]
-    # B = L U, L unit lower bidiagonal with L[i, i-1] = -mult[i], U upper
-    # bidiagonal with U[i, i] = pivot[i] and U[i, i+1] = -right[i]
-    carried = leak[0]
-    mult, pivot = [0.0], [carried + right[0]]
-    for left, row, r in zip(sector.sup.tolist(), leak[1:], right[1:]):
-        m = left / pivot[-1]
-        carried = row + m * carried
-        mult.append(m)
-        pivot.append(carried + r)
-    back = list(zip(reversed(right), reversed(pivot)))
-    x, best = [1.0] * truncation, None
+    mult, pivot, right = _eliminate(params, truncation, 0.0)
+    # Python floats: the solves run about twice as fast as on numpy scalars
+    factors = mult.tolist(), pivot.tolist(), right
+    x, best = np.ones(truncation), None
     for _ in range(MAX_INVERSE_ITERATIONS):
-        acc, z = 0.0, []
-        for xi, m in zip(x, mult):
-            acc = xi + m * acc
-            z.append(acc)
-        acc, y = 0.0, []
-        for zi, (r, p) in zip(reversed(z), back):
-            acc = (zi + r * acc) / p
-            y.append(acc)
-        y.reverse()
-        ratios = [xi / yi for xi, yi in zip(x, y)]
-        lo, hi = min(ratios), max(ratios)
+        y = np.array(_solve(factors, x.tolist()))
+        ratios = x / y
+        lo, hi = float(ratios.min()), float(ratios.max())
         if best is not None and hi - lo >= best[1] - best[0]:
             break
         best = lo, hi
-        x = [yi * lo for yi in y]
+        x = y * lo
     lo, hi = best
     allowance = truncation * math.ulp(1.0)
     if hi - lo > allowance * lo:

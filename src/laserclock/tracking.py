@@ -365,7 +365,8 @@ def run_tracking_batch(mode: str, points, *, dt: float | None = None,
 
     A point is a ``(beam, seeds, bandwidth)`` triple, where a bandwidth of
     None means the optimal one in heterodyne mode, and is the only bandwidth
-    adaptive mode takes.  The result holds one tuple per point of one
+    adaptive mode takes; ``gain``, adaptive mode only, replaces the loop's
+    default gain ell/sigma^2.  The result holds one tuple per point of one
     :class:`TrackingResult` per seed, each bitwise that of :func:`run_tracking`
     at that point and seed.  The trials of all points run as lanes, in lockstep
     groups that consecutive points of one step count share, on at most one
@@ -392,10 +393,12 @@ def run_tracking_batch(mode: str, points, *, dt: float | None = None,
     Raises ValueError before any seed is iterated or any noise is drawn for no
     points or seeds, a dt or duration that is not positive and finite, a
     negative burn_in, trials or workers below 1, a gain that is not positive
-    and finite, a bandwidth in adaptive mode, a point whose ``predicted`` is below
-    WRAP_MSE_FLOOR, or a batch over LANE_STEP_BUDGET lane-steps, summed over
-    all points with each lane counted as at least LANE_COST lane-steps; and
-    before any noise is drawn for a seed that is not a nonnegative integer.
+    and finite, a bandwidth in adaptive mode, a gain in heterodyne mode, a
+    point whose ``predicted`` is below WRAP_MSE_FLOOR, or a batch over
+    LANE_STEP_BUDGET lane-steps, summed over all points with each lane
+    counted as at least LANE_COST lane-steps; and before any noise is drawn
+    for a seed that is not a nonnegative integer.  Each point's seeds are
+    iterated once.
     """
     return _run_batch(mode, points, dt, duration, burn_in, trials, workers, phi0, gain, noise_dt)
 
@@ -408,6 +411,8 @@ def _resolve(mode, beam, bandwidth, dt, duration, burn_in, gain, noise_dt):
         raise ValueError(f"gain must be positive and finite, not {gain!r}")
     if mode == "adaptive" and bandwidth is not None:
         raise ValueError(f"bandwidth {bandwidth!r} is for heterodyne mode only")
+    if mode == "heterodyne" and gain is not None:
+        raise ValueError(f"gain {gain!r} is for adaptive mode only")
     if mode == "heterodyne" and bandwidth is None:
         bandwidth = optimal_bandwidth(beam)
     if mode == "adaptive" and gain is not None:
@@ -463,8 +468,10 @@ def _run_batch(mode, points, dt, duration, burn_in, trials, workers, phi0, gain,
              for _, c, _ in runs]
     if any(n <= burn for n, burn in steps):
         raise ValueError("duration leaves no observation steps after burn_in")
-    # the stream hash reads a seed's uint32 words, which a negative int lacks
-    for seed in itertools.chain.from_iterable(seeds for _, seeds, _ in points):
+    # each point's seeds, iterated once; the stream hash reads a seed's
+    # uint32 words, which a negative int lacks
+    seeds = [list(point_seeds) for _, point_seeds, _ in points]
+    for seed in itertools.chain.from_iterable(seeds):
         if not (isinstance(seed, (int, np.integer)) and seed >= 0):
             raise ValueError(f"seed {seed!r} is not a nonnegative integer")
 
@@ -480,7 +487,7 @@ def _run_batch(mode, points, dt, duration, burn_in, trials, workers, phi0, gain,
     def groups():
         for span, n, k in zip(spans, span_lanes, n_groups):
             lanes = ((seed, trial, points[i][0], runs[i][1]) for i in span
-                     for seed in points[i][1] for trial in range(trials))
+                     for seed in seeds[i] for trial in range(trials))
             for size in np.diff(np.linspace(0, n, k + 1).astype(int)):
                 group = [next(lanes) for _ in range(size)]
                 f, ell, lane_dt, bw = np.array([(beam.f, beam.ell, c["dt"], c["bandwidth"] or 0.0)

@@ -35,8 +35,9 @@ def test_traced_arguments_keep_their_names():
 
 
 def test_traced_sector_keeps_its_dense_view():
-    # tracing counts sector rows by the dense view's shape; the routes read
-    # the three diagonals, whose lengths must agree with it
+    # tracing counts sector rows by the dense view's shape; the linewidth
+    # routes read sub, sup and the column defects, whose lengths must agree
+    # with it
     params = laserdyn.LaserParams(kappa=1.0, mu=8.0)
     sector = laserdyn.build_liouvillian_sector(params, 1, 60)
     L = sector.matrix

@@ -90,8 +90,8 @@ _PINNED = [
      "45a9e303d3b03349289a73dbc5a5f2e3e35eea48cdfbbdb786cf5ef66af372fe",
      "22e874690ec32736b888340ebf5993c56d64d5b8e44646bc6042512ce9e648b2"),
     ("linewidth --kappa 1 --mu 4,16",
-     "50561145824e69dbc1158a51be03e888046bf35e4b8948d602233797725b71a8",
-     "ff999531f1a444275422ab899a72bc950b93a8dc52488b79314c89b069a82c59"),
+     "cc20ca3d67168a8961d80c6b325fe71182ba26d1355666217e5c2e39d28651ac",
+     "8b8f071e410f7c22c152fe0c9a6d53b6031bc5cdedbf3fcc7d5974a108ed117b"),
     ("phasevar --mu 25,100 --grid-size 1024",
      "78c0519426376845748096eb76edad222db5536daebbe8a3c45ad963309925da",
      "1d9b595c0f1057314a86dfaf2b59641d4128c04863e005e1c2028072cbc5873b"),

@@ -219,6 +219,24 @@ def test_bracket_holds_the_decimal_sturm_oracle(mu, smallest):
     assert Decimal(lo) <= exact <= Decimal(hi)
 
 
+# linewidth_bracket's (lo, hi) at kappa = 1, as hex words, recorded while the
+# bracket still kept its own copy of the elimination and the solves: the
+# shared factorization keeps their operation order, and so every bit
+BRACKET_PINS = [
+    (0.5, None, "0x1.5e76dce643678p-1", "0x1.5e76dce6436acp-1"),
+    (4.0, None, "0x1.a96e9ec75b529p-4", "0x1.a96e9ec75b5a2p-4"),
+    (256.0, None, "0x1.0101d53491eb5p-10", "0x1.0101d5349220dp-10"),
+    (256.0, 512, "0x1.0101d53491e5bp-10", "0x1.0101d5349225fp-10"),
+]
+
+
+@pytest.mark.parametrize("mu, trunc, lo, hi", BRACKET_PINS)
+def test_bracket_is_pinned(mu, trunc, lo, hi):
+    params = ld.LaserParams(kappa=1.0, mu=mu)
+    bracket = ld.linewidth_bracket(params, trunc or fock.default_truncation(mu))
+    assert bracket == (float.fromhex(lo), float.fromhex(hi))
+
+
 def test_linewidth_methods_agree():
     for mu in [4.0, 8.0, 16.0]:
         params = ld.LaserParams(kappa=1.0, mu=mu)
@@ -424,6 +442,39 @@ def test_resolvent_solves_hold_dense_solve(mu, trunc):
         assert abs(s[k] - w @ y) <= rho[k] * n_x * t0 / dist[k] + dense, k
 
 
+@pytest.mark.parametrize("mu, worst", [(4.0, 1.3e-15), (64.0, 2.7e-13)])
+def test_resolvent_products_hold_a_40_digit_solve(mu, worst):
+    # each node's s_k against the same float64 system (z_k - L1) y = x
+    # solved by Thomas elimination in 40-digit arithmetic; the two-copy
+    # eliminations that the shared factorization replaced erred by up to
+    # 1.18e-15 (mu = 4) and 2.46e-13 (mu = 64), and ``worst`` allows 1.1
+    # times that
+    mpmath = pytest.importorskip("mpmath")
+    params = ld.LaserParams(kappa=1.0, mu=mu)
+    trunc = fock.default_truncation(mu)
+    z = ld._contour()[0] / fit_times(params)[0]
+    s = ld._resolvent_products(params, trunc, z)
+    L1 = ld.build_liouvillian_sector(params, 1, trunc)
+    w = np.sqrt(np.arange(1.0, trunc + 1))
+    x = w * ld.stationary_state(params, trunc)[1:]
+    with mpmath.workdps(40):
+        sub, sup, diag, w, x = ([mpmath.mpf(float(v)) for v in a]
+                                for a in (L1.sub, L1.sup, L1.diag, w, x))
+        for k, zk in enumerate(z):
+            a = [mpmath.mpc(complex(zk)) - d for d in diag]
+            b = list(x)
+            for i in range(1, trunc):
+                f = sub[i - 1] / a[i - 1]
+                a[i] -= f * sup[i - 1]
+                b[i] += f * b[i - 1]
+            y = b[-1] / a[-1]
+            ref = w[-1] * y
+            for i in range(trunc - 2, -1, -1):
+                y = (b[i] + sup[i] * y) / a[i]
+                ref += w[i] * y
+            assert abs(mpmath.mpc(complex(s[k])) - ref) <= worst * abs(ref), k
+
+
 def assert_fit_agrees_with_dense_expm(mu, kappa):
     # |g| from the contour errs by at most sample_bounds.  The dense route
     # applies U' = expm(L1 dt): Pade's backward error (below u ||A||_1 by
@@ -470,8 +521,9 @@ def test_contour_fit_within_derived_bound_of_dense_expm(mu, kappa):
 
 
 def test_decay_fit_memory_stays_below_one_dense_sector():
-    # the contour route holds two T x 61 complex arrays, never a T x T one:
-    # at mu = 256 (T = 426) it peaks below one T x T float array
+    # the contour route holds three T x 61 complex arrays (the factors and
+    # the solution), never a T x T one: at mu = 256 (T = 426) it peaks below
+    # one T x T float array
     params = ld.LaserParams(kappa=1.0, mu=256.0)
     trunc = fock.default_truncation(256.0)
     ld.extract_linewidth(params, trunc, "decay_fit")  # warm caches

@@ -177,6 +177,16 @@ def test_several_m_values_run_at_their_derived_seeds():
         assert alone.scaling_exponent is None
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("ms", [[4], [1, 2, 4]])
+def test_each_party_seed_is_derived_once(monkeypatch, ms):
+    # one seed per party, plus one per M value when there are several
+    derive, calls = sync.derive_seed, []
+    monkeypatch.setattr(sync, "derive_seed", lambda *a: calls.append(a) or derive(*a))
+    sync.run_sync(LaserParams(kappa=1.0, mu=100.0), ms, trials=2, seed=7)
+    assert len(calls) == (ms[0] if len(ms) == 1 else len(ms) + sum(ms))
+
+
 def test_sync_determinism():
     laser = LaserParams(kappa=1.0, mu=100.0)
     r1 = sync.run_sync(laser, [2], regime="hl", trials=100, seed=3)

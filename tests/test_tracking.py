@@ -436,6 +436,11 @@ def test_bad_gain_and_seeds_are_named_before_drawing_noise(monkeypatch):
         tr.run_tracking("adaptive", beam, seed=-1)
     with pytest.raises(ValueError, match="seed -1 "):
         tr.run_tracking_batch("heterodyne", [(beam, [3], None), (beam, [3, -1], None)])
+    # a gain steers the adaptive loop only; heterodyne would ignore it
+    with pytest.raises(ValueError, match="gain 5.0 is for adaptive mode only"):
+        tr.run_tracking("heterodyne", beam, gain=5.0, trials=2, seed=1)
+    with pytest.raises(ValueError, match="gain 5.0 is for adaptive mode only"):
+        tr.run_tracking_batch("heterodyne", [(beam, [1], None)], gain=5.0, trials=2)
 
 
 def test_errors_below_the_wrap_resolution_are_refused(monkeypatch):
