@@ -131,11 +131,13 @@ def _run_linewidth(a):
 
 
 def _phasevar_row(seed, mu):
-    # one row per call, so one mu's state is freed before the next is built
+    # one row per call, so one mu's state is freed before the next is built;
+    # returns the row and W, the length of the support the variance kept
     state = fock.coherent_state(math.sqrt(mu))
-    v = fock.phase_variance(state)
-    return [seed, 0, 0, mu, fock.phase_support(state)[1], state.truncation, v,
-            1.0 / (4.0 * mu), v * 4.0 * mu - 1.0]
+    support, G = fock.phase_support(state)
+    v = fock.phase_variance(support, G)
+    return [seed, 0, 0, mu, G, state.truncation, v, 1.0 / (4.0 * mu), v * 4.0 * mu - 1.0], \
+        len(support)
 
 
 def _run_phasevar(a):
@@ -144,9 +146,10 @@ def _run_phasevar(a):
     _require(all(0 < m < math.inf for m in a.mu), "--mu entries must be positive and finite")
     for mu in a.mu:  # the state budget, for every --mu before the first state
         fock.default_truncation(mu)
-    rows = [_phasevar_row(a.seed, mu) for mu in a.mu]
+    rows, kept = zip(*[_phasevar_row(a.seed, mu) for mu in a.mu])
     summary = {"max_abs_rel_deviation": max(abs(r[8]) for r in rows),
-               "truncations": [r[5] for r in rows]}
+               "truncations": [r[5] for r in rows],
+               "kept_lengths": list(kept)}
     return rows, summary
 
 

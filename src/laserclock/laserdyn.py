@@ -121,18 +121,22 @@ def poisson_weights(mu: float, truncation: int) -> np.ndarray:
     return np.exp(-mu + n * np.log(mu) - log_factorials(truncation))
 
 
-def _check_truncation(params: LaserParams, truncation: int) -> None:
+def _check_truncation(params: LaserParams, truncation: int) -> np.ndarray:
+    """The Poisson weights over 0 .. truncation, once their tail mass is
+    checked."""
     if truncation < 2:
         raise ValueError("truncation must be >= 2")
     # the cap stays until a size budget, refused before compute, replaces it
     # (ROADMAP item 5); no linewidth route needs dense storage
     if truncation > 512:
         raise ValueError("truncation is capped at 512")
-    tail = 1.0 - float(poisson_weights(params.mu, truncation).sum())
+    p = poisson_weights(params.mu, truncation)
+    tail = 1.0 - float(p.sum())
     if tail > 1e-9:
         raise ValueError(
             f"truncation {truncation} too small: stationary tail mass {tail:.2e} > 1e-9"
         )
+    return p
 
 
 def build_liouvillian_sector(params: LaserParams, sector_offset: int,
@@ -180,8 +184,7 @@ def stationary_state(params: LaserParams, truncation: int) -> np.ndarray:
     ValueError
         If the truncation leaves stationary tail mass above 1e-9.
     """
-    _check_truncation(params, truncation)
-    p = poisson_weights(params.mu, truncation)
+    p = _check_truncation(params, truncation)
     return p / p.sum()
 
 
@@ -201,17 +204,18 @@ def extract_linewidth(
     method="decay_fit"
         Fit the exponential decay rate r of the coherence g(t) =
         |Tr(a^dag X(t))|, X(0) = a rho_ss evolved under the k=1 generator,
-        over two slow e-folds; ell = 2 r.  An independent cross-check of the
-        eigenvalue route.  The 61 samples t_i = (skip + i) dt, i = 0 .. 60,
-        dt = 16 mu / (60 kappa), start at t0 = skip dt, the first multiple
-        of dt at or after 8/kappa, once the fast transients have died.  They
-        come from :func:`_coherence`, one hyperbolic contour serving every
-        t_i / t0 in [1, 61] with 61 shifted tridiagonal systems, factored
-        and solved together in O(T) memory per node, whose docstring
-        derives the error bounds: a truncation error of at most
-        2.6e-15 of g(0), and solves that never break down without pivoting,
-        each pivot lying in the cone spanned by 1 and the node.  X(0) is
-        built from the populations of :func:`stationary_state`.
+        over two slow e-folds; ell = 2 r, -r the least-squares slope of
+        log g against t, in closed form about the samples' centroid.  An
+        independent cross-check of the eigenvalue route.  The 61 samples
+        t_i = (skip + i) dt, i = 0 .. 60, dt = 16 mu / (60 kappa), start at
+        t0 = skip dt, the first multiple of dt at or after 8/kappa, once the
+        fast transients have died.  They come from :func:`_coherence`, one
+        hyperbolic contour serving every t_i / t0 in [1, 61] with 61 shifted
+        tridiagonal systems, factored and solved together in O(T) memory per
+        node, whose docstring derives the error bounds: a truncation error
+        of at most 2.6e-15 of g(0), and solves that never break down without
+        pivoting, each pivot lying in the cone spanned by 1 and the node.
+        X(0) is built from the populations of :func:`stationary_state`.
 
     Raises
     ------
@@ -233,14 +237,17 @@ def extract_linewidth(
         # first multiple of dt at or after 8/kappa: (8/kappa)/dt = 30/mu exactly
         skip = math.ceil(30.0 / params.mu)
         ts = dt * np.arange(skip, skip + nsteps + 1)
+        # the least-squares line in closed form about the centroid
         log_g = np.log(_coherence(params, truncation, ts))
-        slope, intercept = np.polyfit(ts, log_g, 1)
-        resid = np.max(np.abs(log_g - (slope * ts + intercept)))
+        tc = ts - ts.mean()
+        log_g -= log_g.mean()
+        slope = float(tc @ log_g) / float(tc @ tc)
+        resid = np.max(np.abs(log_g - slope * tc))
         if resid > 1e-3:
             raise LinewidthFitError(
                 f"coherence decay not exponential: max log-residual {resid:.2e} > 1e-3"
             )
-        ell = float(-2.0 * slope)
+        ell = -2.0 * slope
     if not ell > 0:
         raise LinewidthFitError(f"{method} linewidth {ell:.3e} rad/s is not positive")
     return ell

@@ -2,7 +2,8 @@
 
 Each oracle takes the general-numerics or one-step route to a quantity that
 ``laserclock`` computes by a structured one: scalar steps of the two tracking
-filters, the canonical phase density by a direct sum over a density matrix
+filters, a coherent state's full amplitude vector n = 0 .. truncation, the
+canonical phase density by a direct sum over a density matrix
 and by one FFT on a uniform grid, the phase variance as that grid's wrapped
 sum and as its finite Fourier series summed by ``math.fsum``, the dense
 master-equation superoperator and loss-only sectors, the linewidth
@@ -60,6 +61,29 @@ def heterodyne_step(phi, A, est, beam, lam, dt, dw_phase, dz_shot):
 def wrap(x):
     """x mapped into [-pi, pi)."""
     return (x + math.pi) % (2 * math.pi) - math.pi
+
+
+# --- fock: the full amplitude vector of a coherent state ---------------------
+
+def coherent_amplitudes(alpha, truncation=None):
+    """The amplitudes e^{-|a|^2/2} alpha^n / sqrt(n!) of |alpha> for every
+    n = 0 .. truncation (default ``fock.default_truncation(|alpha|^2)``), by
+    the magnitudes' formula and operation order of ``fock.coherent_state``
+    on the whole vector."""
+    alpha = complex(alpha)
+    mu = abs(alpha) ** 2
+    truncation = fock.default_truncation(mu) if truncation is None else truncation
+    if mu == 0.0:
+        amps = np.zeros(truncation + 1, dtype=complex)
+        amps[0] = 1.0
+        return amps
+    mag = fock.log_factorials(truncation)
+    mag *= 0.5
+    np.subtract(np.arange(truncation + 1.0) * np.log(np.abs(alpha)) - mu / 2, mag, out=mag)
+    amps = np.exp(mag, out=mag).astype(complex)
+    if alpha.imag or alpha.real < 0:
+        amps *= np.exp(1j * np.arange(truncation + 1) * np.angle(alpha))
+    return amps
 
 
 # --- fock: phase density by a direct sum ------------------------------------
@@ -145,9 +169,10 @@ def canonical_phase_distribution(state: fock.FockVector,
     if state.norm_deficit > 1e-6:
         raise ValueError(f"state norm deficit {state.norm_deficit:.2e} exceeds 1e-6")
     G = grid_size
-    n = np.arange(state.truncation + 1)
+    n = state.offset + np.arange(len(state.amplitudes))
     # e^{-i n theta_j} = (-1)^n e^{-2pi i n (j+1)/G}: an FFT of length G, exact
-    # on the uniform grid as G >= truncation + 1
+    # on the uniform grid as G >= truncation + 1, up to the factor
+    # e^{-2pi i offset j/G} of modulus 1
     density = np.abs(np.fft.fft(state.amplitudes * (-1.0) ** n * np.exp(-2j * np.pi * n / G), G))
     np.divide(np.square(density, out=density), 2 * np.pi, out=density)  # |f|^2 / 2 pi in place
     # the grid is built once the transform is freed, so it is not live beside it

@@ -144,11 +144,11 @@ def test_criterion_4_stationary_poisson():
 def test_criterion_5_coherent_phase_variance():
     rows, ok = [], True
     for mu in (25.0, 100.0):
-        v = fock.phase_variance(fock.coherent_state(math.sqrt(mu)))
+        v = fock.phase_variance(*fock.phase_support(fock.coherent_state(math.sqrt(mu))))
         rel = v * 4 * mu - 1
         rows.append(f"mu={mu:g}: V={v:.5e} ({rel:+.1%})")
         ok = ok and abs(rel) <= 0.05
-    v_split = fock.phase_variance(fock.coherent_state(math.sqrt(100 / 4)))
+    v_split = fock.phase_variance(*fock.phase_support(fock.coherent_state(math.sqrt(100 / 4))))
     rel_split = v_split / sync.split_variance_limit(100, 4) - 1
     rows.append(f"split (mu=100, M=4): V={v_split:.5e} ({rel_split:+.1%})")
     ok = ok and abs(rel_split) <= 0.05

@@ -90,15 +90,15 @@ _PINNED = [
      "45a9e303d3b03349289a73dbc5a5f2e3e35eea48cdfbbdb786cf5ef66af372fe",
      "22e874690ec32736b888340ebf5993c56d64d5b8e44646bc6042512ce9e648b2"),
     ("linewidth --kappa 1 --mu 4,16",
-     "cc20ca3d67168a8961d80c6b325fe71182ba26d1355666217e5c2e39d28651ac",
+     "c9f28f86abe6e7ac98363bbcc8d398eb856c353e87ecf5909dd83006000111f9",
      "8b8f071e410f7c22c152fe0c9a6d53b6031bc5cdedbf3fcc7d5974a108ed117b"),
     ("phasevar --mu 25,100 --grid-size 1024",
      "78c0519426376845748096eb76edad222db5536daebbe8a3c45ad963309925da",
-     "1d9b595c0f1057314a86dfaf2b59641d4128c04863e005e1c2028072cbc5873b"),
+     "d5f2ab6c238bfc1978a99c1b7158e4b4a6b83cf9b19c6fe5536e095425cbdf24"),
     # the benchmark's scale
     ("phasevar --mu 1e4,1e5",
      "3a67c15c7fb604c84213abaf70b3fbfc23771fe8588ad922db4dc1a270586406",
-     "cdcb1c25b620c3aaae65556245e5b2870cdd6762e624690fd4507916da28fe0e"),
+     "ddccf0d0d704de6eb2c5ade15f8213316c003b52a2688c7a6bd2e972f9ca1ec4"),
 ]
 
 
@@ -639,30 +639,33 @@ def test_phasevar_grid_size_changes_no_csv_byte(tmp_path):
 
 
 def test_phasevar_working_set_is_one_state(capsys):
-    # In blocks of 8 (T + 1) bytes, T = 103173 the truncation at mu = 1e5,
-    # the largest --mu; each earlier row's state is freed before the next is
-    # built.  coherent_state holds 3 blocks at most: log_factorials' output
-    # beside its two tail temporaries, then the magnitudes beside the complex
-    # amplitudes (2), which FockVector keeps without a copy and norms by one
-    # vdot.  phase_support holds the state (2), |a| (1), and its mask and
-    # indices.  phase_variance holds the state and arrays of its G = 32768
-    # points, 8 G bytes = 0.32 blocks each: |A|^2, the weights and the half
-    # spectrum (the transform, 16 G bytes, is freed once |A|^2 is formed),
-    # and the W = 10528-point arrays of the aliasing correction, 1.46 blocks
-    # together.  So the peak is 3.46 blocks measured, held to 3.5 with the
-    # CSV rows and text; the transform of a 2^18-point grid would be 5.1
-    # blocks by itself.
-    T = fock.default_truncation(1e5)
-    argv = ["phasevar", "--mu", "25,100,1e4,1e5"]
-    assert main(argv) == 0  # caches warm
-    tracemalloc.start()
-    try:
-        assert main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    capsys.readouterr()
-    assert peak <= 3.5 * 8 * (T + 1)
+    # Each row's state is freed before the next is built, so the last --mu
+    # sets the peak, in terms of its support's W and G.  coherent_state keeps
+    # the window of its amplitudes, at most 1.2 W of them at 16 B (complex),
+    # and holds 3 float arrays of that length while it builds them.
+    # phase_support adds |a|, its mask and the kept indices, under 18 B per
+    # window amplitude.  phase_variance holds 32 G bytes beside the state: the
+    # padded input and the transform (16 G each), then |A|^2 beside A, then
+    # |A|^2, the weights and two of their temporaries (8 G each); the W-point
+    # arrays of the aliasing correction come once those are freed.  So the
+    # peak is 32 G + 16 * 1.2 W bytes, held to 32 G + 20 W + 16 KiB with the
+    # CSV rows and text.  At mu = 1e5 (W = 10528, G = 32768) that is 1.28 MB
+    # against 1.22 MB measured, a third of the full vector's 3.46 blocks of
+    # 8 (T + 1) bytes; at mu = 1e7 (W = 106007, G = 262144), 10.5 MB against
+    # 10.1 MB, where the full vector of T + 1 = 10031634 amplitudes took
+    # about 240 MiB.
+    for argv in (["phasevar", "--mu", "25,100,1e4,1e5"], ["phasevar", "--mu", "1e7"]):
+        mu = float(argv[-1].split(",")[-1])
+        support, G = fock.phase_support(fock.coherent_state(math.sqrt(mu)))
+        assert main(argv) == 0  # caches warm
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak <= 32 * G + 20 * len(support) + 16 * 1024, argv
 
 
 def test_nonpositive_linewidth_exits_3(monkeypatch, capsys):
@@ -729,6 +732,8 @@ def test_phasevar_matches_library(tmp_path):
     results = json.loads(out.with_suffix(".json").read_text())["results"]
     assert results["max_abs_rel_deviation"] == max(abs(float(r["rel_deviation"])) for r in rows)
     assert results["truncations"] == [int(r["truncation"]) for r in rows]
+    # the support each variance kept: the whole vector at mu <= 256 or so
+    assert results["kept_lengths"] == [86, 211]
 
 
 def test_linewidth_subcommand(tmp_path):

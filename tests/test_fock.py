@@ -7,6 +7,7 @@ from scipy.special import gammaln
 
 import oracles
 from laserclock import fock
+from laserclock.errors import NumericalCheckError
 
 
 def poisson_pmf(mu, n):
@@ -56,12 +57,68 @@ def test_coherent_state_rejects_bad_input():
 def test_real_coherent_state_is_bitwise_the_general_expression(alpha):
     # a real alpha >= 0 skips the phase factors e^{i n arg(alpha)} = 1 + 0j,
     # which leave every word of the amplitudes as they are
+    # (on the state's window of number states, whose ends are the slice's)
     s = fock.coherent_state(alpha)
     n = np.arange(s.truncation + 1)
     logmag = -abs(alpha) ** 2 / 2 + n * np.log(np.abs(alpha)) \
         - 0.5 * fock.log_factorials(s.truncation)
     want = np.exp(logmag) * np.exp(1j * n * np.angle(alpha))
-    assert np.array_equal(s.amplitudes.view("u8"), want.view("u8"))
+    window = want[s.offset:s.offset + len(s.amplitudes)]
+    assert np.array_equal(s.amplitudes.view("u8"), window.view("u8"))
+
+
+@pytest.mark.parametrize("mu, arg", [(mu, 0.0) for mu in (
+    0.5, 3.7, 25, 255.9, 256, 300, 1e3, 1e4, 12345.6, 1e5, 1e6, 4e6)] + [
+    (mu, 2.5) for mu in (3.7, 300, 1e4, 1e5)])
+def test_window_route_is_bitwise_the_full_vector(mu, arg):
+    # the support, G and the variance from the state's window are those of
+    # the same trim and transform on every amplitude n = 0 .. T, bit for bit
+    alpha = np.sqrt(mu) * np.exp(1j * arg)
+    state = fock.coherent_state(alpha)
+    full = oracles.coherent_amplitudes(alpha)
+    assert state.truncation == len(full) - 1 == fock.default_truncation(abs(alpha) ** 2)
+    support, G = fock.phase_support(state)
+    want, want_G = fock.phase_support(fock.FockVector(state.truncation, full))
+    assert G == want_G and np.array_equal(support.view("u8"), want.view("u8"))
+    assert np.float64(fock.phase_variance(support, G)).view("u8") == \
+        np.float64(fock.phase_variance(want, want_G)).view("u8")
+    # the window is the derived one, at most a fifth longer than the support
+    lo, hi = fock._coherent_window(abs(alpha) ** 2, state.truncation)
+    assert (state.offset, state.offset + len(state.amplitudes) - 1) == (lo, hi)
+    assert len(state.amplitudes) <= 1.2 * len(support)
+
+
+def test_log_factorials_over_a_range_are_the_full_arrays_slice():
+    full = fock.log_factorials(20000)
+    for start, top in ((0, 0), (0, 10), (5, 300), (250, 255), (255, 256), (256, 256),
+                       (256, 1000), (1000, 5003), (7636, 11010), (19999, 20000)):
+        got = fock.log_factorials(top, start)
+        assert np.array_equal(got.view("u8"), full[start:top + 1].view("u8")), (start, top)
+
+
+def test_coherent_window_end_is_checked(monkeypatch):
+    # an end that cuts an amplitude at or above PHASE_TRIM of the largest is
+    # refused; an end at 0 or at the truncation is not checked
+    # (at mu = 1e4 the window is 7636 .. 11010 and the support 7740 .. 11010;
+    # at mu = 25 both are 0 .. 85, and the amplitude at 0 is e^-12.5)
+    monkeypatch.setattr(fock, "_coherent_window",
+                        lambda mu, truncation: (7790 if mu > 100 else 0, truncation))
+    with pytest.raises(NumericalCheckError, match="coherent window 7790 .. 11010 at mu "):
+        fock.coherent_state(100.0)
+    assert len(fock.coherent_state(5.0).amplitudes) == 86
+    monkeypatch.setattr(fock, "_coherent_window", lambda mu, truncation: (0, truncation - 1))
+    with pytest.raises(NumericalCheckError, match="cuts an amplitude"):
+        fock.coherent_state(5.0)
+    assert fock.coherent_state(5.0, truncation=1000).truncation == 1000
+
+
+def test_fock_vector_holds_a_window_of_number_states():
+    s = fock.FockVector(10, [0.6, 0.8], offset=9)
+    assert (s.offset, s.truncation) == (9, 10) and s.norm_deficit == pytest.approx(0.0)
+    for amps, offset in (([0.6, 0.8], 10), ([1.0], -1), ([1.0], 11), ([], 0),
+                         ([[1.0]], 0), (np.ones(12) / 4, 0)):
+        with pytest.raises(ValueError, match="do not fit in 0 .. 10"):
+            fock.FockVector(10, amps, offset)
 
 
 @pytest.mark.parametrize("mu", [np.inf, -np.inf, np.nan, -1.0])
@@ -97,7 +154,8 @@ def test_number_state_has_uniform_phase():
     assert np.max(np.abs(d.density - 1 / (2 * np.pi))) < 1e-12
     # the uniform density's variance, from a support of one amplitude (G = 4)
     assert fock.phase_support(s)[1] == 4
-    assert fock.phase_variance(s) == pytest.approx(np.pi ** 2 / 3, rel=1e-15)
+    assert fock.phase_variance(*fock.phase_support(s)) == \
+        pytest.approx(np.pi ** 2 / 3, rel=1e-15)
 
 
 def test_coherent_phase_distribution_peaked_and_symmetric():
@@ -111,7 +169,7 @@ def test_coherent_phase_distribution_peaked_and_symmetric():
 
 def test_coherent_phase_variance_mu25():
     # oracle (2^16-point grid integration): 0.0102117757; 1/4mu = 0.01
-    v = fock.phase_variance(fock.coherent_state(5.0))
+    v = fock.phase_variance(*fock.phase_support(fock.coherent_state(5.0)))
     assert v == pytest.approx(0.0102117757, rel=1e-6)
     assert v == pytest.approx(1 / 100, rel=0.05)
 
@@ -124,7 +182,7 @@ def test_uniform_distribution_variance():
 
 def test_split_state_phase_variance():
     # |sqrt(mu/M)> with mu=100, M=4: variance ~ M/4mu = 0.01
-    v = fock.phase_variance(fock.coherent_state(np.sqrt(100 / 4)))
+    v = fock.phase_variance(*fock.phase_support(fock.coherent_state(np.sqrt(100 / 4))))
     assert v == pytest.approx(0.01, rel=0.05)
 
 
@@ -132,7 +190,7 @@ def test_phase_variance_against_fine_grid_oracle():
     # alpha=10: ~1/400; the 2^16-point grid (T = 210) is exact but for rounding
     s = fock.coherent_state(10.0)
     v_fine = oracles.grid_phase_variance(oracles.canonical_phase_distribution(s, 2 ** 16))
-    v = fock.phase_variance(s)
+    v = fock.phase_variance(*fock.phase_support(s))
     assert v == pytest.approx(v_fine, rel=1e-14)
     assert v == pytest.approx(0.0025, rel=0.05)
 
@@ -146,15 +204,15 @@ def test_phase_variance_reference_shift():
 def test_phase_variance_convergence_to_quarter_mu():
     # relative error < 5% at mu=25, < 1% at mu=400
     for mu, tol in [(25.0, 0.05), (400.0, 0.01)]:
-        v = fock.phase_variance(fock.coherent_state(np.sqrt(mu)))
+        v = fock.phase_variance(*fock.phase_support(fock.coherent_state(np.sqrt(mu))))
         assert abs(v * 4 * mu - 1) < tol
 
 
 @pytest.mark.parametrize("mu,m", [(100, 4), (400, 4), (400, 16)])
 def test_splitting_law(mu, m):
     # variance(sqrt(mu/M)) / variance(sqrt(mu)) -> M within 5% for mu/M >= 25
-    vs = fock.phase_variance(fock.coherent_state(np.sqrt(mu / m)))
-    v = fock.phase_variance(fock.coherent_state(np.sqrt(mu)))
+    vs = fock.phase_variance(*fock.phase_support(fock.coherent_state(np.sqrt(mu / m))))
+    v = fock.phase_variance(*fock.phase_support(fock.coherent_state(np.sqrt(mu))))
     assert vs / v == pytest.approx(m, rel=0.05)
 
 
@@ -181,7 +239,7 @@ def test_canonical_distribution_rejects_unnormalized():
     with pytest.raises(ValueError, match="norm deficit"):
         oracles.canonical_phase_distribution(s)
     with pytest.raises(ValueError, match="norm deficit 1.90e-01 exceeds 1e-6"):
-        fock.phase_variance(s)
+        fock.phase_variance(*fock.phase_support(s))
 
 
 def test_canonical_distribution_grid_validation():
@@ -220,7 +278,7 @@ _SERIES_STATES = [("number-0", _number_state(0)), ("number-5", _number_state(5))
 def test_phase_variance_is_the_exact_series(state):
     # where V is O(1): the finite series pi^2 R_0/3 + 4 sum (-1)^k Re R_k/k^2,
     # summed by math.fsum, holds the FFT route and its aliasing correction
-    assert fock.phase_variance(state) == pytest.approx(
+    assert fock.phase_variance(*fock.phase_support(state)) == pytest.approx(
         oracles.phase_variance_series(state.amplitudes), rel=1e-14, abs=0)
 
 
@@ -230,7 +288,7 @@ def test_phase_variance_matches_the_2_18_grid(mu):
     # is the exact integral but for rounding; the support's G is far smaller
     s = fock.coherent_state(np.sqrt(mu))
     want = oracles.grid_phase_variance(oracles.canonical_phase_distribution(s, 2 ** 18))
-    assert fock.phase_variance(s) == pytest.approx(want, rel=1e-14, abs=0)
+    assert fock.phase_variance(*fock.phase_support(s)) == pytest.approx(want, rel=1e-14, abs=0)
     assert fock.phase_support(s)[1] <= 2 ** 15
 
 
@@ -266,8 +324,8 @@ def test_trim_bound():
         assert np.linalg.eigvalsh(toeplitz(g))[0] >= 4 / (T + 2) ** 2
     # amplitudes below 2^-200 of the largest leave the support, and the
     # variance is bitwise that of the state without them; at mu = 1e4 they
-    # are the low tail, subnormal amplitudes included
-    s = fock.coherent_state(100.0)
+    # are the low tail of the full vector, subnormal amplitudes included
+    s = fock.FockVector(fock.default_truncation(1e4), oracles.coherent_amplitudes(100.0))
     mag = np.abs(s.amplitudes)
     below = mag < fock.PHASE_TRIM * mag.max()
     assert below[0] and not below[-1] and np.any((0 < mag) & (mag < np.finfo(float).tiny))
@@ -275,8 +333,8 @@ def test_trim_bound():
     assert len(support) == np.count_nonzero(~below) and not np.any(below[~below])
     assert G == 2 ** (2 * len(support)).bit_length() and 2 * len(support) < G
     cut = fock.FockVector(s.truncation, np.where(below, 0, s.amplitudes))
-    assert np.float64(fock.phase_variance(cut)).view("u8") == \
-        np.float64(fock.phase_variance(s)).view("u8")
+    assert np.float64(fock.phase_variance(*fock.phase_support(cut))).view("u8") == \
+        np.float64(fock.phase_variance(*fock.phase_support(s))).view("u8")
 
 
 def test_clone_phase_variance_values():

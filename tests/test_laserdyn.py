@@ -109,6 +109,37 @@ def test_stationary_state_is_the_normalized_poisson_weights():
     assert np.array_equal(ld.stationary_state(params, 60), p / p.sum())
 
 
+def test_stationary_state_forms_the_poisson_weights_once(monkeypatch):
+    # the tail check and the normalization read one array
+    calls, weights = [], ld.poisson_weights
+    monkeypatch.setattr(ld, "poisson_weights",
+                        lambda mu, trunc: calls.append(trunc) or weights(mu, trunc))
+    ld.stationary_state(ld.LaserParams(kappa=1.0, mu=8.0), 60)
+    assert calls == [60]
+
+
+@pytest.mark.parametrize("mu", [4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0])
+def test_decay_fit_slope_is_the_40_digit_least_squares_slope(monkeypatch, mu):
+    # the closed-form line through the log-samples, about their centroid, is
+    # within 1e-15 relative of the least-squares slope of the same float
+    # samples taken in 40-digit arithmetic (4.4e-16 at most measured; the
+    # np.polyfit route it replaced erred by up to 2.8e-15)
+    mpmath = pytest.importorskip("mpmath")
+    coherence, sampled = ld._coherence, []
+    monkeypatch.setattr(ld, "_coherence", lambda params, trunc, ts: sampled.append(
+        (ts, coherence(params, trunc, ts))) or sampled[-1][1])
+    ell = ld.extract_linewidth(ld.LaserParams(kappa=1.0, mu=mu), fock.default_truncation(mu),
+                               "decay_fit")
+    ((ts, g),) = sampled
+    with mpmath.workdps(40):
+        t = [mpmath.mpf(float(v)) for v in ts]
+        y = [mpmath.mpf(float(v)) for v in np.log(g)]
+        t_mean, y_mean = mpmath.fsum(t) / len(t), mpmath.fsum(y) / len(y)
+        slope = mpmath.fsum((a - t_mean) * (b - y_mean) for a, b in zip(t, y)) \
+            / mpmath.fsum((a - t_mean) ** 2 for a in t)
+        assert abs(-ell / 2 / slope - 1) <= 1e-15
+
+
 def test_decay_fit_starts_from_the_stationary_state(monkeypatch):
     calls = []
     stationary = ld.stationary_state
@@ -606,7 +637,7 @@ def test_loss_only_variance_growth_against_fock_evolution():
             rho_t[idx + k, idx] = np.conj(xt)
     grid, density = oracles.canonical_phase_density(rho_t, 8192)
     v_t = oracles.grid_phase_variance(oracles.PhaseDistribution(grid, density))
-    v_0 = fock.phase_variance(psi)
+    v_0 = fock.phase_variance(*fock.phase_support(psi))
     growth = v_t - v_0
     assert growth == pytest.approx(kappa * t / (4 * mu), rel=0.10)
 
