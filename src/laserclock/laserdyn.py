@@ -22,18 +22,21 @@ form (detailed balance of the k = 0 chain); it is diagonal, so
 :func:`stationary_state` returns its populations.  The negated, transposed
 k = 1 sector B = -L1^T is a tridiagonal M-matrix whose row sums (the column
 defects of L1) have closed forms free of cancellation.  One GTH elimination
-(Grassmann, Taksar and Heyman 1985) factors z + B, the shift z added to
-every row sum, and one solve applies the factors; both routes use them.
-The smallest eigenvalue of B comes to relative accuracy from inverse
-iteration at z = 0, in which every operation adds, multiplies or divides
-nonnegative numbers, with a Collatz-Wielandt bracket around it.  The
-independent decay fit samples the coherence w . exp(t L1) x as a Bromwich
-integral on one hyperbolic contour (Weideman and Trefethen 2007): 61
-shifted systems (z_k + B) y_k = w, factored together and solved once,
-give s_k = x . y_k = w . (z_k - L1)^{-1} x and serve all 61 sample times.
-Its truncation error is at most 2.6e-15 of the coherence's start value,
-and every pivot stays in the cone spanned by 1 and z_k, so the
-elimination needs no pivoting.  None of these routes needs scipy, and no
+(Grassmann, Taksar and Heyman 1985) of z + B, the shift z added to every
+row sum, yields its rows one at a time, and both routes consume it.  The
+smallest eigenvalue of B comes to relative accuracy from inverse iteration
+at z = 0, which keeps the rows and in which every operation adds,
+multiplies or divides nonnegative numbers, with a Collatz-Wielandt bracket
+around it.  The independent decay fit samples the coherence
+w . exp(t L1) x as a Bromwich integral on one hyperbolic contour (Weideman
+and Trefethen 2007): the 61 shifted systems (z_k + B) y_k = w are
+eliminated together in one pass that also solves them and sums
+s_k = x . y_k = w . (z_k - L1)^{-1} x, keeping no row, and the s_k serve
+all 61 sample times.  Its truncation error is at most 2.6e-15 of the
+coherence's start value, and every pivot stays in the cone spanned by 1
+and z_k, so the elimination needs no pivoting.  Both routes take O(T)
+memory and time; a truncation above ``ROW_BUDGET`` rows is refused before
+any of it is spent.  None of these routes needs scipy, and no
 module loads it.  The general routes (the dense (T+1)^2 x (T+1)^2
 superoperator, a least-squares null vector, the pure-loss sectors, scipy's
 ``eigh_tridiagonal`` and ``expm``, and a dense Pade propagator) live in the
@@ -74,6 +77,11 @@ LINEWIDTH_METHODS = {"eigenvalue": "gth_inverse_iteration",
 # decay-fit contour z(u) = MU (1 + sin(i u - ALPHA)) / t0, sampled at u = k H
 # for k = 0 .. N (Weideman and Trefethen 2007); serves t / t0 in [1, 61]
 CONTOUR_N, CONTOUR_ALPHA, CONTOUR_H, CONTOUR_MU = 60, 1.05, 4.9 / 60, 0.494
+# largest truncation, in rows of the k = 1 sector, that the linewidth routes
+# accept, reached from mu = 127491.  Each row costs about 2 us in a bracket,
+# 8 us in a decay fit and 300 B; a `linewidth` run at the top (two brackets,
+# one fit) took 1.6 s and 69 MiB max RSS, with a tail mass of 5.3e-11
+ROW_BUDGET = 2 ** 17
 # inverse iterations allowed before the linewidth bracket must have converged
 MAX_INVERSE_ITERATIONS = 200
 
@@ -122,14 +130,12 @@ def poisson_weights(mu: float, truncation: int) -> np.ndarray:
 
 
 def _check_truncation(params: LaserParams, truncation: int) -> np.ndarray:
-    """The Poisson weights over 0 .. truncation, once their tail mass is
-    checked."""
-    if truncation < 2:
-        raise ValueError("truncation must be >= 2")
-    # the cap stays until a size budget, refused before compute, replaces it
-    # (ROADMAP item 5); no linewidth route needs dense storage
-    if truncation > 512:
-        raise ValueError("truncation is capped at 512")
+    """The Poisson weights over 0 .. truncation, once the truncation is
+    checked against the row budget and their tail mass against 1e-9."""
+    # the row budget, before any weight is formed: the linewidth routes take
+    # O(T) time and memory, so a row count bounds both (see ROW_BUDGET)
+    if not 2 <= truncation <= ROW_BUDGET:
+        raise ValueError(f"truncation {truncation} is outside 2 .. {ROW_BUDGET}, the row budget")
     p = poisson_weights(params.mu, truncation)
     tail = 1.0 - float(p.sum())
     if tail > 1e-9:
@@ -153,7 +159,8 @@ def build_liouvillian_sector(params: LaserParams, sector_offset: int,
     Raises
     ------
     ValueError
-        If the truncation leaves stationary tail mass above 1e-9.
+        If the truncation is outside 2 .. ``ROW_BUDGET`` or leaves
+        stationary tail mass above 1e-9.
     """
     k = int(sector_offset)
     if k < 0 or k > truncation:
@@ -182,7 +189,8 @@ def stationary_state(params: LaserParams, truncation: int) -> np.ndarray:
     Raises
     ------
     ValueError
-        If the truncation leaves stationary tail mass above 1e-9.
+        If the truncation is outside 2 .. ``ROW_BUDGET`` or leaves
+        stationary tail mass above 1e-9.
     """
     p = _check_truncation(params, truncation)
     return p / p.sum()
@@ -211,11 +219,12 @@ def extract_linewidth(
         t0 = skip dt, the first multiple of dt at or after 8/kappa, once the
         fast transients have died.  They come from :func:`_coherence`, one
         hyperbolic contour serving every t_i / t0 in [1, 61] with 61 shifted
-        tridiagonal systems, factored and solved together in O(T) memory per
-        node, whose docstring derives the error bounds: a truncation error
-        of at most 2.6e-15 of g(0), and solves that never break down without
-        pivoting, each pivot lying in the cone spanned by 1 and the node.
-        X(0) is built from the populations of :func:`stationary_state`.
+        tridiagonal systems, eliminated and solved together in one pass over
+        the rows in O(T) memory, whose docstring derives the error bounds: a
+        truncation error of at most 2.6e-15 of g(0), and solves that never
+        break down without pivoting, each pivot lying in the cone spanned by
+        1 and the node.  X(0) is built from the populations of
+        :func:`stationary_state`.
 
     Raises
     ------
@@ -223,6 +232,9 @@ def extract_linewidth(
         If the decay-fit residual shows the decay is not exponential, the
         eigenvalue bracket does not converge, or either route gives a
         linewidth that is not positive.
+    ValueError
+        If the method is unknown, or the truncation is outside
+        2 .. ``ROW_BUDGET`` or leaves stationary tail mass above 1e-9.
     """
     if method not in LINEWIDTH_METHODS:
         raise ValueError(f"method must be one of {tuple(LINEWIDTH_METHODS)}")
@@ -291,27 +303,37 @@ def _coherence(params: LaserParams, truncation: int, ts: np.ndarray) -> np.ndarr
     is about g(0) = w . x.
 
     **Solves.**  z - L1 = (z + B)^T with B = -L1^T, so
-    s_k = w . (z_k - L1)^{-1} x = x . y_k with (z_k + B) y_k = w: one GTH
-    factorization of z_k + B for all nodes at once (:func:`_eliminate`)
-    and one forward and one backward sweep over the T rows
-    (:func:`_solve`), in O(T) memory per node.  Every carried row sum and
-    pivot lies in the cone spanned by 1 and z_k, of opening
+    s_k = w . (z_k - L1)^{-1} x = x . (z_k + B)^{-1} w.  With z_k + B = L U
+    from the GTH elimination (:func:`_eliminate`), s_k = u . v with
+    v = L^{-1} w and u = U^{-T} x.  U^T is lower bidiagonal, the pivots p_i
+    on its diagonal and -right_{i-1} below it, so both triangular solves run
+    forward, row by row beside the elimination, and the sum over the rows
+    is taken as they go (:func:`_resolvent_products`): one pass for all
+    nodes at once, keeping no row, in O(T) memory.  Every carried row sum
+    and pivot lies in the cone spanned by 1 and z_k, of opening
     theta = |arg z_k| <= pi/2 + alpha on this hyperbola, so the elimination
     needs no pivoting, no sum cancels by more than sec(theta/2) <= 3.9, and
     at the real node z_0 > 0 every term is positive.  With each complex
     operation rounding by at most 6 u and |m_i c_{i-1}| <= sec(theta/2)
-    left_i, the computed y solves (z + B + E) y = w with, to first order,
-    |E| <= c_theta u |z + B| entrywise, c_theta = sec(theta/2)
-    (42 + 66 sec(theta/2)): 18 u (1 + sec) sec from the factors' diagonal,
-    24 u (1 + 2 sec) sec from the two bidiagonal solves.  An entrywise
+    left_i, the computed factors, v and u give u . v = x . (z + B + E)^{-1} w
+    with, to first order, |E| <= c_theta u |z + B| entrywise,
+    c_theta = sec(theta/2) (42 + 66 sec(theta/2)): 18 u (1 + sec) sec from
+    the factors' diagonal, 24 u (1 + 2 sec) sec from the two bidiagonal
+    solves, (L + F) v = w and (U + G)^T u = x.  A row of the solve with U^T,
+    u_i = (x_i + right_{i-1} u_{i-1}) / p_i, takes the operations of a row
+    of a backward sweep with U, so G is bounded as it would be there.  The
+    sum over the rows adds at most (T + 2) u sum_i |u_i v_i| (Higham 2002,
+    sec. 3.1 and 3.6); at z_0 every term is positive, and sum_i |u_i v_i|
+    was at most 5.1 |s_k| at every node from mu = 4 to 4096.  An entrywise
     bound is kept by the similarity B = -D^{-1} S D, and
     ||(z - S)^{-1}||_2 = 1 / dist(z, (-inf, 0]), so s_k errs by at most
     c_theta u (|z_k| + ||S||_1) / dist(z_k, (-inf, 0])^2 times
-    ||D w||_2 ||D^{-1} x||_2: the same bound as for the transposed solve
-    (z_k - L1) y = x, with D w and D^{-1} x trading places.  The tests hold
-    both bounds.  They are loose:
-    against the same recurrences in x86 ``clongdouble`` the samples agree to
-    3.4e-14 relative from mu = 4 to 256.
+    ||D w||_2 ||D^{-1} x||_2, plus the sum's term: the same bound as for
+    the transposed solve (z_k - L1) y = x, with D w and D^{-1} x trading
+    places.  The tests hold the samples and each s_k to these bounds with
+    the sum's term left out.  They are loose: against the same recurrences
+    in x86 ``clongdouble`` the samples agree to 2.2e-14 relative from
+    mu = 4 to 256.
     """
     z, weight = _contour()
     tau = ts / ts[0]
@@ -321,23 +343,29 @@ def _coherence(params: LaserParams, truncation: int, ts: np.ndarray) -> np.ndarr
 
 def _resolvent_products(params: LaserParams, truncation: int, z: np.ndarray) -> np.ndarray:
     """x . (z_k + B)^{-1} w, the w . (z_k - L1)^{-1} x of :func:`_coherence`,
-    for each shift z_k: one factorization of z + B for every shift at once
-    and one solve."""
+    for each shift z_k, in one pass over the rows of the elimination of
+    z + B = L U for every shift at once (:func:`_eliminate`): beside it run
+    v = L^{-1} w and u = U^{-T} x, both forward, and s = sum_i u_i v_i =
+    x . U^{-1} L^{-1} w.  No factor or solution row is kept."""
     w = np.sqrt(np.arange(1.0, truncation + 1))
-    x = w * stationary_state(params, truncation)[1:]
-    y = _solve(_eliminate(params, truncation, z), w.tolist())
-    # not x @ y: numpy's complex matrix-vector product took 8 ms here, at
-    # every T from 99 up (2-vCPU VM, numpy 2.4.6 on OpenBLAS 0.3.31)
-    return np.einsum("i,ik->k", x, y)
+    x = (w * stationary_state(params, truncation)[1:]).tolist()
+    v = u = s = above = 0.0
+    for wi, xi, (m, p, right) in zip(w.tolist(), x, _eliminate(params, truncation, z)):
+        v = wi + m * v
+        u = (xi + above * u) / p
+        s += u * v
+        above = right
+    return s
 
 
 def _eliminate(params: LaserParams, truncation: int, z):
-    """GTH factors of z + B, B = -L1^T, for a shift z that is a float or an
-    array of shifts: the multipliers m_i and the pivots p_i (arrays with one
-    row per sector row) and the right neighbours right_i (a list), so that
-    z + B = L U with L unit lower bidiagonal, L[i, i-1] = -m_i, and U upper
-    bidiagonal, U[i, i] = p_i, U[i, i+1] = -right_i.  It is the only reader
-    of the k = 1 sector's rows.
+    """GTH elimination of z + B, B = -L1^T, for a shift z that is a float or
+    an array of shifts, yielding one row (m_i, p_i, right_i) at a time: the
+    multiplier, the pivot and the right neighbour, so that z + B = L U with
+    L unit lower bidiagonal, L[i, i-1] = -m_i (m_0 = 0), and U upper
+    bidiagonal, U[i, i] = p_i, U[i, i+1] = -right_i.  Rows are yielded as
+    they are formed, so a caller keeps only what it needs of them.  It is
+    the only reader of the k = 1 sector's rows.
 
     B is a tridiagonal M-matrix of order T = truncation: row i has
     -left_i = -kappa sqrt(i (i+1)) left of the diagonal, -right_i =
@@ -367,29 +395,26 @@ def _eliminate(params: LaserParams, truncation: int, z):
     Raises
     ------
     ValueError
-        If the truncation leaves stationary tail mass above 1e-9.
+        If the truncation is outside 2 .. ``ROW_BUDGET`` or leaves
+        stationary tail mass above 1e-9.
     """
     sector = build_liouvillian_sector(params, 1, truncation)
     n = np.arange(truncation, dtype=float)
     leak = (params.kappa / (4.0 * (n + 0.5 + np.sqrt(n * (n + 1.0))))).tolist()
     leak[-1] += params.kappa * params.mu / 2.0
-    left, right = sector.sup.tolist(), sector.sub.tolist() + [0.0]
-    mult, pivot = np.zeros((2, truncation) + np.shape(z), np.result_type(z, 1.0))
-    carried = z + leak[0]
-    pivot[0] = carried + right[0]
-    for i in range(1, truncation):
-        mult[i] = left[i - 1] / pivot[i - 1]
-        carried = z + leak[i] + mult[i] * carried
-        pivot[i] = carried + right[i]
-    return mult, pivot, right
+    left, right = [0.0] + sector.sup.tolist(), sector.sub.tolist() + [0.0]
+    carried, pivot = 0.0, 1.0
+    for leak_i, left_i, right_i in zip(leak, left, right):
+        mult = left_i / pivot
+        carried = z + leak_i + mult * carried
+        pivot = carried + right_i
+        yield mult, pivot, right_i
 
 
-def _solve(factors, b) -> list:
-    """(z + B)^{-1} b as a list of rows, from the factors of
-    :func:`_eliminate`: the forward sweep solves L v = b, the backward sweep
-    overwrites v with U^{-1} v.  A row of b or of the factors is a float or
-    an array over the shifts."""
-    mult, pivot, right = factors
+def _solve(mult, pivot, right, b) -> list:
+    """(z + B)^{-1} b as a list of floats, from the real factors of
+    :func:`_eliminate` held as three sequences: the forward sweep solves
+    L v = b, the backward sweep overwrites v with U^{-1} v."""
     acc, y = 0.0, []
     for bi, m in zip(b, mult):
         acc = bi + m * acc
@@ -405,8 +430,9 @@ def linewidth_bracket(params: LaserParams, truncation: int) -> tuple[float, floa
     the k=1 sector, lambda_1 its eigenvalue closest to zero.
 
     B = -L1^T is a tridiagonal M-matrix of order T = truncation, factored
-    once by GTH elimination (:func:`_eliminate` at z = 0), whose factors and
-    solves add, multiply and divide nonnegative numbers only.  Inverse
+    once by GTH elimination (:func:`_eliminate` at z = 0, its rows kept for
+    the solves), whose factors and solves add, multiply and divide
+    nonnegative numbers only.  Inverse
     iteration from x = 1 converges to the Perron vector of B^{-1}, and for
     every positive x the smallest eigenvalue sigma = -lambda_1 of B lies
     between the least and the largest x_i / (B^{-1} x)_i
@@ -421,14 +447,15 @@ def linewidth_bracket(params: LaserParams, truncation: int) -> tuple[float, floa
         If the bracket is still wider than that allowance when it stops
         narrowing, or after ``MAX_INVERSE_ITERATIONS`` inverse iterations.
     ValueError
-        If the truncation leaves stationary tail mass above 1e-9.
+        If the truncation is outside 2 .. ``ROW_BUDGET`` or leaves
+        stationary tail mass above 1e-9.
     """
-    mult, pivot, right = _eliminate(params, truncation, 0.0)
-    # Python floats: the solves run about twice as fast as on numpy scalars
-    factors = mult.tolist(), pivot.tolist(), right
+    # the rows as Python floats: the solves run about twice as fast as on
+    # numpy scalars
+    factors = tuple(zip(*_eliminate(params, truncation, 0.0)))
     x, best = np.ones(truncation), None
     for _ in range(MAX_INVERSE_ITERATIONS):
-        y = np.array(_solve(factors, x.tolist()))
+        y = np.array(_solve(*factors, x.tolist()))
         ratios = x / y
         lo, hi = float(ratios.min()), float(ratios.max())
         if best is not None and hi - lo >= best[1] - best[0]:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import laserclock
-from laserclock import fock
+from laserclock import fock, laserdyn as ld
 from laserclock.cli import COMMANDS, main
 
 
@@ -90,8 +90,8 @@ _PINNED = [
      "45a9e303d3b03349289a73dbc5a5f2e3e35eea48cdfbbdb786cf5ef66af372fe",
      "22e874690ec32736b888340ebf5993c56d64d5b8e44646bc6042512ce9e648b2"),
     ("linewidth --kappa 1 --mu 4,16",
-     "c9f28f86abe6e7ac98363bbcc8d398eb856c353e87ecf5909dd83006000111f9",
-     "8b8f071e410f7c22c152fe0c9a6d53b6031bc5cdedbf3fcc7d5974a108ed117b"),
+     "1270a09094c3e4a40f24f47cfd3542d4c5409b8a1bff57ac6b2279a9ecbbaa11",
+     "88b399622ce59da7dc2e4b46d7155a858f75cc90140c9390dfa4513b16b23143"),
     ("phasevar --mu 25,100 --grid-size 1024",
      "78c0519426376845748096eb76edad222db5536daebbe8a3c45ad963309925da",
      "d5f2ab6c238bfc1978a99c1b7158e4b4a6b83cf9b19c6fe5536e095425cbdf24"),
@@ -621,6 +621,31 @@ def test_phasevar_state_budget_is_checked_before_any_state(monkeypatch, capsys):
     assert f"mu 1000000000000.0 needs a truncation of 1000010000010, more than the " \
            f"state budget of {fock.STATE_BUDGET}" in err
     assert fock.default_truncation(16_736_000) <= fock.STATE_BUDGET
+
+
+@pytest.mark.parametrize("argv", [
+    "linewidth --kappa 1 --mu 2e5",  # a default truncation of 204483
+    "linewidth --kappa 1 --mu 16 --truncation 131073",
+])
+def test_linewidth_row_budget_is_checked_before_compute(monkeypatch, capsys, argv):
+    # a truncation over the row budget is refused by name, with exit 2,
+    # before any Poisson weight, and so any sector row, is formed
+    def weights(*args, **kwargs):
+        raise AssertionError("Poisson weights formed")
+
+    monkeypatch.setattr("laserclock.laserdyn.poisson_weights", weights)
+    assert main(argv.split()) == 2
+    assert f"2 .. {ld.ROW_BUDGET}, the row budget" in capsys.readouterr().err
+
+
+def test_linewidth_runs_past_512_rows(tmp_path):
+    # mu = 1024 and 4096 need 1354 and 4746 rows; the two methods agree to
+    # within 4.3e-15 there (measured), held to 1e-12
+    out = tmp_path / "lw.csv"
+    assert main(["linewidth", "--kappa", "1", "--mu", "1024,4096", "--out", str(out)]) == 0
+    rows = rows_of(out)
+    assert [int(r["truncation"]) for r in rows] == [1354, 4746]
+    assert all(float(r["methods_rel_diff"]) <= 1e-12 for r in rows)
 
 
 def test_phasevar_grid_size_changes_no_csv_byte(tmp_path):

@@ -5,7 +5,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import eig, expm
+from scipy.linalg import eig, expm, solve_banded
 
 import oracles
 from laserclock import fock, laserdyn as ld
@@ -427,9 +427,9 @@ def slope_bound(ts, d_log_g):
 
 def test_contour_quadrature_within_its_bound():
     # e^{lambda tau} against the contour rule, for lambda t0 over the whole
-    # spectrum of the largest sector (mu = 256 at the cap T = 512) and tau
-    # over [1, 61], in floating point: within the truncation error plus the
-    # rounding of the terms and of their sum
+    # spectrum of a large sector (mu = 256 at T = 512, past its default
+    # truncation of 426) and tau over [1, 61], in floating point: within the
+    # truncation error plus the rounding of the terms and of their sum
     params = ld.LaserParams(kappa=1.0, mu=256.0)
     t0 = fit_times(params)[0]
     L1 = ld.build_liouvillian_sector(params, 1, 512)
@@ -449,9 +449,11 @@ def test_contour_quadrature_within_its_bound():
 @pytest.mark.parametrize("mu, trunc", [(4.0, None), (16.0, None), (64.0, None),
                                        (256.0, None), (256.0, 512)])
 def test_resolvent_solves_hold_dense_solve(mu, trunc):
-    # Each node's elimination against np.linalg.solve on the dense z - L1.
-    # The elimination's error in s_k = w . y_k is at most rho_k N_x / dist_k
-    # (laserdyn._coherence).  The dense solve is partially pivoted LU, with
+    # Each node's elimination against LAPACK's partially pivoted solve of
+    # z - L1 (scipy's solve_banded, gtsv on a tridiagonal), and kappa_1 from
+    # the same solve with identity right-hand sides.  The elimination's
+    # error in s_k = w . y_k is at most rho_k N_x / dist_k
+    # (laserdyn._coherence).  Partially pivoted LU has
     # ||E||_1 <= 24 gamma_{3T} ||A||_1 on a tridiagonal A (bidiagonal L with
     # |l| <= 1, U of three diagonals with growth at most 2 (Higham 2002,
     # sec. 9.6), doubled for complex arithmetic), so its y errs by at most
@@ -462,13 +464,16 @@ def test_resolvent_solves_hold_dense_solve(mu, trunc):
     z = ld._contour()[0] / t0
     s = ld._resolvent_products(params, trunc, z)
     rho, dist, n_x = solve_bounds(params, trunc, t0)
-    L1 = ld.build_liouvillian_sector(params, 1, trunc).matrix
+    L1 = ld.build_liouvillian_sector(params, 1, trunc)
     w = np.sqrt(np.arange(1.0, trunc + 1))
     x = w * ld.stationary_state(params, trunc)[1:]
     for k, zk in enumerate(z):
-        A = zk * np.eye(trunc) - L1
-        y = np.linalg.solve(A, x)
-        kappa_1 = np.linalg.norm(A, 1) * np.linalg.norm(np.linalg.inv(A), 1)
+        # A = zk - L1 in band storage, ab[1 + i - j, j] = A[i, j]; column
+        # j of A is column j of ab
+        ab = -np.array([np.append(0.0, L1.sup), L1.diag - zk, np.append(L1.sub, 0.0)])
+        y = solve_banded((1, 1), ab, x)
+        inv_norm = np.abs(solve_banded((1, 1), ab, np.eye(trunc))).sum(axis=0).max()
+        kappa_1 = np.abs(ab).sum(axis=0).max() * inv_norm
         dense = w.max() * kappa_1 * 24 * gamma(3 * trunc) * np.linalg.norm(y, 1)
         assert abs(s[k] - w @ y) <= rho[k] * n_x * t0 / dist[k] + dense, k
 
@@ -552,19 +557,40 @@ def test_contour_fit_within_derived_bound_of_dense_expm(mu, kappa):
 
 
 def test_decay_fit_memory_stays_below_one_dense_sector():
-    # the contour route holds three T x 61 complex arrays (the factors and
-    # the solution), never a T x T one: at mu = 256 (T = 426) it peaks below
-    # one T x T float array
-    params = ld.LaserParams(kappa=1.0, mu=256.0)
-    trunc = fock.default_truncation(256.0)
-    ld.extract_linewidth(params, trunc, "decay_fit")  # warm caches
-    tracemalloc.start()
-    try:
-        ld.extract_linewidth(params, trunc, "decay_fit")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < trunc * trunc * 8
+    # the streamed fit keeps no factor or solution row.  It holds the
+    # sector's diagonals, the weights and their temporaries (at most twelve
+    # float arrays, 8 B a row), five lists of Python floats (32 B an entry)
+    # and one row's 61-long complex arrays, freed as the elimination moves
+    # on; then the 61 x 61 complex matrix of the samples and its
+    # temporaries.  So its traced peak stays below 256 B a row plus four
+    # 61 x 61 complex arrays: 347 kB at mu = 256 (T = 426) and 1.45 MB at
+    # mu = 4096 (T = 4746), far below one T x T float array
+    for mu in (256.0, 4096.0):
+        params = ld.LaserParams(kappa=1.0, mu=mu)
+        trunc = fock.default_truncation(mu)
+        ld.extract_linewidth(params, trunc, "decay_fit")  # warm caches
+        tracemalloc.start()
+        try:
+            ld.extract_linewidth(params, trunc, "decay_fit")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 256 * trunc + 4 * 61 * 61 * 16
+        assert peak < bound < trunc * trunc * 8, mu
+
+
+@pytest.mark.parametrize("mu, law", [(1024.0, 1.81752), (4096.0, 1.81375)])
+def test_second_order_law_from_the_bracket(mu, law):
+    # mu (mu x - 1), x = ell / (kappa / (4 mu)) - 1, from the production
+    # bracket against its 50-digit mpmath value, quoted to six digits:
+    # ell = kappa/(4 mu) (1 + 1/mu + 29/(16 mu^2) + O(mu^-3)).  The midpoint
+    # is within half the bracket of ell, which moves mu (mu x - 1) by at
+    # most mu^2 (1 + x) / 2 < mu^2 times the bracket's relative width
+    params = ld.LaserParams(kappa=1.0, mu=mu)
+    lo, hi = ld.linewidth_bracket(params, fock.default_truncation(mu))
+    x = (lo + hi) / 2 / ld.hl_linewidth(params) - 1
+    tol = 0.5e-5 + mu ** 2 * (hi - lo) / lo
+    assert abs(mu * (mu * x - 1) - law) <= tol
 
 
 def test_linewidth_linearity_in_kappa():
