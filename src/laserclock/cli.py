@@ -111,16 +111,18 @@ def _run_sync(a):
 
 def _run_linewidth(a):
     lasers = [ld.LaserParams(kappa=a.kappa, mu=mu) for mu in a.mu]
-    rows, diffs, tails, brackets = [], [], [], []
-    for params in lasers:
-        trunc = fock.default_truncation(params.mu) if a.truncation == "auto" \
-            else a.truncation
+    truncs = [fock.default_truncation(mu) if a.truncation == "auto" else a.truncation
+              for mu in a.mu]
+    # every --mu's truncation, checked before the first route runs
+    tails = [1.0 - float(ld.checked_weights(params, trunc).sum())
+             for params, trunc in zip(lasers, truncs)]
+    rows, diffs, brackets = [], [], []
+    for params, trunc in zip(lasers, truncs):
         le = ld.extract_linewidth(params, trunc, method="eigenvalue")
         lf = ld.extract_linewidth(params, trunc, method="decay_fit")
         lo, hi = ld.linewidth_bracket(params, trunc)
         brackets.append((hi - lo) / lo)
         diffs.append(abs(le / lf - 1.0))
-        tails.append(1.0 - float(ld.poisson_weights(params.mu, trunc).sum()))
         rows.append([a.seed, 0, 0, a.kappa, params.mu, trunc, le, lf,
                      diffs[-1], ld.hl_linewidth(params), ld.sql_linewidth(params)])
     summary = {"max_methods_rel_diff": max(diffs),

@@ -16,12 +16,13 @@ conventional (noisy-gain) laser.  At finite mu it exceeds that asymptote:
 ell = kappa/(4 mu) (1 + 1/mu + O(1/mu^2)).  The expansion fails below
 mu ~ 8 (+66% at mu = 4); from mu = 4 up the linewidth is still below the SQL.
 
-Each quantity takes its structured route, on numpy alone, from the sector's
-three diagonals in O(T) memory.  The stationary state is the Poisson closed
-form (detailed balance of the k = 0 chain); it is diagonal, so
-:func:`stationary_state` returns its populations.  The negated, transposed
-k = 1 sector B = -L1^T is a tridiagonal M-matrix whose row sums (the column
-defects of L1) have closed forms free of cancellation.  One GTH elimination
+Each quantity takes its structured route, on numpy alone, in O(T) memory:
+no sector is built, and the k = 1 rows come from their closed forms.  The
+stationary state is the Poisson closed form (detailed balance of the k = 0
+chain); it is diagonal, so :func:`stationary_state` returns its
+populations.  The negated, transposed k = 1 sector B = -L1^T is a
+tridiagonal M-matrix whose row sums (the column defects of L1) have closed
+forms free of cancellation.  One GTH elimination
 (Grassmann, Taksar and Heyman 1985) of z + B, the shift z added to every
 row sum, yields its rows one at a time, and both routes consume it.  The
 smallest eigenvalue of B comes to relative accuracy from inverse iteration
@@ -35,13 +36,14 @@ s_k = x . y_k = w . (z_k - L1)^{-1} x, keeping no row, and the s_k serve
 all 61 sample times.  Its truncation error is at most 2.6e-15 of the
 coherence's start value, and every pivot stays in the cone spanned by 1
 and z_k, so the elimination needs no pivoting.  Both routes take O(T)
-memory and time; a truncation above ``ROW_BUDGET`` rows is refused before
-any of it is spent.  None of these routes needs scipy, and no
-module loads it.  The general routes (the dense (T+1)^2 x (T+1)^2
-superoperator, a least-squares null vector, the pure-loss sectors, scipy's
-``eigh_tridiagonal`` and ``expm``, and a dense Pade propagator) live in the
-tests, which hold the sectors, the stationary state, the eigenvalue, the
-resolvent solves and the decay fit to them.
+memory and time; :func:`checked_weights`, the one check of every route,
+refuses a truncation above ``ROW_BUDGET`` rows before any of it is spent.
+None of these routes needs scipy, and no module loads it.  The general
+routes (the sector builder for any offset k with its dense view, the dense
+(T+1)^2 x (T+1)^2 superoperator, a least-squares null vector, the pure-loss
+sectors, scipy's ``eigh_tridiagonal`` and ``expm``, and a dense Pade
+propagator) live in the tests, which hold the k = 1 rows, the stationary
+state, the eigenvalue, the resolvent solves and the decay fit to them.
 
 Everything is computed in the frame rotating at the optical frequency, so
 the optical frequency never enters: the lab-frame term -i omega [a^dag a, rho]
@@ -61,9 +63,8 @@ from .fock import log_factorials
 
 __all__ = [
     "LaserParams",
-    "LiouvillianSector",
     "poisson_weights",
-    "build_liouvillian_sector",
+    "checked_weights",
     "stationary_state",
     "extract_linewidth",
     "linewidth_bracket",
@@ -101,37 +102,29 @@ class LaserParams:
             raise ValueError("mu must be positive and finite")
 
 
-@dataclass(frozen=True)
-class LiouvillianSector:
-    """Generator restricted to the elements x_n = rho_{n, n+k} for fixed k,
-    held as its three diagonals: ``diag[n]`` is the rate (1/s) at which x_n
-    feeds dx_n/dt, ``sub[n]`` the rate at which x_n feeds dx_{n+1}/dt and
-    ``sup[n]`` the rate at which x_{n+1} feeds dx_n/dt."""
-
-    sector_offset: int
-    sub: np.ndarray
-    diag: np.ndarray
-    sup: np.ndarray
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense view built on demand: ``matrix[i, j]`` is the rate (1/s) at
-        which x_j feeds dx_i/dt."""
-        L = np.diag(self.diag)
-        np.fill_diagonal(L[:, 1:], self.sup)
-        np.fill_diagonal(L[1:], self.sub)
-        return L
-
-
 def poisson_weights(mu: float, truncation: int) -> np.ndarray:
     """Poisson(mu) probabilities for n = 0 .. truncation (log-space, unnormalized tail)."""
     n = np.arange(truncation + 1)
     return np.exp(-mu + n * np.log(mu) - log_factorials(truncation))
 
 
-def _check_truncation(params: LaserParams, truncation: int) -> np.ndarray:
+def checked_weights(params: LaserParams, truncation: int) -> np.ndarray:
     """The Poisson weights over 0 .. truncation, once the truncation is
-    checked against the row budget and their tail mass against 1e-9."""
+    checked against the row budget and their tail mass 1 - sum p against
+    1e-9: the one check of every linewidth route and of the CLI.
+
+    Up to the top of the budget (mu = 127491) the true tail is below 1e-12,
+    so the tail read there is the weights' own rounding, which grows like
+    mu log mu and may be negative: -5.8e-11 at mu = 1e5, +5.3e-11 at
+    mu = 127491.  Loader's saddle-point form of the weights would remove
+    that rounding.
+
+    Raises
+    ------
+    ValueError
+        If the truncation is outside 2 .. ``ROW_BUDGET`` or leaves
+        stationary tail mass above 1e-9.
+    """
     # the row budget, before any weight is formed: the linewidth routes take
     # O(T) time and memory, so a row count bounds both (see ROW_BUDGET)
     if not 2 <= truncation <= ROW_BUDGET:
@@ -143,37 +136,6 @@ def _check_truncation(params: LaserParams, truncation: int) -> np.ndarray:
             f"truncation {truncation} too small: stationary tail mass {tail:.2e} > 1e-9"
         )
     return p
-
-
-def build_liouvillian_sector(params: LaserParams, sector_offset: int,
-                             truncation: int) -> LiouvillianSector:
-    """Build the sector-k generator for x_n = rho_{n, n+k}, in the rotating frame.
-
-    Loss contributes kappa * [sqrt((n+1)(n+k+1)) x_{n+1} - (n + k/2) x_n].
-    The noiseless gain, written as a dissipator of the raising isometry
-    truncated at the top state (which keeps every sector exactly
-    trace-consistent), contributes kappa*mu * [x_{n-1} - x_n] away from the
-    boundary.  No term carries a phase in the rotating frame, so the sector
-    is real (``float``) and tridiagonal; it is returned as its diagonals.
-
-    Raises
-    ------
-    ValueError
-        If the truncation is outside 2 .. ``ROW_BUDGET`` or leaves
-        stationary tail mass above 1e-9.
-    """
-    k = int(sector_offset)
-    if k < 0 or k > truncation:
-        raise ValueError("sector_offset must be in [0, truncation]")
-    _check_truncation(params, truncation)
-    kappa, mu = params.kappa, params.mu
-    n = np.arange(truncation - k + 1)
-    # loss kappa (a rho a^dag - {a^dag a, rho}/2); gain kappa*mu, truncated
-    # at the top state
-    sup = kappa * np.sqrt((n[:-1] + 1.0) * (n[:-1] + k + 1.0))
-    diag = -kappa * (n + k / 2.0) - kappa * mu * ((n <= truncation - 1).astype(float)
-                                                   + (n + k <= truncation - 1).astype(float)) / 2.0
-    return LiouvillianSector(k, np.full(len(n) - 1, kappa * mu), diag, sup)
 
 
 def stationary_state(params: LaserParams, truncation: int) -> np.ndarray:
@@ -192,7 +154,7 @@ def stationary_state(params: LaserParams, truncation: int) -> np.ndarray:
         If the truncation is outside 2 .. ``ROW_BUDGET`` or leaves
         stationary tail mass above 1e-9.
     """
-    p = _check_truncation(params, truncation)
+    p = checked_weights(params, truncation)
     return p / p.sum()
 
 
@@ -347,8 +309,9 @@ def _resolvent_products(params: LaserParams, truncation: int, z: np.ndarray) -> 
     z + B = L U for every shift at once (:func:`_eliminate`): beside it run
     v = L^{-1} w and u = U^{-T} x, both forward, and s = sum_i u_i v_i =
     x . U^{-1} L^{-1} w.  No factor or solution row is kept."""
+    rho = stationary_state(params, truncation)  # checks the truncation first
     w = np.sqrt(np.arange(1.0, truncation + 1))
-    x = (w * stationary_state(params, truncation)[1:]).tolist()
+    x = (w * rho[1:]).tolist()
     v = u = s = above = 0.0
     for wi, xi, (m, p, right) in zip(w.tolist(), x, _eliminate(params, truncation, z)):
         v = wi + m * v
@@ -365,14 +328,19 @@ def _eliminate(params: LaserParams, truncation: int, z):
     L unit lower bidiagonal, L[i, i-1] = -m_i (m_0 = 0), and U upper
     bidiagonal, U[i, i] = p_i, U[i, i+1] = -right_i.  Rows are yielded as
     they are formed, so a caller keeps only what it needs of them.  It is
-    the only reader of the k = 1 sector's rows.
+    the only reader of the k = 1 sector's rows, and it forms them from their
+    closed forms; the general sector builder is a test route
+    (tests/oracles.py), and the tests hold these rows bitwise to a GTH pass
+    over it.  The
+    truncation is not checked here: each caller checks it first
+    (:func:`checked_weights`).
 
-    B is a tridiagonal M-matrix of order T = truncation: row i has
-    -left_i = -kappa sqrt(i (i+1)) left of the diagonal, -right_i =
-    -kappa mu right of it (none in the top row) and row sum leak_i, the
-    defect of column i of L1,
+    B is a tridiagonal M-matrix of order T = truncation: with
+    root_i = sqrt(i (i+1)), row i has -left_i = -kappa root_i left of the
+    diagonal (left_0 = 0), -right_i = -kappa mu right of it (0 in the top
+    row) and row sum leak_i, the defect of column i of L1,
 
-        leak_i = kappa (i + 1/2 - sqrt(i (i+1))) = kappa / (4 (i + 1/2 + sqrt(i (i+1)))),
+        leak_i = kappa (i + 1/2 - root_i) = kappa / (4 (i + 1/2 + root_i)),
 
     plus kappa mu / 2 in the top row, whose gain is truncated.  The second
     form has no cancellation.  GTH elimination (Grassmann, Taksar and Heyman,
@@ -391,20 +359,14 @@ def _eliminate(params: LaserParams, truncation: int, z):
     (|z| + leak_i + right_i) > 0: the elimination never breaks down, no sum
     cancels by more than sec(theta/2), and |m_i c_{i-1}| <= sec(theta/2)
     left_i.
-
-    Raises
-    ------
-    ValueError
-        If the truncation is outside 2 .. ``ROW_BUDGET`` or leaves
-        stationary tail mass above 1e-9.
     """
-    sector = build_liouvillian_sector(params, 1, truncation)
     n = np.arange(truncation, dtype=float)
-    leak = (params.kappa / (4.0 * (n + 0.5 + np.sqrt(n * (n + 1.0))))).tolist()
+    root = np.sqrt(n * (n + 1.0))
+    leak = (params.kappa / (4.0 * (n + 0.5 + root))).tolist()
     leak[-1] += params.kappa * params.mu / 2.0
-    left, right = [0.0] + sector.sup.tolist(), sector.sub.tolist() + [0.0]
+    right = [params.kappa * params.mu] * (truncation - 1) + [0.0]
     carried, pivot = 0.0, 1.0
-    for leak_i, left_i, right_i in zip(leak, left, right):
+    for leak_i, left_i, right_i in zip(leak, (params.kappa * root).tolist(), right):
         mult = left_i / pivot
         carried = z + leak_i + mult * carried
         pivot = carried + right_i
@@ -439,7 +401,8 @@ def linewidth_bracket(params: LaserParams, truncation: int) -> tuple[float, floa
     (Collatz-Wielandt).  The iteration stops once that bracket stops
     narrowing; each side of 2 sigma is then widened by T eps, one eps per
     row of the recurrences, for their rounding.  The bracket needs O(T)
-    memory; the dense sector is never built.
+    memory; the dense sector is never built.  The truncation is checked on
+    entry (:func:`checked_weights`).
 
     Raises
     ------
@@ -450,6 +413,7 @@ def linewidth_bracket(params: LaserParams, truncation: int) -> tuple[float, floa
         If the truncation is outside 2 .. ``ROW_BUDGET`` or leaves
         stationary tail mass above 1e-9.
     """
+    checked_weights(params, truncation)
     # the rows as Python floats: the solves run about twice as fast as on
     # numpy scalars
     factors = tuple(zip(*_eliminate(params, truncation, 0.0)))

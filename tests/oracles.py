@@ -13,7 +13,9 @@ by numpy (from ``scipy.linalg.expm``, or from a degree-13 Pade step and
 squarings in numpy), the lattice-channel overlaps by adaptive quadrature,
 the scaled erf by boolean masks and on ``scipy.special``'s ``wofz`` and
 ``dawsn``, and the channel's output amplitude by a sum over one window of
-lattice states.
+lattice states.  The master-equation sector for any offset k
+(``build_liouvillian_sector``, with its dense view) is the general route
+whose k = 1 rows ``laserdyn`` forms from their closed forms.
 """
 import math
 from dataclasses import dataclass, field
@@ -205,7 +207,53 @@ def phase_variance_series(amplitudes):
     return math.fsum(terms)
 
 
-# --- laserdyn: dense superoperator, loss-only sectors -----------------------
+# --- laserdyn: the sectors, dense superoperator, loss-only sectors -----------
+
+@dataclass(frozen=True)
+class LiouvillianSector:
+    """Generator restricted to the elements x_n = rho_{n, n+k} for fixed k,
+    held as its three diagonals: ``diag[n]`` is the rate (1/s) at which x_n
+    feeds dx_n/dt, ``sub[n]`` the rate at which x_n feeds dx_{n+1}/dt and
+    ``sup[n]`` the rate at which x_{n+1} feeds dx_n/dt."""
+
+    sector_offset: int
+    sub: np.ndarray
+    diag: np.ndarray
+    sup: np.ndarray
+
+    @property
+    def matrix(self):
+        """Dense view: ``matrix[i, j]`` is the rate (1/s) at which x_j feeds
+        dx_i/dt."""
+        L = np.diag(self.diag)
+        np.fill_diagonal(L[:, 1:], self.sup)
+        np.fill_diagonal(L[1:], self.sub)
+        return L
+
+
+def build_liouvillian_sector(params, sector_offset, truncation):
+    """The sector-k generator for x_n = rho_{n, n+k}, n = 0 .. truncation - k,
+    in the rotating frame.
+
+    Loss contributes kappa * [sqrt((n+1)(n+k+1)) x_{n+1} - (n + k/2) x_n].
+    The noiseless gain, written as a dissipator of the raising isometry
+    truncated at the top state (which keeps every sector exactly
+    trace-consistent), contributes kappa*mu * [x_{n-1} - x_n] away from the
+    boundary.  No term carries a phase in the rotating frame, so the sector
+    is real and tridiagonal.  The truncation is not checked against the
+    stationary tail; ``test_sector_blocks_match_full_superoperator`` holds
+    the sectors to ``full_liouvillian``.
+    """
+    k = int(sector_offset)
+    if not 0 <= k <= truncation:
+        raise ValueError("sector_offset must be in [0, truncation]")
+    kappa, mu = params.kappa, params.mu
+    n = np.arange(truncation - k + 1)
+    sup = kappa * np.sqrt((n[:-1] + 1.0) * (n[:-1] + k + 1.0))
+    diag = -kappa * (n + k / 2.0) - kappa * mu * ((n <= truncation - 1).astype(float)
+                                                   + (n + k <= truncation - 1).astype(float)) / 2.0
+    return LiouvillianSector(k, np.full(len(n) - 1, kappa * mu), diag, sup)
+
 
 def full_liouvillian(kappa, mu, truncation):
     """Dense superoperator on row-major vectorized rho: loss at rate kappa and
@@ -234,7 +282,7 @@ def symmetric_sector_1(params, truncation):
     the k=1 sector: its diagonal, and sqrt(b_n c) from its loss super-diagonal
     b_n and gain sub-diagonal c, by the diagonal similarity
     D_{n+1}/D_n = sqrt(c/b_n)."""
-    L1 = ld.build_liouvillian_sector(params, 1, truncation).matrix
+    L1 = build_liouvillian_sector(params, 1, truncation).matrix
     return np.diag(L1).copy(), np.sqrt(np.diag(L1, 1) * np.diag(L1, -1))
 
 
@@ -286,7 +334,7 @@ def _dense_decay_fit(params, truncation, exp):
     Returns the linewidth, the sample times and the samples |Tr(a^dag X(t))|.
     Same initial vector, step, skip and fit as ``extract_linewidth``.
     """
-    L1 = ld.build_liouvillian_sector(params, 1, truncation).matrix
+    L1 = build_liouvillian_sector(params, 1, truncation).matrix
     w = np.sqrt(np.arange(1.0, truncation + 1))
     p = ld.poisson_weights(params.mu, truncation)
     x = w * (p / p.sum())[1:]

@@ -12,8 +12,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
-
 import laserclock
 from laserclock import channel, laserdyn, tracking
 
@@ -22,7 +20,6 @@ def test_traced_functions_are_public():
     assert "run_tracking" in tracking.__all__
     assert "decohere" in channel.__all__
     assert "extract_linewidth" in laserdyn.__all__
-    assert "build_liouvillian_sector" in laserdyn.__all__
 
 
 def test_traced_arguments_keep_their_names():
@@ -32,19 +29,6 @@ def test_traced_arguments_keep_their_names():
     assert run["dt"].default is None and run["gain"].default is None
     fit = inspect.signature(laserdyn.extract_linewidth).parameters
     assert "method" in fit and "truncation" in fit
-
-
-def test_traced_sector_keeps_its_dense_view():
-    # tracing counts sector rows by the dense view's shape; the linewidth
-    # routes read sub, sup and the column defects, whose lengths must agree
-    # with it
-    params = laserdyn.LaserParams(kappa=1.0, mu=8.0)
-    sector = laserdyn.build_liouvillian_sector(params, 1, 60)
-    L = sector.matrix
-    assert L.shape == (60, 60)
-    assert len(sector.diag) == 60 and len(sector.sub) == len(sector.sup) == 59
-    assert np.array_equal(np.diag(L), sector.diag)
-    assert np.array_equal(np.diag(L, -1), sector.sub) and np.array_equal(np.diag(L, 1), sector.sup)
 
 
 def test_traced_module_attributes_exist():

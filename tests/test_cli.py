@@ -638,6 +638,22 @@ def test_linewidth_row_budget_is_checked_before_compute(monkeypatch, capsys, arg
     assert f"2 .. {ld.ROW_BUDGET}, the row budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    "linewidth --kappa 1 --mu 4,2e5",  # the second --mu is over the row budget
+    "linewidth --kappa 1 --mu 4,16 --truncation 40",  # the second --mu's tail is too heavy
+])
+def test_linewidth_checks_every_mu_before_the_first_route(monkeypatch, capsys, argv):
+    # a later --mu's refusal comes before any linewidth is computed for an
+    # earlier one
+    def no_route(*args, **kwargs):
+        raise AssertionError("linewidth route run")
+
+    monkeypatch.setattr("laserclock.laserdyn.extract_linewidth", no_route)
+    monkeypatch.setattr("laserclock.laserdyn.linewidth_bracket", no_route)
+    assert main(argv.split()) == 2
+    assert "invalid configuration: truncation" in capsys.readouterr().err
+
+
 def test_linewidth_runs_past_512_rows(tmp_path):
     # mu = 1024 and 4096 need 1354 and 4746 rows; the two methods agree to
     # within 4.3e-15 there (measured), held to 1e-12

@@ -26,7 +26,7 @@ def detailed_balance_poisson(mu, trunc):
 def lstsq_stationary_populations(params, trunc):
     # oracle: the k=0 null vector by least squares, the trace constraint
     # appended as an extra row
-    L0 = ld.build_liouvillian_sector(params, 0, trunc).matrix
+    L0 = oracles.build_liouvillian_sector(params, 0, trunc).matrix
     A = np.vstack([L0, np.ones(trunc + 1)])
     b = np.zeros(trunc + 2)
     b[-1] = 1.0
@@ -48,7 +48,7 @@ def test_pure_loss_sector0_trace_preserving():
 
 def test_noiseless_gain_sector0_trace_preserving():
     params = ld.LaserParams(kappa=1.0, mu=8.0)
-    L = ld.build_liouvillian_sector(params, 0, 60).matrix
+    L = oracles.build_liouvillian_sector(params, 0, 60).matrix
     assert np.max(np.abs(L.sum(axis=0))) < 1e-12
 
 
@@ -150,20 +150,37 @@ def test_decay_fit_starts_from_the_stationary_state(monkeypatch):
 
 
 def test_truncation_too_small_rejected():
+    # every route refuses it through the one check, checked_weights
     params = ld.LaserParams(kappa=1.0, mu=8.0)
-    with pytest.raises(ValueError, match="truncation"):
-        ld.build_liouvillian_sector(params, 0, 12)
+    for route in (ld.checked_weights, ld.stationary_state, ld.linewidth_bracket,
+                  lambda params, trunc: ld.extract_linewidth(params, trunc, "eigenvalue"),
+                  lambda params, trunc: ld.extract_linewidth(params, trunc, "decay_fit")):
+        with pytest.raises(ValueError, match="truncation 12 too small"):
+            route(params, 12)
+
+
+def test_row_budget_top_passes_the_tail_check():
+    # mu = 127491 is the least mu whose default truncation is the whole row
+    # budget.  The true tail there is below 1e-12, so 1 - sum p is the
+    # weights' rounding, which may take either sign; it reads 5.3e-11
+    params = ld.LaserParams(kappa=1.0, mu=127491.0)
+    trunc = fock.default_truncation(params.mu)
+    assert trunc == ld.ROW_BUDGET > fock.default_truncation(127490.0)
+    p = ld.checked_weights(params, trunc)
+    assert len(p) == trunc + 1 and abs(1.0 - p.sum()) <= 1e-9
+    with pytest.raises(ValueError, match="the row budget"):
+        ld.checked_weights(params, trunc + 1)
 
 
 def test_sector_blocks_match_full_superoperator():
     # the full generator must map rho_{n, n+k} strictly within offset k, and
-    # its blocks must reproduce the sector matrices exactly: the production
-    # sectors with noiseless gain (mu = 2), the loss-only oracle sectors at
-    # mu = 0
+    # its blocks must reproduce the sector matrices exactly: the general
+    # sector oracle with noiseless gain (mu = 2), the loss-only oracle
+    # sectors at mu = 0
     T = 16
     d = T + 1
     params = ld.LaserParams(kappa=1.0, mu=2.0)
-    for mu, sector in [(2.0, lambda k: ld.build_liouvillian_sector(params, k, T).matrix),
+    for mu, sector in [(2.0, lambda k: oracles.build_liouvillian_sector(params, k, T).matrix),
                        (0.0, lambda k: oracles.loss_sector(1.0, k, T))]:
         Lfull = oracles.full_liouvillian(1.0, mu, T)
         for k in [0, 1, 5]:
@@ -177,6 +194,44 @@ def test_sector_blocks_match_full_superoperator():
                 mask[idx, idx + k] = True
                 assert np.all(out[~mask] == 0.0), "cross-sector coupling"
                 assert np.allclose(out[idx, idx + k], L[:, n], atol=1e-13)
+
+
+def test_oracle_sector_keeps_its_dense_view():
+    # the dense view and the three diagonals that the oracles read agree in
+    # shape and entries
+    params = ld.LaserParams(kappa=1.0, mu=8.0)
+    sector = oracles.build_liouvillian_sector(params, 1, 60)
+    L = sector.matrix
+    assert L.shape == (60, 60)
+    assert len(sector.diag) == 60 and len(sector.sub) == len(sector.sup) == 59
+    assert np.array_equal(np.diag(L), sector.diag)
+    assert np.array_equal(np.diag(L, -1), sector.sub) and np.array_equal(np.diag(L, 1), sector.sup)
+
+
+@pytest.mark.parametrize("mu", [0.5, 8.0, 256.0])
+def test_eliminate_rows_are_a_gth_pass_over_the_oracle_sector(mu):
+    # the rows _eliminate forms from closed forms, bitwise those of a
+    # plain-Python GTH pass over B = -L1^T read from the general sector
+    # oracle: its sup (left of B's diagonal), its sub (right of it) and its
+    # column defects.  A defect formed by subtraction from the oracle's
+    # column sums cancels, so the pass takes the closed form
+    # kappa / (4 (i + 1/2 + sqrt(i (i+1)))) (+ kappa mu / 2 at the top), held
+    # here to those sums within the rounding of the subtraction
+    params = ld.LaserParams(kappa=0.37, mu=mu)
+    trunc = fock.default_truncation(mu)
+    L1 = oracles.build_liouvillian_sector(params, 1, trunc)
+    sup, sub = L1.sup.tolist(), L1.sub.tolist()
+    leak = [params.kappa / (4.0 * (i + 0.5 + math.sqrt(i * (i + 1.0)))) for i in range(trunc)]
+    leak[-1] += params.kappa * params.mu / 2.0
+    column_sums = L1.matrix.sum(axis=0)
+    assert np.all(np.abs(np.array(leak) + column_sums) <= 4 * EPS * np.abs(L1.diag))
+    rows, carried, pivot = [], 0.0, 1.0
+    for left_i, leak_i, right_i in zip([0.0] + sup, leak, sub + [0.0]):
+        mult = left_i / pivot
+        carried = 0.0 + leak_i + mult * carried
+        pivot = carried + right_i
+        rows.append((mult, pivot, right_i))
+    assert list(ld._eliminate(params, trunc, 0.0)) == rows
 
 
 def test_linewidth_mu8ts_frozen_value():
@@ -200,7 +255,7 @@ def test_tridiagonal_eigenvalue_matches_dense_eig(mu, kappa):
     # with the stated safety factor c = 10 for the backward-error constants.
     params = ld.LaserParams(kappa=kappa, mu=mu)
     trunc = fock.default_truncation(mu)
-    L1 = ld.build_liouvillian_sector(params, 1, trunc).matrix
+    L1 = oracles.build_liouvillian_sector(params, 1, trunc).matrix
     w, vl, vr = eig(L1, left=True, right=True)
     i = int(np.argmax(w.real))
     x, y = vr[:, i], vl[:, i]
@@ -295,7 +350,7 @@ def test_decay_fit_is_one_propagator_past_the_transients(monkeypatch, mu):
     (ts,) = sampled
     dt = 16.0 * mu / kappa / 60
     assert ts[0] >= 8 / kappa > ts[0] - (ts[1] - ts[0])
-    A = ld.build_liouvillian_sector(params, 1, trunc).matrix * dt
+    A = oracles.build_liouvillian_sector(params, 1, trunc).matrix * dt
     s = round(math.log2(np.linalg.norm(A, 1) / np.linalg.norm(scaled, 1)))
     assert np.array_equal(scaled * 2.0 ** s, A)
     assert oracles.THETA_13 / 2 < np.linalg.norm(scaled, 1) <= oracles.THETA_13
@@ -307,7 +362,7 @@ def scaled_step(mu):
     """L1 dt of the decay fit at kappa = 1, its size n and its scaling s."""
     params = ld.LaserParams(kappa=1.0, mu=mu)
     trunc = fock.default_truncation(mu)
-    A = ld.build_liouvillian_sector(params, 1, trunc).matrix * (16.0 * mu / 60)
+    A = oracles.build_liouvillian_sector(params, 1, trunc).matrix * (16.0 * mu / 60)
     return A, trunc, max(0, math.ceil(math.log2(np.linalg.norm(A, 1) / oracles.THETA_13)))
 
 
@@ -432,7 +487,7 @@ def test_contour_quadrature_within_its_bound():
     # truncation error plus the rounding of the terms and of their sum
     params = ld.LaserParams(kappa=1.0, mu=256.0)
     t0 = fit_times(params)[0]
-    L1 = ld.build_liouvillian_sector(params, 1, 512)
+    L1 = oracles.build_liouvillian_sector(params, 1, 512)
     l1_norm = max(np.abs(L1.diag) + np.append(L1.sub, 0) + np.append(0, L1.sup))
     z, weight = ld._contour()
     lam = -np.concatenate([[0.0], np.geomspace(1e-6, l1_norm * t0, 200)])
@@ -464,7 +519,7 @@ def test_resolvent_solves_hold_dense_solve(mu, trunc):
     z = ld._contour()[0] / t0
     s = ld._resolvent_products(params, trunc, z)
     rho, dist, n_x = solve_bounds(params, trunc, t0)
-    L1 = ld.build_liouvillian_sector(params, 1, trunc)
+    L1 = oracles.build_liouvillian_sector(params, 1, trunc)
     w = np.sqrt(np.arange(1.0, trunc + 1))
     x = w * ld.stationary_state(params, trunc)[1:]
     for k, zk in enumerate(z):
@@ -490,7 +545,7 @@ def test_resolvent_products_hold_a_40_digit_solve(mu, worst):
     trunc = fock.default_truncation(mu)
     z = ld._contour()[0] / fit_times(params)[0]
     s = ld._resolvent_products(params, trunc, z)
-    L1 = ld.build_liouvillian_sector(params, 1, trunc)
+    L1 = oracles.build_liouvillian_sector(params, 1, trunc)
     w = np.sqrt(np.arange(1.0, trunc + 1))
     x = w * ld.stationary_state(params, trunc)[1:]
     with mpmath.workdps(40):
@@ -527,7 +582,7 @@ def assert_fit_agrees_with_dense_expm(mu, kappa):
     ell_dense, ts, g = oracles.decay_fit_dense_expm(params, trunc)
     ell = ld.extract_linewidth(params, trunc, "decay_fit")
     assert np.array_equal(ts, fit_times(params))
-    A = ld.build_liouvillian_sector(params, 1, trunc).matrix * (ts[1] - ts[0])
+    A = oracles.build_liouvillian_sector(params, 1, trunc).matrix * (ts[1] - ts[0])
     s = max(0, math.ceil(math.log2(np.linalg.norm(A, 1) / oracles.THETA_13)))
     delta = U_ROUND * np.linalg.norm(A, 1) + (3 * 2 ** s - 2) * gamma(trunc)
     w = np.sqrt(np.arange(1.0, trunc + 1))
