@@ -2,9 +2,11 @@
 
 Each subcommand runs one experiment and emits a CSV table (header row, '.'
 decimals; each cell the ``str`` of its value, a flag 0 or 1, a missing value
-empty) plus a JSON sidecar echoing the fully resolved configuration and the
-library version, so any output can be reproduced byte-for-byte from its
-sidecar alone: ``laserclock <subcommand> --config sidecar.json``.
+empty; a cell that is the same object as the one above it is formatted once,
+so handlers pass a repeated value as one object) plus a JSON sidecar echoing
+the fully resolved configuration and the library version, so any output can
+be reproduced byte-for-byte from its sidecar alone:
+``laserclock <subcommand> --config sidecar.json``.
 ``track`` and ``sweep`` write the tracking engine's own prediction as
 ``predicted_rad2`` and leave the checks of a bandwidth to the engine.
 
@@ -166,10 +168,14 @@ def _run_channel(a):
     fid = ch.coherent_fidelity(dist)
     P = dist.probabilities
     i, j = np.nonzero(P >= min_prob)
-    n, m = dist.ns[i], dist.ms[j]
-    rows = [[a.seed, 0, 0, delta, mod, arg, *cell, amp.real, amp.imag, dist.captured_mass]
-            for cell in zip(n.tolist(), m.tolist(), spec.q(n).tolist(), spec.p(m).tolist(),
-                            P[i, j].tolist())]
+    m = dist.ms[j]
+    # each repeated cell is one object, so _csv_lines formats it once: the
+    # run's constants once per run, a box's n and q once per box
+    head, tail = [a.seed, 0, 0, delta, mod, arg], [amp.real, amp.imag, dist.captured_mass]
+    ns, qs = dist.ns.tolist(), spec.q(dist.ns).tolist()
+    rows = [[*head, ns[r], mr, qs[r], pr, prob, *tail]
+            for r, mr, pr, prob in zip(i.tolist(), m.tolist(), spec.p(m).tolist(),
+                                       P[i, j].tolist())]
     summary = {"output_amplitude": [amp.real, amp.imag],
                "output_modulus": abs(amp), "output_phase_rad": math.atan2(amp.imag, amp.real),
                "captured_mass": dist.captured_mass,
@@ -335,6 +341,21 @@ def _resolve_flags(args):
     return resolved
 
 
+def _csv_lines(rows):
+    """Each row as one CSV line: a cell is the ``str`` of its value, empty for
+    None.  A cell that is the same object (``is``, never ``==``: 0.0 and
+    -0.0, or 1, 1.0 and True, are equal but print differently) as the cell
+    above it takes that cell's text instead of being formatted again."""
+    above = texts = ()
+    for row in rows:
+        if len(row) != len(above):  # a fresh sentinel is above no cell
+            above = texts = (object(),) * len(row)
+        texts = [t if v is u else "" if v is None else str(v)
+                 for v, u, t in zip(row, above, texts)]
+        above = row
+        yield ",".join(texts) + "\n"
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -353,8 +374,7 @@ def main(argv=None) -> int:
               f"({type(exc).__name__}): {exc}", file=sys.stderr)
         return 3
 
-    text = "".join(",".join("" if v is None else str(v) for v in row) + "\n"
-                   for row in [cmd.columns, *rows])
+    text = "".join(_csv_lines([cmd.columns, *rows]))
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

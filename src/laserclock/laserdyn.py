@@ -53,6 +53,7 @@ unchanged.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -387,6 +388,7 @@ def _solve(mult, pivot, right, b) -> list:
     return y
 
 
+@functools.lru_cache(maxsize=1, typed=True)
 def linewidth_bracket(params: LaserParams, truncation: int) -> tuple[float, float]:
     """Bracket (lo, hi), in rad/s, around the linewidth ell = -2 lambda_1 of
     the k=1 sector, lambda_1 its eigenvalue closest to zero.
@@ -403,6 +405,12 @@ def linewidth_bracket(params: LaserParams, truncation: int) -> tuple[float, floa
     row of the recurrences, for their rounding.  The bracket needs O(T)
     memory; the dense sector is never built.  The truncation is checked on
     entry (:func:`checked_weights`).
+
+    The last result is cached (one entry, keyed on the arguments and their
+    types): the bracket is pure in (params, truncation) while this module's
+    constants stay fixed, and ``linewidth`` reads it twice per mu, through
+    ``extract_linewidth`` and again for the sidecar's bracket width, so the
+    second read costs no elimination.  An exception is not cached.
 
     Raises
     ------

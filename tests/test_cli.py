@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import laserclock
-from laserclock import fock, laserdyn as ld
+from laserclock import cli, fock, laserdyn as ld
 from laserclock.cli import COMMANDS, main
 
 
@@ -793,3 +793,45 @@ def test_linewidth_subcommand(tmp_path):
                                   "decay_fit": "hyperbolic_contour_gth"}
     # each row's bracket is T eps wide on each side (T = 66 at mu = 16)
     assert 2 * 66 * 2.2e-16 < results["max_eigenvalue_bracket_rel"] <= 3 * 66 * 2.3e-16
+
+
+def test_csv_lines_format_each_cell_as_str():
+    # a cell the same object as the one above reuses its text; equal values
+    # that are other objects print as their own str (0.0 and -0.0; 1, 1.0 and
+    # True), and so do two NaN objects, which are equal to nothing
+    x = 0.1 + 0.2
+    cells = [0.0, -0.0, 1, 1.0, True, x, x, x, None, None, float("nan"), float("nan"), x]
+    rows = [["value", "flag"], *([v, i % 2] for i, v in enumerate(cells)), [x], ["a", None, 2]]
+    want = "".join(",".join("" if v is None else str(v) for v in row) + "\n" for row in rows)
+    assert "".join(cli._csv_lines(rows)) == want
+    # the channel handler passes each repeated cell as one object: the run's
+    # constants once per run, and q once per box
+    argv = "channel --alpha-mod 5 --alpha-arg 0.9272952180016122".split()
+    rows, _ = cli._run_channel(cli._resolve_flags(cli._parser().parse_args(argv)))
+    columns = COMMANDS["channel"].columns
+    for c in ("seed", "dt", "trials", "delta", "alpha_mod", "alpha_arg",
+              "output_amp_re", "output_amp_im", "captured_mass"):
+        col = columns.index(c)
+        assert len({id(r[col]) for r in rows}) == 1, c
+    n, q = columns.index("n"), columns.index("q")
+    boxes = {r[n] for r in rows}
+    assert len(boxes) > 1
+    assert len({id(r[q]) for r in rows}) == len(boxes)
+
+
+def test_linewidth_computes_one_bracket_per_mu(monkeypatch):
+    # each --mu takes one elimination at z = 0 (the bracket, which the
+    # sidecar reads again from its cache) and one on the contour (the fit),
+    # while extract_linewidth is still called once per method and mu
+    shifts, methods = [], []
+    eliminate, extract = ld._eliminate, ld.extract_linewidth
+    monkeypatch.setattr(ld, "_eliminate",
+                        lambda params, T, z: shifts.append(z) or eliminate(params, T, z))
+    monkeypatch.setattr(ld, "extract_linewidth", lambda params, T, method="eigenvalue":
+                        methods.append(method) or extract(params, T, method))
+    assert main("linewidth --kappa 1 --mu 4,8,16,32,64,128,256".split()) == 0
+    assert sum(type(z) is float and z == 0.0 for z in shifts) == 7
+    assert sum(isinstance(z, np.ndarray) and z.shape == (ld.CONTOUR_N + 1,)
+               for z in shifts) == 7
+    assert len(shifts) == 14
+    assert methods == ["eigenvalue", "decay_fit"] * 7

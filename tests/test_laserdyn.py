@@ -693,6 +693,24 @@ def test_unconverged_bracket_is_a_failed_check(monkeypatch):
         ld.extract_linewidth(ld.LaserParams(kappa=1.0, mu=8.0), 60)
 
 
+def test_bracket_cache_holds_one_result_and_no_failure(monkeypatch):
+    # one entry, keyed on the arguments and their types: a float truncation
+    # is refused as before, after the same int truncation was cached
+    assert ld.linewidth_bracket.cache_parameters() == {"maxsize": 1, "typed": True}
+    params = ld.LaserParams(kappa=1.0, mu=8.0)
+    first = ld.linewidth_bracket(params, 60)
+    assert ld.linewidth_bracket(ld.LaserParams(kappa=1.0, mu=8.0), 60) is first
+    with pytest.raises(TypeError):
+        ld.linewidth_bracket(params, 60.0)
+    # an exception is not cached: the same failing call fails again
+    ld.linewidth_bracket.cache_clear()
+    monkeypatch.setattr(ld, "MAX_INVERSE_ITERATIONS", 1)
+    for _ in range(2):
+        with pytest.raises(LinewidthFitError, match="left the linewidth bracket"):
+            ld.linewidth_bracket(params, 60)
+    assert ld.linewidth_bracket.cache_info().currsize == 0
+
+
 def test_linewidth_rejects_unknown_method():
     with pytest.raises(ValueError, match="method"):
         ld.extract_linewidth(ld.LaserParams(kappa=1.0, mu=8.0), 60, "spectral")
