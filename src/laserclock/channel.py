@@ -353,8 +353,8 @@ def output_mean_amplitude(dist: LatticeDistribution) -> complex:
     w = _window_masses(dist.alpha, delta, dist.ns)
     phi_a = np.pi ** -0.25 * np.exp(-(qn - delta / 2 - qb) ** 2 / 2)
     phi_b = np.pi ** -0.25 * np.exp(-(qn + delta / 2 - qb) ** 2 / 2)
-    jump = math.sin(pb * delta) * float(phi_a @ phi_b)
-    return complex(float(qn @ w), pb * dist.captured_mass - jump) / math.sqrt(2)
+    jump = math.sin(pb * delta) * float(np.sum(phi_a * phi_b))
+    return complex(float(np.sum(qn * w)), pb * dist.captured_mass - jump) / math.sqrt(2)
 
 
 def coherent_fidelity(dist: LatticeDistribution) -> float:

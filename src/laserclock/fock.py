@@ -103,7 +103,7 @@ class FockVector:
                 <= self.truncation + 1:
             raise ValueError(f"amplitudes of shape {amps.shape} from number state "
                              f"{self.offset} do not fit in 0 .. {self.truncation}")
-        norm2 = float(np.vdot(amps, amps).real)  # not finite for a non-finite amplitude
+        norm2 = float(np.sum(np.square(np.abs(amps))))  # not finite for a non-finite amplitude
         if not math.isfinite(norm2) and not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
         if not 0 < norm2 <= 1 + 1e-9:
@@ -112,7 +112,7 @@ class FockVector:
 
     @property
     def norm_deficit(self) -> float:
-        return 1.0 - float(np.vdot(self.amplitudes, self.amplitudes).real)
+        return 1.0 - float(np.sum(np.square(np.abs(self.amplitudes))))
 
 
 def default_truncation(mu: float) -> int:
@@ -283,6 +283,10 @@ def phase_variance(support: np.ndarray, G: int) -> float:
       e_k = (pi/G)^2 (1/sin^2 x_k - 1/x_k^2), x_k = pi k/G, e_0 = pi^2/(3G^2).
       R_k is the inverse transform of |A|^2, exact as G > 2W.
 
+    Both sums are numpy's pairwise reductions of products formed in the
+    scratch arrays, not BLAS dots, so V's last bits do not depend on the BLAS
+    library's CPU kernel or thread count.
+
     Raises
     ------
     ValueError
@@ -295,14 +299,14 @@ def phase_variance(support: np.ndarray, G: int) -> float:
     del A  # only |A|^2 is read from here on
     m = np.arange(G, dtype=float)
     m = np.minimum(m, G - m)  # |m_j|
-    S = float(np.dot(np.square(m, out=m), p)) * (2 * math.pi / G) ** 2 / G
+    S = float(np.multiply(np.square(m, out=m), p, out=m).sum()) * (2 * math.pi / G) ** 2 / G
     R = np.fft.rfft(p)[:W].real / G  # Re R_k: for real p, rfft is G conj(ifft)
     del p, m  # the W-point arrays below read neither
     if 1.0 - R[0] > 1e-6:
         raise ValueError(f"state norm deficit {1.0 - R[0]:.2e} exceeds 1e-6")
     e = _inverse_square_alias(np.arange(1, W) * (math.pi / G))  # k = 1 .. W-1
     e[::2] *= -1.0  # (-1)^k: the odd k sit at the even indices
-    E = 2 * (math.pi / G) ** 2 * (R[0] / 3 + 2 * float(np.dot(e, R[1:])))
+    E = 2 * (math.pi / G) ** 2 * (R[0] / 3 + 2 * float(np.multiply(e, R[1:], out=e).sum()))
     return S - E
 
 

@@ -176,8 +176,9 @@ def extract_linewidth(
         Fit the exponential decay rate r of the coherence g(t) =
         |Tr(a^dag X(t))|, X(0) = a rho_ss evolved under the k=1 generator,
         over two slow e-folds; ell = 2 r, -r the least-squares slope of
-        log g against t, in closed form about the samples' centroid.  An
-        independent cross-check of the eigenvalue route.  The 61 samples
+        log g against t, in closed form about the samples' centroid (its two
+        sums are numpy's pairwise reductions, not BLAS dots).  An independent
+        cross-check of the eigenvalue route.  The 61 samples
         t_i = (skip + i) dt, i = 0 .. 60, dt = 16 mu / (60 kappa), start at
         t0 = skip dt, the first multiple of dt at or after 8/kappa, once the
         fast transients have died.  They come from :func:`_coherence`, one
@@ -216,7 +217,7 @@ def extract_linewidth(
         log_g = np.log(_coherence(params, truncation, ts))
         tc = ts - ts.mean()
         log_g -= log_g.mean()
-        slope = float(tc @ log_g) / float(tc @ tc)
+        slope = float(np.sum(tc * log_g)) / float(np.sum(np.square(tc)))
         resid = np.max(np.abs(log_g - slope * tc))
         if resid > 1e-3:
             raise LinewidthFitError(
@@ -263,7 +264,10 @@ def _coherence(params: LaserParams, truncation: int, ts: np.ndarray) -> np.ndarr
     adds at most (N + 4 + |z_k| (tau + 1 / |z_k - lambda t0|)) u times each
     term's modulus, u = eps / 2.  With the eigenvector expansion of S, g
     errs by at most that scalar error times ||D w||_2 ||D^{-1} x||_2, which
-    is about g(0) = w . x.
+    is about g(0) = w . x.  The sum over k is numpy's pairwise reduction
+    along each row of the terms, not a BLAS matrix-vector product, so its
+    order does not depend on the BLAS library; the bound above, written for
+    a sum in any order, holds for it.
 
     **Solves.**  z - L1 = (z + B)^T with B = -L1^T, so
     s_k = w . (z_k - L1)^{-1} x = x . (z_k + B)^{-1} w.  With z_k + B = L U
@@ -301,7 +305,7 @@ def _coherence(params: LaserParams, truncation: int, ts: np.ndarray) -> np.ndarr
     z, weight = _contour()
     tau = ts / ts[0]
     s = _resolvent_products(params, truncation, z / ts[0])
-    return np.abs((np.exp(np.outer(tau, z)) @ (weight * s)).real) / ts[0]
+    return np.abs((np.exp(np.outer(tau, z)) * (weight * s)).sum(axis=1).real) / ts[0]
 
 
 def _resolvent_products(params: LaserParams, truncation: int, z: np.ndarray) -> np.ndarray:

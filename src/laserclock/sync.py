@@ -171,7 +171,10 @@ def run_sync(laser: LaserParams, m_values, regime: str = "hl", dt: float | None 
     independent of how many parties run.  Several M values must hold at least
     two distinct ones; party p of the i-th M then runs at
     derive_seed(derive_seed(seed, 1000 + i), p), and the slope of log(mean
-    MSE) against log(M) is least-squares fitted (both limits predict 1/2).
+    MSE) against log(M) is the least-squares line's, in closed form about the
+    centroid with numpy's sums (both limits predict 1/2).  Its standard error
+    needs a residual degree of freedom: with fewer than three M values it is
+    None.
     The per-beam quality factor is N = 4 mu^2/M (HL) or 2 mu^2/M (SQL); it
     should stay above ~1e3 for the linearized filter to apply.
     """
@@ -190,13 +193,14 @@ def run_sync(laser: LaserParams, m_values, regime: str = "hl", dt: float | None 
     mean = tuple(sum(per) / len(per) for per in per_party)
     slope = slope_se = None
     if len(m_values) > 1:
-        x = np.log(np.asarray(m_values, dtype=float))
-        y = np.log(np.array(mean))
-        fit, intercept = np.polyfit(x, y, 1)
-        resid = y - (fit * x + intercept)
-        dof = max(len(x) - 2, 1)
-        slope = float(fit)
-        slope_se = math.sqrt(float(resid @ resid) / dof / float(np.sum((x - x.mean()) ** 2)))
+        x, y = np.log(m_values), np.log(mean)
+        # the least-squares line in closed form about the centroid
+        x -= x.mean()
+        y -= y.mean()
+        sxx = float(np.sum(np.square(x)))
+        slope = float(np.sum(x * y)) / sxx
+        if len(x) > 2:  # two points leave no residual degree of freedom
+            slope_se = math.sqrt(float(np.sum(np.square(y - slope * x))) / (len(x) - 2) / sxx)
     return SyncReport(
         m_values=tuple(m_values),
         per_party_mse=per_party,

@@ -68,8 +68,8 @@ def test_limits_physical_csv_is_pinned(tmp_path):
      "6a8083aad7f9049a0690e1baaa1e1bee1945d3749b9a4ec1398540b48d706cd2"),
     # several M: party p of the i-th M at derive_seed(derive_seed(2, 1000 + i), p)
     ("sync --kappa 1 --mu 1e6 --parties 1,4 --regime sql --trials 20 --seed 2",
-     "f5b6a754a757fbae5c17da56453db2ebdadc30f962e267fadbd7f6a939a65d72",
-     "ee6ea20cd52d8e3fc2e29f89412db3945674797be21eed07573e1ad929b1e119"),
+     "7d3341491db2eed6f45b52cadc65c01598527e5fbf3a44fafda64bccfcf85b74",
+     "3e6c8cb12c7a427a17325aec5ff465b3ec3856f61fa486880a487ad27723aa61"),
 ], ids=["one-m-hl", "several-m-sql"])
 def test_sync_outputs_are_pinned(tmp_path, argv, csv_sha256, sidecar_sha256):
     out = tmp_path / "sync.csv"
@@ -97,8 +97,8 @@ _PINNED = [
      "d5f2ab6c238bfc1978a99c1b7158e4b4a6b83cf9b19c6fe5536e095425cbdf24"),
     # the benchmark's scale
     ("phasevar --mu 1e4,1e5",
-     "3a67c15c7fb604c84213abaf70b3fbfc23771fe8588ad922db4dc1a270586406",
-     "ddccf0d0d704de6eb2c5ade15f8213316c003b52a2688c7a6bd2e972f9ca1ec4"),
+     "64553b590c973c83b95c325b50585649ce93143c6873dc47137ef1e0b1f66f69",
+     "331000038a86d1b12a30a630c65fa9fb8bca01d87a1a5c949bdd8714c9f39b73"),
 ]
 
 
@@ -138,6 +138,50 @@ def test_stdout_is_the_out_file(tmp_path, capsys, argv):
     assert printed.encode() == out.read_bytes()
     assert not {cell for line in printed.splitlines() for cell in line.split(",")} & \
         {"True", "False"}
+
+
+_HASH_RUNS = """
+import hashlib, sys, warnings
+from pathlib import Path
+warnings.simplefilter("ignore")
+from laserclock.cli import main
+out = Path(sys.argv[1]) / "run.csv"
+for argv in sys.argv[2:]:
+    assert main(argv.split() + ["--out", str(out)]) == 0, argv
+    print(hashlib.sha256(out.read_bytes() + out.with_suffix(".json").read_bytes()).hexdigest())
+"""
+
+
+def test_outputs_do_not_depend_on_blas_threads_or_kernel(tmp_path):
+    # every sum that reaches an output is numpy's own reduction, so neither
+    # OpenBLAS's thread count nor the CPU kernel it picks moves a byte; one
+    # child per setting runs and hashes each CSV plus sidecar.  On a numpy
+    # whose BLAS is not OpenBLAS the variables do nothing and the four
+    # children agree trivially
+    argvs = ["phasevar --mu 1e4,1e5", "linewidth --kappa 1 --mu 4,16", "channel --alpha-mod 10",
+             "sync --kappa 1 --mu 1e6 --parties 1,4 --regime sql --trials 20 --seed 2"]
+    blas_envs = [{}, {"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_CORETYPE": "Haswell"},
+                 {"OPENBLAS_CORETYPE": "Nehalem"}]
+    env = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
+    env["PYTHONPATH"] = str(Path(laserclock.__file__).resolve().parents[1])
+    children = []
+    for i, setting in enumerate(blas_envs):
+        (tmp_path / str(i)).mkdir()
+        children.append(subprocess.Popen(
+            [sys.executable, "-c", _HASH_RUNS, str(tmp_path / str(i)), *argvs],
+            env={**env, **setting}, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+    printed = []
+    try:
+        for child in children:
+            out, err = child.communicate(timeout=60)
+            assert child.returncode == 0, err
+            printed.append(out.split())
+    finally:
+        for child in children:
+            child.kill()
+            child.wait()
+    assert len(printed[0]) == len(argvs)
+    assert all(hashes == printed[0] for hashes in printed[1:])
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

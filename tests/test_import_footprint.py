@@ -120,3 +120,29 @@ def test_no_module_imports_the_pool_or_numpy_random_at_import_time():
                 importers.add(path.name)
     assert importers == set()
 
+
+def _names(node):
+    """The names an attribute, a name or an import node refers to."""
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".") + [a.name for a in node.names]
+    if isinstance(node, ast.Import):
+        return [part for a in node.names for part in a.name.split(".")]
+    return []
+
+
+def test_no_module_hands_a_sum_to_blas():
+    # a BLAS dot, matrix product or least-squares solve sums in an order set
+    # by the BLAS library's CPU kernel and thread count, so every sum that
+    # reaches an output is one of numpy's own reductions
+    blas = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "polyfit", "lstsq",
+            "linalg"}
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(getattr(node, "op", None), ast.MatMult) or blas & set(_names(node)):
+                found.add(f"{path.name}:{node.lineno}")
+    assert found == set()

@@ -167,6 +167,21 @@ def test_sync_sweep_scaling_exponent():
     assert all(a <= b for a, b in zip(report.mean_mse, report.mean_mse[1:]))
 
 
+@pytest.mark.parametrize("ms", [[1, 4], [1, 2, 4]])
+def test_scaling_fit_reports_no_stderr_below_three_m_values(ms):
+    # the closed-form fit is np.polyfit's line; two M values leave no
+    # residual degree of freedom, so no standard error is reported
+    report = sync.run_sync(LaserParams(kappa=1.0, mu=100.0), ms, trials=20, seed=5)
+    x, y = np.log(ms), np.log(report.mean_mse)
+    (slope, _), ssr, *_ = np.polyfit(x, y, 1, full=True)
+    assert report.scaling_exponent == pytest.approx(slope, rel=1e-12)
+    if len(ms) == 2:
+        assert report.scaling_stderr is None
+    else:
+        sxx = np.sum((x - x.mean()) ** 2)
+        assert report.scaling_stderr == pytest.approx(math.sqrt(ssr[0] / sxx), rel=1e-9)
+
+
 def test_several_m_values_run_at_their_derived_seeds():
     # row i of a several-M run is the one-M run of ms[i] at derive_seed(seed, 1000 + i)
     laser, ms, seed = LaserParams(kappa=1.0, mu=100.0), [3, 1, 2], 11
