@@ -2,8 +2,7 @@
 
 Each subcommand runs one experiment and emits a CSV table (header row, '.'
 decimals; each cell the ``str`` of its value, a flag 0 or 1, a missing value
-empty; a cell that is the same object as the one above it is formatted once,
-so handlers pass a repeated value as one object) plus a JSON sidecar echoing
+empty) plus a JSON sidecar echoing
 the fully resolved configuration and the library version, so any output can
 be reproduced byte-for-byte from its sidecar alone:
 ``laserclock <subcommand> --config sidecar.json``.
@@ -116,8 +115,7 @@ def _run_linewidth(a):
     truncs = [fock.default_truncation(mu) if a.truncation == "auto" else a.truncation
               for mu in a.mu]
     # every --mu's truncation, checked before the first route runs
-    tails = [1.0 - float(ld.checked_weights(params, trunc).sum())
-             for params, trunc in zip(lasers, truncs)]
+    tails = [ld.checked_weights(params, trunc)[1] for params, trunc in zip(lasers, truncs)]
     rows, diffs, brackets = [], [], []
     for params, trunc in zip(lasers, truncs):
         le = ld.extract_linewidth(params, trunc, method="eigenvalue")
@@ -169,10 +167,12 @@ def _run_channel(a):
     P = dist.probabilities
     i, j = np.nonzero(P >= min_prob)
     m = dist.ms[j]
-    # each repeated cell is one object, so _csv_lines formats it once: the
-    # run's constants once per run, a box's n and q once per box
-    head, tail = [a.seed, 0, 0, delta, mod, arg], [amp.real, amp.imag, dist.captured_mass]
-    ns, qs = dist.ns.tolist(), spec.q(dist.ns).tolist()
+    # the repeated cells as text, each formatted once: the run's constants
+    # once per run, a box's n and q once per box
+    head = [str(v) for v in (a.seed, 0, 0, delta, mod, arg)]
+    tail = [str(v) for v in (amp.real, amp.imag, dist.captured_mass)]
+    ns = [str(n) for n in dist.ns.tolist()]
+    qs = [str(q) for q in spec.q(dist.ns).tolist()]
     rows = [[*head, ns[r], mr, qs[r], pr, prob, *tail]
             for r, mr, pr, prob in zip(i.tolist(), m.tolist(), spec.p(m).tolist(),
                                        P[i, j].tolist())]
@@ -343,17 +343,9 @@ def _resolve_flags(args):
 
 def _csv_lines(rows):
     """Each row as one CSV line: a cell is the ``str`` of its value, empty for
-    None.  A cell that is the same object (``is``, never ``==``: 0.0 and
-    -0.0, or 1, 1.0 and True, are equal but print differently) as the cell
-    above it takes that cell's text instead of being formatted again."""
-    above = texts = ()
+    None."""
     for row in rows:
-        if len(row) != len(above):  # a fresh sentinel is above no cell
-            above = texts = (object(),) * len(row)
-        texts = [t if v is u else "" if v is None else str(v)
-                 for v, u, t in zip(row, above, texts)]
-        above = row
-        yield ",".join(texts) + "\n"
+        yield ",".join("" if v is None else str(v) for v in row) + "\n"
 
 
 def main(argv=None) -> int:

@@ -19,7 +19,9 @@ mu ~ 8 (+66% at mu = 4); from mu = 4 up the linewidth is still below the SQL.
 Each quantity takes its structured route, on numpy alone, in O(T) memory:
 no sector is built, and the k = 1 rows come from their closed forms.  The
 stationary state is the Poisson closed form (detailed balance of the k = 0
-chain); it is diagonal, so :func:`stationary_state` returns its
+chain), squared from :func:`laserclock.fock.poisson_amplitudes`, the one
+Poisson builder, with its tail past the truncation summed from the same
+terms; it is diagonal, so :func:`stationary_state` returns its
 populations.  The negated, transposed k = 1 sector B = -L1^T is a
 tridiagonal M-matrix whose row sums (the column defects of L1) have closed
 forms free of cancellation.  One GTH elimination
@@ -60,11 +62,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LinewidthFitError
-from .fock import log_factorials
+from .fock import poisson_amplitudes
 
 __all__ = [
     "LaserParams",
-    "poisson_weights",
     "checked_weights",
     "stationary_state",
     "extract_linewidth",
@@ -81,8 +82,9 @@ LINEWIDTH_METHODS = {"eigenvalue": "gth_inverse_iteration",
 CONTOUR_N, CONTOUR_ALPHA, CONTOUR_H, CONTOUR_MU = 60, 1.05, 4.9 / 60, 0.494
 # largest truncation, in rows of the k = 1 sector, that the linewidth routes
 # accept, reached from mu = 127491.  Each row costs about 2 us in a bracket,
-# 8 us in a decay fit and 300 B; a `linewidth` run at the top (two brackets,
-# one fit) took 1.6 s and 69 MiB max RSS, with a tail mass of 5.3e-11
+# 8 us in a decay fit and 300 B; a `linewidth` run at the top (one bracket,
+# read twice, and one fit) took 1.2 s and 62 MiB max RSS in-process on
+# 2 vCPUs, with a tail mass of 8.9e-24
 ROW_BUDGET = 2 ** 17
 # inverse iterations allowed before the linewidth bracket must have converged
 MAX_INVERSE_ITERATIONS = 200
@@ -103,22 +105,21 @@ class LaserParams:
             raise ValueError("mu must be positive and finite")
 
 
-def poisson_weights(mu: float, truncation: int) -> np.ndarray:
-    """Poisson(mu) probabilities for n = 0 .. truncation (log-space, unnormalized tail)."""
-    n = np.arange(truncation + 1)
-    return np.exp(-mu + n * np.log(mu) - log_factorials(truncation))
+def checked_weights(params: LaserParams, truncation: int) -> tuple[np.ndarray, float]:
+    """The Poisson weights p_n over 0 .. truncation and their tail mass, the
+    sum of the p_n past the truncation, once the truncation is checked
+    against the row budget and the tail against 1e-9: the one check of every
+    linewidth route and of the CLI.
 
-
-def checked_weights(params: LaserParams, truncation: int) -> np.ndarray:
-    """The Poisson weights over 0 .. truncation, once the truncation is
-    checked against the row budget and their tail mass 1 - sum p against
-    1e-9: the one check of every linewidth route and of the CLI.
-
-    Up to the top of the budget (mu = 127491) the true tail is below 1e-12,
-    so the tail read there is the weights' own rounding, which grows like
-    mu log mu and may be negative: -5.8e-11 at mu = 1e5, +5.3e-11 at
-    mu = 127491.  Loader's saddle-point form of the weights would remove
-    that rounding.
+    Both come from one array of squared :func:`laserclock.fock.poisson_amplitudes`,
+    built to truncation + 10 sqrt(mu) + 10 and split there: for a truncation
+    T >= mu the terms past its end sum to less than 1e-20 of the tail (at
+    most 4.5e-21, at mu = 8.9 and T = 9, over mu = 2 .. 2e5).  So the tail
+    is summed from the terms themselves, never read as 1 - sum p: it is
+    never negative, and at the default truncation it was within 1.2e-14 of
+    its 50-digit value from mu = 4 to 127491.
+    A truncation below mu is refused before any weight is formed: its tail
+    is at least P(n >= ceil(mu)), which exceeds 0.32 at every mu > 2.
 
     Raises
     ------
@@ -130,13 +131,17 @@ def checked_weights(params: LaserParams, truncation: int) -> np.ndarray:
     # O(T) time and memory, so a row count bounds both (see ROW_BUDGET)
     if not 2 <= truncation <= ROW_BUDGET:
         raise ValueError(f"truncation {truncation} is outside 2 .. {ROW_BUDGET}, the row budget")
-    p = poisson_weights(params.mu, truncation)
-    tail = 1.0 - float(p.sum())
+    if truncation < params.mu:
+        raise ValueError(f"truncation {truncation} too small: below mu {params.mu!r}, it "
+                         "leaves stationary tail mass above 0.32 > 1e-9")
+    top = truncation + math.ceil(10 * math.sqrt(params.mu) + 10)
+    p = np.square(poisson_amplitudes(params.mu, 0, top))
+    tail = float(p[truncation + 1:].sum())
     if tail > 1e-9:
         raise ValueError(
             f"truncation {truncation} too small: stationary tail mass {tail:.2e} > 1e-9"
         )
-    return p
+    return p[:truncation + 1], tail
 
 
 def stationary_state(params: LaserParams, truncation: int) -> np.ndarray:
@@ -155,7 +160,7 @@ def stationary_state(params: LaserParams, truncation: int) -> np.ndarray:
         If the truncation is outside 2 .. ``ROW_BUDGET`` or leaves
         stationary tail mass above 1e-9.
     """
-    p = checked_weights(params, truncation)
+    p, _ = checked_weights(params, truncation)
     return p / p.sum()
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .laserdyn import LaserParams
+from .laserdyn import LaserParams, hl_linewidth, sql_linewidth
 from .tracking import BeamParams, derive_seed, run_tracking_batch
 
 __all__ = [
@@ -139,7 +139,7 @@ def beam_for_party(laser: LaserParams, parties: int, regime: str) -> BeamParams:
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}")
     f = laser.kappa * laser.mu / parties
-    ell = laser.kappa / (4.0 * laser.mu) if regime == "hl" else laser.kappa / (2.0 * laser.mu)
+    ell = hl_linewidth(laser) if regime == "hl" else sql_linewidth(laser)
     return BeamParams(f=f, ell=ell)
 
 

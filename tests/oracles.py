@@ -69,9 +69,9 @@ def wrap(x):
 
 def coherent_amplitudes(alpha, truncation=None):
     """The amplitudes e^{-|a|^2/2} alpha^n / sqrt(n!) of |alpha> for every
-    n = 0 .. truncation (default ``fock.default_truncation(|alpha|^2)``), by
-    the magnitudes' formula and operation order of ``fock.coherent_state``
-    on the whole vector."""
+    n = 0 .. truncation (default ``fock.default_truncation(|alpha|^2)``): the
+    magnitudes from ``fock.poisson_amplitudes`` on the whole vector, and the
+    phase factors of ``fock.coherent_state``."""
     alpha = complex(alpha)
     mu = abs(alpha) ** 2
     truncation = fock.default_truncation(mu) if truncation is None else truncation
@@ -79,13 +79,39 @@ def coherent_amplitudes(alpha, truncation=None):
         amps = np.zeros(truncation + 1, dtype=complex)
         amps[0] = 1.0
         return amps
-    mag = fock.log_factorials(truncation)
-    mag *= 0.5
-    np.subtract(np.arange(truncation + 1.0) * np.log(np.abs(alpha)) - mu / 2, mag, out=mag)
-    amps = np.exp(mag, out=mag).astype(complex)
+    amps = fock.poisson_amplitudes(mu, 0, truncation).astype(complex)
     if alpha.imag or alpha.real < 0:
         amps *= np.exp(1j * np.arange(truncation + 1) * np.angle(alpha))
     return amps
+
+
+def log_space_poisson_weights(mu, truncation):
+    """Poisson(mu) weights e^{-mu + n log mu - ln n!} for n = 0 .. truncation,
+    truncation < 256, in that operation order, with ln n! the logarithm of
+    the exact integer n!: the log-space formula the package used before it
+    built the weights by ratio products from the mode.  Kept as the input on
+    which the resolvent solve's 40-digit allowance was measured."""
+    assert truncation < 256
+    n = np.arange(truncation + 1)
+    log_factorials = np.array([math.log(math.factorial(k)) for k in range(truncation + 1)])
+    return np.exp(-mu + n * np.log(mu) - log_factorials)
+
+
+def poisson_tail(mu, truncation):
+    """The Poisson(mu) mass past ``truncation`` as a float, summed in 50-digit
+    arithmetic from lgamma at truncation + 1, then by the ratio mu/(n+1), to
+    40 sd past the truncation: for a truncation at or above mu the terms
+    there are below 1e-100 of the first (at mu = 4; 1e-500 at mu = 1e5)."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        m = mpmath.mpf(mu)
+        term = mpmath.exp((truncation + 1) * mpmath.log(m) - m - mpmath.loggamma(truncation + 2))
+        total = 0
+        for n in range(truncation + 1, truncation + 1 + 40 * math.ceil(math.sqrt(mu))):
+            total += term
+            term *= m / (n + 1)
+        return float(total)
 
 
 # --- fock: phase density by a direct sum ------------------------------------
@@ -336,8 +362,7 @@ def _dense_decay_fit(params, truncation, exp):
     """
     L1 = build_liouvillian_sector(params, 1, truncation).matrix
     w = np.sqrt(np.arange(1.0, truncation + 1))
-    p = ld.poisson_weights(params.mu, truncation)
-    x = w * (p / p.sum())[1:]
+    x = w * ld.stationary_state(params, truncation)[1:]
     nsteps = 60
     dt = 16.0 * params.mu / params.kappa / nsteps
     skip = math.ceil(30.0 / params.mu)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import laserclock
+import oracles
 from laserclock import cli, fock, laserdyn as ld
 from laserclock.cli import COMMANDS, main
 
@@ -90,15 +91,15 @@ _PINNED = [
      "45a9e303d3b03349289a73dbc5a5f2e3e35eea48cdfbbdb786cf5ef66af372fe",
      "22e874690ec32736b888340ebf5993c56d64d5b8e44646bc6042512ce9e648b2"),
     ("linewidth --kappa 1 --mu 4,16",
-     "1270a09094c3e4a40f24f47cfd3542d4c5409b8a1bff57ac6b2279a9ecbbaa11",
-     "88b399622ce59da7dc2e4b46d7155a858f75cc90140c9390dfa4513b16b23143"),
+     "a80fdaa6cd60caecbe6f793f84e41e546e0b6626d2f5a06e2282b26f979c9769",
+     "e0ce5cc9d60a3e8340f17c4fa80cf1a5484526a29ac50f7083248121d36f9337"),
     ("phasevar --mu 25,100 --grid-size 1024",
-     "78c0519426376845748096eb76edad222db5536daebbe8a3c45ad963309925da",
-     "d5f2ab6c238bfc1978a99c1b7158e4b4a6b83cf9b19c6fe5536e095425cbdf24"),
+     "d76e3ffb4cc362b1fa4522263c30406520a0359da567da49fbe0efb6745a0b1f",
+     "684b45fe4e0560488c40cb5b0ebfd0e95a232de9becd8641fb63eb488d5e58e5"),
     # the benchmark's scale
     ("phasevar --mu 1e4,1e5",
-     "64553b590c973c83b95c325b50585649ce93143c6873dc47137ef1e0b1f66f69",
-     "331000038a86d1b12a30a630c65fa9fb8bca01d87a1a5c949bdd8714c9f39b73"),
+     "fbf21379d71b91c6f171656ef1fb786a998c17986a658ac34bb53bd6ed2dfa76",
+     "66f910153dafeabd8ff2c85341fb621ff6b4142dfe1fbaf59dfa227d50155d32"),
 ]
 
 
@@ -677,7 +678,7 @@ def test_linewidth_row_budget_is_checked_before_compute(monkeypatch, capsys, arg
     def weights(*args, **kwargs):
         raise AssertionError("Poisson weights formed")
 
-    monkeypatch.setattr("laserclock.laserdyn.poisson_weights", weights)
+    monkeypatch.setattr("laserclock.laserdyn.poisson_amplitudes", weights)
     assert main(argv.split()) == 2
     assert f"2 .. {ld.ROW_BUDGET}, the row budget" in capsys.readouterr().err
 
@@ -839,28 +840,49 @@ def test_linewidth_subcommand(tmp_path):
     assert 2 * 66 * 2.2e-16 < results["max_eigenvalue_bracket_rel"] <= 3 * 66 * 2.3e-16
 
 
+def test_phasevar_runs_at_the_top_of_the_state_budget(tmp_path):
+    # at mu = 1.2e7 the amplitudes' squared norm once rounded to
+    # 1 + 3.7e-9, past FockVector's 1e-9 allowance, and the run exited 2
+    out = tmp_path / "pv.csv"
+    assert main(["phasevar", "--mu", "1.2e7", "--out", str(out)]) == 0
+    (row,) = rows_of(out)
+    assert float(row["rel_deviation"]) == pytest.approx(1 / 2.4e7, rel=1e-6)
+
+
+def test_linewidth_tail_mass_is_the_true_tail(tmp_path):
+    # the sidecar's tail is the sum of the Poisson terms past the truncation,
+    # not 1 - sum p, which read -2.6e-12 here
+    pytest.importorskip("mpmath")
+    out = tmp_path / "lw.csv"
+    assert main(["linewidth", "--kappa", "1", "--mu", "65536", "--out", str(out)]) == 0
+    tail = json.loads(out.with_suffix(".json").read_text())["results"]["max_stationary_tail_mass"]
+    params = ld.LaserParams(kappa=1.0, mu=65536.0)
+    assert tail == ld.checked_weights(params, fock.default_truncation(params.mu))[1] >= 0
+    # within the bound that test_tail_mass_is_the_50_digit_tail derives
+    # (2.9e-12 here); 9.6e-15 was measured
+    assert tail == pytest.approx(oracles.poisson_tail(65536.0, 68106), rel=2.9e-12)
+
+
 def test_csv_lines_format_each_cell_as_str():
-    # a cell the same object as the one above reuses its text; equal values
-    # that are other objects print as their own str (0.0 and -0.0; 1, 1.0 and
-    # True), and so do two NaN objects, which are equal to nothing
+    # every cell prints as its own str, empty for None: equal values print
+    # as themselves (0.0 and -0.0; 1, 1.0 and True), and so does NaN
     x = 0.1 + 0.2
     cells = [0.0, -0.0, 1, 1.0, True, x, x, x, None, None, float("nan"), float("nan"), x]
     rows = [["value", "flag"], *([v, i % 2] for i, v in enumerate(cells)), [x], ["a", None, 2]]
     want = "".join(",".join("" if v is None else str(v) for v in row) + "\n" for row in rows)
     assert "".join(cli._csv_lines(rows)) == want
-    # the channel handler passes each repeated cell as one object: the run's
-    # constants once per run, and q once per box
+    # the channel handler formats each repeated cell once and passes it as
+    # text: the run's constants once per run, a box's n and q once per box
     argv = "channel --alpha-mod 5 --alpha-arg 0.9272952180016122".split()
     rows, _ = cli._run_channel(cli._resolve_flags(cli._parser().parse_args(argv)))
     columns = COMMANDS["channel"].columns
     for c in ("seed", "dt", "trials", "delta", "alpha_mod", "alpha_arg",
               "output_amp_re", "output_amp_im", "captured_mass"):
         col = columns.index(c)
-        assert len({id(r[col]) for r in rows}) == 1, c
+        assert all(type(r[col]) is str for r in rows) and len({r[col] for r in rows}) == 1, c
     n, q = columns.index("n"), columns.index("q")
-    boxes = {r[n] for r in rows}
-    assert len(boxes) > 1
-    assert len({id(r[q]) for r in rows}) == len(boxes)
+    assert all(type(r[n]) is str and type(r[q]) is str for r in rows)
+    assert len({r[n] for r in rows}) == len({(r[n], r[q]) for r in rows}) > 1
 
 
 def test_linewidth_computes_one_bracket_per_mu(monkeypatch):

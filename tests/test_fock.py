@@ -60,9 +60,8 @@ def test_real_coherent_state_is_bitwise_the_general_expression(alpha):
     # (on the state's window of number states, whose ends are the slice's)
     s = fock.coherent_state(alpha)
     n = np.arange(s.truncation + 1)
-    logmag = -abs(alpha) ** 2 / 2 + n * np.log(np.abs(alpha)) \
-        - 0.5 * fock.log_factorials(s.truncation)
-    want = np.exp(logmag) * np.exp(1j * n * np.angle(alpha))
+    want = fock.poisson_amplitudes(abs(alpha) ** 2, 0, s.truncation) \
+        * np.exp(1j * n * np.angle(alpha))
     window = want[s.offset:s.offset + len(s.amplitudes)]
     assert np.array_equal(s.amplitudes.view("u8"), window.view("u8"))
 
@@ -88,12 +87,40 @@ def test_window_route_is_bitwise_the_full_vector(mu, arg):
     assert len(state.amplitudes) <= 1.2 * len(support)
 
 
-def test_log_factorials_over_a_range_are_the_full_arrays_slice():
-    full = fock.log_factorials(20000)
-    for start, top in ((0, 0), (0, 10), (5, 300), (250, 255), (255, 256), (256, 256),
-                       (256, 1000), (1000, 5003), (7636, 11010), (19999, 20000)):
-        got = fock.log_factorials(top, start)
-        assert np.array_equal(got.view("u8"), full[start:top + 1].view("u8")), (start, top)
+@pytest.mark.parametrize("mu", [0.3, 3.7, 15.5, 16, 25, 255.9, 1e3, 12345.6, 1e5, 1e6,
+                                np.sqrt(1.2e7) ** 2])
+def test_poisson_amplitudes_hold_40_digit_values(mu):
+    # every sqrt(p_n) within 4 sd of the mode against 40-digit values (the
+    # first from lgamma, the rest by the ratio sqrt(mu/(n+1)), whose 40-digit
+    # rounding stays below 1e-35).  The mode's scalar errs by about 1e-15 and
+    # each ratio product adds a rounding of either sign, so the error is a
+    # random walk that grows like mu^(1/4): 3.5e-15 at most measured up to
+    # mu = 1e6, held to 1e-14 there, and 1.4e-14 at mu = 1.2e7, held to 2e-14
+    mpmath = pytest.importorskip("mpmath")
+    lo, hi = max(0, int(np.ceil(mu - 4 * np.sqrt(mu)))), int(mu + 4 * np.sqrt(mu))
+    got = fock.poisson_amplitudes(mu, lo, hi)
+    assert got.shape == (hi + 1 - lo,)
+    with mpmath.workdps(40):
+        m = mpmath.mpf(mu)
+        want = mpmath.sqrt(mpmath.exp(lo * mpmath.log(m) - m - mpmath.loggamma(lo + 1)))
+        worst = 0
+        for n, a in enumerate(got.tolist(), lo):
+            worst = max(worst, abs(a / want - 1))
+            want *= mpmath.sqrt(m / (n + 1))
+    assert worst <= (1e-14 if mu <= 1e6 else 2e-14)
+
+
+@pytest.mark.parametrize("mu", [0.3, 25.0, 255.9, 1e4])
+def test_poisson_amplitudes_on_a_range_are_the_full_vectors_slice(mu):
+    # prefix products from the same mode: any range that holds floor(mu)
+    # gives each amplitude bitwise as the full vector 0 .. T does
+    top = fock.default_truncation(mu)
+    full = fock.poisson_amplitudes(mu, 0, top)
+    mode = int(mu)
+    for lo, hi in ((0, mode), (mode, mode), (mode, top), (mode // 2, mode + 7),
+                   (max(0, mode - 3), top - 1)):
+        got = fock.poisson_amplitudes(mu, lo, hi)
+        assert np.array_equal(got.view("u8"), full[lo:hi + 1].view("u8")), (lo, hi)
 
 
 def test_coherent_window_end_is_checked(monkeypatch):
@@ -427,16 +454,3 @@ def test_phase_variance_is_bitwise_the_two_temporary_expression(grid):
             want = _phase_variance_two_temporaries(dist, reference)
             got = oracles.grid_phase_variance(dist, reference)
             assert np.array_equal(np.float64(got).view("u8"), np.float64(want).view("u8"))
-
-
-def test_log_factorials_within_4_ulp_of_gammaln():
-    # each route is within 2 ulp of ln n! at every n <= 2e5 (measured against
-    # 40-digit values): the exact-integer table below STIRLING_FROM, the
-    # Stirling series above it, whose first omitted term is under 0.01 ulp
-    top = 200_000
-    got = fock.log_factorials(top)
-    want = gammaln(np.arange(top + 1) + 1.0)
-    assert got.shape == (top + 1,) and got[0] == got[1] == 0.0
-    assert np.all(np.abs(got - want)[2:] <= 4 * np.spacing(want[2:]))
-    assert np.array_equal(fock.log_factorials(10), got[:11])
-    assert np.array_equal(fock.log_factorials(fock.STIRLING_FROM), got[:fock.STIRLING_FROM + 1])

@@ -34,11 +34,20 @@ def lstsq_stationary_populations(params, trunc):
     return p
 
 
-def smallest_accepted_truncation(mu):
+def poisson_pmf(mu, trunc):
+    # oracle: e^{-mu} mu^n / n! for n = 0 .. trunc, each from lgamma
+    return np.array([math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
+                     for n in range(trunc + 1)])
+
+
+def smallest_accepted_truncation(params):
     trunc = 2
-    while 1.0 - ld.poisson_weights(mu, trunc).sum() > 1e-9:
-        trunc += 1
-    return trunc
+    while True:
+        try:
+            ld.checked_weights(params, trunc)
+            return trunc
+        except ValueError:
+            trunc += 1
 
 
 def test_pure_loss_sector0_trace_preserving():
@@ -55,8 +64,8 @@ def test_noiseless_gain_sector0_trace_preserving():
 def test_stationary_state_is_poisson():
     params = ld.LaserParams(kappa=1.0, mu=8.0)
     pops = ld.stationary_state(params, 60)
-    tv = 0.5 * np.abs(pops - ld.poisson_weights(8.0, 60)).sum() \
-        + 0.5 * (1 - ld.poisson_weights(8.0, 60).sum())
+    ref = poisson_pmf(8.0, 60)
+    tv = 0.5 * np.abs(pops - ref).sum() + 0.5 * (1 - ref.sum())
     assert tv < 1e-8
 
 
@@ -88,34 +97,70 @@ def test_stationary_closed_form_matches_lstsq_oracle(mu):
     # 1.7e-10 to 9.9e-10, so the normalization over 0..T moves the weights by
     # 2.5e-11 or more: far above the 1e-12 asserted here
     params = ld.LaserParams(kappa=1.7, mu=mu)
-    trunc = smallest_accepted_truncation(mu)
+    trunc = smallest_accepted_truncation(params)
     p = ld.stationary_state(params, trunc)
     assert np.max(np.abs(p - lstsq_stationary_populations(params, trunc))) <= 1e-12
     assert abs(p.sum() - 1.0) <= 4 * EPS
     # detailed balance kappa mu P(n) = kappa (n+1) P(n+1) on every link, to
-    # the rounding of the log-space exponent -mu + n log mu - lgamma(n+1),
-    # whose absolute error is a few eps times the size of its terms
+    # the rounding of one link: the amplitudes' ratio is sqrt(mu/(n+1)) to
+    # 4.5 u (the quotient, its root, the product and the two scalings), and
+    # the squares, the normalization and the two rates' products add 8 u,
+    # so 17 u of the gain (3.5 eps at most measured)
     n = np.arange(trunc)
     gain = params.kappa * params.mu * p[:-1]
     loss = params.kappa * (n + 1) * p[1:]
-    scale = mu + trunc * abs(math.log(mu)) + math.lgamma(trunc + 1)
-    assert np.max(np.abs(gain - loss)) <= 4 * EPS * scale * gain.max()
+    assert np.all(np.abs(gain - loss) <= 17 * EPS / 2 * gain)
 
 
 def test_stationary_state_is_the_normalized_poisson_weights():
-    # bitwise the diagonal of the dense state this function once returned
+    # the squared amplitudes over 0 .. T, normalized over the retained states
     params = ld.LaserParams(kappa=1.0, mu=8.0)
-    p = ld.poisson_weights(8.0, 60)
+    p = np.square(fock.poisson_amplitudes(8.0, 0, 60 + math.ceil(10 * math.sqrt(8.0) + 10)))
+    p, tail = p[:61], p[61:].sum()
     assert np.array_equal(ld.stationary_state(params, 60), p / p.sum())
+    assert ld.checked_weights(params, 60)[1] == tail
 
 
 def test_stationary_state_forms_the_poisson_weights_once(monkeypatch):
-    # the tail check and the normalization read one array
-    calls, weights = [], ld.poisson_weights
-    monkeypatch.setattr(ld, "poisson_weights",
-                        lambda mu, trunc: calls.append(trunc) or weights(mu, trunc))
+    # the tail check and the normalization read one array, built past the
+    # truncation by 10 sqrt(mu) + 10
+    calls, amplitudes = [], ld.poisson_amplitudes
+    monkeypatch.setattr(ld, "poisson_amplitudes", lambda mu, lo, hi: calls.append(
+        (lo, hi)) or amplitudes(mu, lo, hi))
     ld.stationary_state(ld.LaserParams(kappa=1.0, mu=8.0), 60)
-    assert calls == [60]
+    assert calls == [(0, 99)]
+
+
+@pytest.mark.parametrize("mu", [4.0, 25.0, 255.9, 4096.0, 65536.0, 1e5, 127491.0])
+def test_tail_mass_is_the_50_digit_tail(mu):
+    # the tail past the default truncation T against the 50-digit sum of the
+    # Poisson terms past T: 2.4e-21 at mu = 4 and 9.0e-24 at 1e5.  Each built
+    # amplitude d steps from the mode m errs by at most the mode's 1e-14 plus
+    # 2.5 u per step (a rounded ratio mu/(n+1), its square root and the
+    # product), so each weight, and their positive sum, by twice that at
+    # d = T + 10 sqrt(mu) + 10 - m, plus the squaring and the pairwise sum:
+    # 2e-12 relative at mu = 127491; at most 1.1e-14 was measured (at 1e5)
+    pytest.importorskip("mpmath")
+    params = ld.LaserParams(kappa=1.0, mu=mu)
+    trunc = fock.default_truncation(mu)
+    p, tail = ld.checked_weights(params, trunc)
+    assert len(p) == trunc + 1 and 0 < tail < 1e-20
+    steps = trunc + math.ceil(10 * math.sqrt(mu) + 10) - math.floor(mu)
+    assert abs(tail / oracles.poisson_tail(mu, trunc) - 1) <= \
+        2 * (1e-14 + 2.5 * steps * EPS / 2) + 64 * EPS
+
+
+def test_truncation_below_mu_is_refused_before_any_weight(monkeypatch):
+    # its tail, P(n > T) >= P(n >= ceil(mu)), exceeds 0.32 at every mu > 2,
+    # so no weight is formed to read it; 1e6 photons at T = 1000 would need
+    # a million of them
+    def no_weights(*args):
+        raise AssertionError("Poisson weights formed")
+
+    monkeypatch.setattr(ld, "poisson_amplitudes", no_weights)
+    for mu, trunc in ((1e6, 1000), (10.5, 10), (2.0 + 1e-12, 2)):
+        with pytest.raises(ValueError, match=f"truncation {trunc} too small: below mu"):
+            ld.checked_weights(ld.LaserParams(kappa=1.0, mu=mu), trunc)
 
 
 @pytest.mark.parametrize("mu", [4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0])
@@ -161,13 +206,12 @@ def test_truncation_too_small_rejected():
 
 def test_row_budget_top_passes_the_tail_check():
     # mu = 127491 is the least mu whose default truncation is the whole row
-    # budget.  The true tail there is below 1e-12, so 1 - sum p is the
-    # weights' rounding, which may take either sign; it reads 5.3e-11
+    # budget; the tail past it is 9e-24
     params = ld.LaserParams(kappa=1.0, mu=127491.0)
     trunc = fock.default_truncation(params.mu)
     assert trunc == ld.ROW_BUDGET > fock.default_truncation(127490.0)
-    p = ld.checked_weights(params, trunc)
-    assert len(p) == trunc + 1 and abs(1.0 - p.sum()) <= 1e-9
+    p, tail = ld.checked_weights(params, trunc)
+    assert len(p) == trunc + 1 and 0 < tail <= 1e-12
     with pytest.raises(ValueError, match="the row budget"):
         ld.checked_weights(params, trunc + 1)
 
@@ -299,7 +343,7 @@ def test_bracket_holds_the_decimal_sturm_oracle(mu, smallest):
     # truncation the top state holds enough weight that dropping its
     # truncated gain kappa mu / 2 from the leaks moves it outside too.
     params = ld.LaserParams(kappa=1.0, mu=mu)
-    trunc = smallest_accepted_truncation(mu) if smallest else fock.default_truncation(mu)
+    trunc = smallest_accepted_truncation(params) if smallest else fock.default_truncation(mu)
     lo, hi = ld.linewidth_bracket(params, trunc)
     exact = oracles.linewidth_sturm_decimal(params, trunc)
     assert Decimal(lo) <= exact <= Decimal(hi)
@@ -438,7 +482,7 @@ def symmetrizer(params, trunc):
     """D with L1 = D S D^{-1}, S symmetric: D_{n+1}^2 / D_n^2 is the ratio
     kappa mu / (kappa sqrt((n+1)(n+2))) of gain to loss, so D_n^2 = p_{n+1}
     sqrt(n+1) with p the Poisson weights."""
-    p = ld.poisson_weights(params.mu, trunc)
+    p = np.square(fock.poisson_amplitudes(params.mu, 0, trunc))
     return np.sqrt(p[1:] * np.sqrt(np.arange(1.0, trunc + 1)))
 
 
@@ -534,20 +578,24 @@ def test_resolvent_solves_hold_dense_solve(mu, trunc):
 
 
 @pytest.mark.parametrize("mu, worst", [(4.0, 1.3e-15), (64.0, 2.7e-13)])
-def test_resolvent_products_hold_a_40_digit_solve(mu, worst):
+def test_resolvent_products_hold_a_40_digit_solve(monkeypatch, mu, worst):
     # each node's s_k against the same float64 system (z_k - L1) y = x
     # solved by Thomas elimination in 40-digit arithmetic; the two-copy
     # eliminations that the shared factorization replaced erred by up to
     # 1.18e-15 (mu = 4) and 2.46e-13 (mu = 64), and ``worst`` allows 1.1
-    # times that
+    # times that.  Those errors were measured with x from the log-space
+    # weights, so the solve is held on the same system: the stationary state
+    # is patched to them
     mpmath = pytest.importorskip("mpmath")
     params = ld.LaserParams(kappa=1.0, mu=mu)
     trunc = fock.default_truncation(mu)
+    p = oracles.log_space_poisson_weights(mu, trunc)
+    monkeypatch.setattr(ld, "stationary_state", lambda params, truncation: p / p.sum())
     z = ld._contour()[0] / fit_times(params)[0]
     s = ld._resolvent_products(params, trunc, z)
     L1 = oracles.build_liouvillian_sector(params, 1, trunc)
     w = np.sqrt(np.arange(1.0, trunc + 1))
-    x = w * ld.stationary_state(params, trunc)[1:]
+    x = w * (p / p.sum())[1:]
     with mpmath.workdps(40):
         sub, sup, diag, w, x = ([mpmath.mpf(float(v)) for v in a]
                                 for a in (L1.sub, L1.sup, L1.diag, w, x))
