@@ -47,14 +47,10 @@ from . import tracking as tr
 __all__ = ["main"]
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _floats(text):
     vals = [t for t in text.split(",") if t.strip()]
     if not vals:
-        raise UsageError("empty value list")
+        raise ValueError("empty value list")
     return [float(v) for v in vals]
 
 
@@ -76,7 +72,7 @@ def _truncation(text):
 
 def _require(cond, msg):
     if not cond:
-        raise UsageError(msg)
+        raise ValueError(msg)
 
 
 # --- subcommand handlers ----------------------------------------------------
@@ -149,7 +145,9 @@ def _run_phasevar(a):
     for mu in a.mu:  # the state budget, for every --mu before the first state
         fock.default_truncation(mu)
     rows, kept = zip(*[_phasevar_row(a.seed, mu) for mu in a.mu])
+    # mu x, x = 4 mu V - 1: criterion 5's law has it 1/2 + 2/(3 mu) + ...
     summary = {"max_abs_rel_deviation": max(abs(r[8]) for r in rows),
+               "mu_rel_deviation": [r[3] * r[8] for r in rows],
                "truncations": [r[5] for r in rows],
                "kept_lengths": list(kept)}
     return rows, summary
@@ -177,6 +175,8 @@ def _run_channel(a):
             for r, mr, pr, prob in zip(i.tolist(), m.tolist(), spec.p(m).tolist(),
                                        P[i, j].tolist())]
     summary = {"output_amplitude": [amp.real, amp.imag],
+               "output_bias": [amp.real - alpha.real, amp.imag - alpha.imag],
+               "predicted_imag_bias": ch.predicted_imag_bias(alpha, spec),
                "output_modulus": abs(amp), "output_phase_rad": math.atan2(amp.imag, amp.real),
                "captured_mass": dist.captured_mass,
                "coherent_fidelity": fid}
@@ -312,7 +312,7 @@ def _resolve_flags(args):
             with open(args.config, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
         except OSError as exc:
-            raise UsageError(f"--config {args.config}: {exc.strerror}") from None
+            raise ValueError(f"--config {args.config}: {exc.strerror}") from None
         if isinstance(data, dict) and isinstance(data.get("config"), dict):
             data = data["config"]
         _require(isinstance(data, dict), "--config must hold a JSON object")
@@ -332,7 +332,7 @@ def _resolve_flags(args):
             try:
                 value = convert(str(value))
             except ValueError:
-                raise UsageError(f"{source}: invalid value {value!r}") from None
+                raise ValueError(f"{source}: invalid value {value!r}") from None
         else:
             _require(str(value) in convert, f"{source}: {str(value)!r} is not one of "
                                             f"{list(convert)}")

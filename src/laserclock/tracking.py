@@ -270,7 +270,9 @@ def _heterodyne_dz(p, s, s2a, dt, out):
     """(s2a * np.exp(1j * p) * dt + s).view(float) on floats, into ``out``, with
     s2a and dt per lane repeated twice: glibc's cexp(i y) is (cos y, sin y), and
     complex times real is (a c - b 0, a 0 + b c).  One word differs: at p = -0.0
-    with s.imag = -0.0 it is -0.0 here, +0.0 there (1j * p has imag +0.0)."""
+    with s.imag = -0.0 it is -0.0 here, +0.0 there (1j * p has imag +0.0).  The
+    engine never passes p = -0.0: its phases are ``_accumulate``'s partial sums
+    from +0.0, and an IEEE sum is -0.0 only when both terms are."""
     np.cos(p, out=out[:, 0::2])
     np.sin(p, out=out[:, 1::2])
     out *= s2a
@@ -279,15 +281,17 @@ def _heterodyne_dz(p, s, s2a, dt, out):
     return out
 
 
-def _simulate_lanes(mode, steps, burn_steps, refine, lanes, f, ell, dt, bandwidth, phi0, gain):
+def _simulate_lanes(mode, steps, burn_steps, refine, lanes, f, ell, dt, bandwidth, gain):
     """Simulate lanes, a list of (seed, trial) pairs with per-lane f, ell, dt and
     bandwidth arrays, in lockstep; returns per-lane (mse_wrapped, mse_unwrapped,
-    slips) arrays.  A lane's values depend only on its (seed, trial) and its
-    parameters, never on the other lanes, the noise block or the chunk of
-    OBS_CHUNK steps whose errors are observed at once."""
+    slips) arrays.  Every lane starts locked, phi = est = 0: only the error
+    phi - est reaches an output, so no absolute phase is an input.  A lane's
+    values depend only on its (seed, trial) and its parameters, never on the
+    other lanes, the noise block or the chunk of OBS_CHUNK steps whose errors
+    are observed at once."""
     n = len(lanes)
     sl, alpha = np.sqrt(ell), np.sqrt(f)
-    phi, est = np.full(n, phi0), np.full(n, phi0)
+    phi, est = np.zeros(n), np.zeros(n)
     sq = np.zeros((2, n))  # wrapped and unwrapped squared-error sums
     slips, winding = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     heterodyne = mode == "heterodyne"
@@ -309,8 +313,7 @@ def _simulate_lanes(mode, steps, burn_steps, refine, lanes, f, ell, dt, bandwidt
 
     if heterodyne:
         s2a = np.repeat(math.sqrt(2.0) * alpha, 2)  # per float of the complex view
-        A = s2a[::2] * np.exp(1j * phi)
-        prev_ang = np.angle(A)  # wrapped: est sums its wrapped increments
+        A, prev_ang = s2a[::2].astype(complex), np.zeros(n)  # locked: arg A = est = 0
         # lam and dt are real: A steps on its float view, bitwise the complex form
         A, lam, dt2 = A.view(float), np.repeat(bandwidth, 2), np.repeat(dt, 2)
         out, dz = states.view(float), np.empty((OBS_CHUNK, 2 * n))
@@ -358,8 +361,7 @@ def _simulate_lanes(mode, steps, burn_steps, refine, lanes, f, ell, dt, bandwidt
 
 def run_tracking_batch(mode: str, points, *, dt: float | None = None,
                        duration: float | None = None, burn_in: float | None = None,
-                       trials: int = 200, workers: int = 1, phi0: float = 0.0,
-                       gain: float | None = None,
+                       trials: int = 200, workers: int = 1, gain: float | None = None,
                        noise_dt: float | None = None) -> tuple[tuple[TrackingResult, ...], ...]:
     """Ensemble steady-state tracking error at each point of one experiment.
 
@@ -400,7 +402,7 @@ def run_tracking_batch(mode: str, points, *, dt: float | None = None,
     for a seed that is not a nonnegative integer.  Each point's seeds are
     iterated once.
     """
-    return _run_batch(mode, points, dt, duration, burn_in, trials, workers, phi0, gain, noise_dt)
+    return _run_batch(mode, points, dt, duration, burn_in, trials, workers, gain, noise_dt)
 
 
 def _resolve(mode, beam, bandwidth, dt, duration, burn_in, gain, noise_dt):
@@ -447,7 +449,7 @@ def _resolve(mode, beam, bandwidth, dt, duration, burn_in, gain, noise_dt):
                      predicted=predicted), refine
 
 
-def _run_batch(mode, points, dt, duration, burn_in, trials, workers, phi0, gain, noise_dt):
+def _run_batch(mode, points, dt, duration, burn_in, trials, workers, gain, noise_dt):
     if not points or min(len(seeds) for _, seeds, _ in points) < 1 or trials < 1 \
             or workers < 1:
         raise ValueError("points, seeds, trials and workers must each number at least 1")
@@ -493,7 +495,7 @@ def _run_batch(mode, points, dt, duration, burn_in, trials, workers, phi0, gain,
                 f, ell, lane_dt, bw = np.array([(beam.f, beam.ell, c["dt"], c["bandwidth"] or 0.0)
                                                 for *_, beam, c in group]).T.copy()
                 yield (mode, *shapes[span[0]], [lane[:2] for lane in group], f, ell, lane_dt, bw,
-                       phi0, gain)
+                       gain)
 
     if workers == 1 or sum(n_groups) == 1:
         parts = [_simulate_lanes(*g) for g in groups()]
@@ -529,10 +531,10 @@ def _result(w, u, slips, obs_time, resolved):
 def run_tracking(mode: str, beam: BeamParams, dt: float | None = None,
                  duration: float | None = None, burn_in: float | None = None,
                  trials: int = 200, seed: int = 0, workers: int = 1,
-                 phi0: float = 0.0, bandwidth: float | None = None,
-                 gain: float | None = None, noise_dt: float | None = None) -> TrackingResult:
+                 bandwidth: float | None = None, gain: float | None = None,
+                 noise_dt: float | None = None) -> TrackingResult:
     """Ensemble steady-state tracking error for one configuration: the
     one-seed case of :func:`run_tracking_batch`, which documents it."""
     return _run_batch(mode, [(beam, [seed], bandwidth)], dt, duration, burn_in, trials,
-                      workers, phi0, gain, noise_dt)[0][0]
+                      workers, gain, noise_dt)[0][0]
 

@@ -440,6 +440,26 @@ def test_rotated_output_phase_frozen_value():
     assert math.atan2(out.imag, out.real) == pytest.approx(0.854785, abs=2e-3)
 
 
+@pytest.mark.parametrize("delta", [0.25, 0.5, 1.0])
+@pytest.mark.parametrize("alpha", [3 + 4j, 5j, 2 + 1j, 1 + 2.5j, -2 - 3j, 5.0])
+def test_imaginary_bias_is_the_poisson_sum_estimate(delta, alpha):
+    # the closed form's Im<a>_out - Im alpha against the leading Poisson
+    # term, within output_mean_amplitude's three derived terms: the omitted
+    # Poisson terms, the mass deficit, the jump terms of the boxes left out
+    # (eps = min(1e-8, min_prob) at the default min_prob), and a rounding
+    # allowance of 4 u per box on each of p_bar, the jump sum and their sine
+    spec = ch.LatticeSpec(delta)
+    dist = ch.decohere(alpha, spec)
+    pb = math.sqrt(2) * alpha.imag
+    sin, u, eps = abs(math.sin(pb * delta)), np.finfo(float).eps, 1e-8
+    poisson = sin * math.exp(-delta ** 2 / 4) / (math.sqrt(2) * delta) * \
+        2 * math.exp(-(math.pi / delta) ** 2) / (1 - math.exp(-3 * (math.pi / delta) ** 2))
+    bound = poisson + abs(alpha.imag) * (1 - dist.captured_mass) + \
+        sin * eps / (math.sqrt(2) * delta) + 4 * len(dist.ns) * u * (abs(pb) + 1 / delta + 1)
+    bias = ch.output_mean_amplitude(dist).imag - alpha.imag
+    assert abs(bias - ch.predicted_imag_bias(alpha, spec)) <= bound
+
+
 def test_coherent_fidelity_diagnostic():
     dist = ch.decohere(5.0, SPEC)
     fid = ch.coherent_fidelity(dist)

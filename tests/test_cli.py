@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import laserclock
+import dispatch
 import oracles
 from laserclock import cli, fock, laserdyn as ld
 from laserclock.cli import COMMANDS, main
@@ -83,10 +84,13 @@ _PINNED = [
     ("track --flux 1e3 --linewidth 1 --trials 20 --seed 3",
      "22c106d97b4437bc6801da64d4f660451b368e60b912d6428c23dc61e9ff6e89",
      "0565ff65e239c4d5f24a3128550e7d9b5d1928aeaf08068193805c5987dec742"),
-    # at the optimal bandwidth the engine's prediction is 1/sqrt(2N)
+    # at the optimal bandwidth the engine's prediction is 1/sqrt(2N); one
+    # pin per numpy arctan2 target (see dispatch.py)
     ("track --mode heterodyne --flux 1e3 --linewidth 1 --trials 20 --seed 3",
-     "94fadafd67b4a3abb96e92b5d9af68de070fcca1119de0caadc41d8e7e63224e",
-     "0cb22e84020b7d970b52b0ceb90883463e5cb6a8b6ea420b5e9c3ea6885a4fe0"),
+     {"X86_V4": "94fadafd67b4a3abb96e92b5d9af68de070fcca1119de0caadc41d8e7e63224e",
+      "baseline(X86_V2)": "6eaf9f6735f680bc0afa6da313358401e5e6b2283c38c357466f2fc662e67813"},
+     {"X86_V4": "0cb22e84020b7d970b52b0ceb90883463e5cb6a8b6ea420b5e9c3ea6885a4fe0",
+      "baseline(X86_V2)": "8dc8fde6d62d9eb52fbcc368eefc3e7ffd1e8cfe422d62c47620f91540e4bbb0"}),
     ("sweep --axis n --values 1e2,1e3 --trials 20 --seed 5",
      "45a9e303d3b03349289a73dbc5a5f2e3e35eea48cdfbbdb786cf5ef66af372fe",
      "22e874690ec32736b888340ebf5993c56d64d5b8e44646bc6042512ce9e648b2"),
@@ -95,11 +99,11 @@ _PINNED = [
      "e0ce5cc9d60a3e8340f17c4fa80cf1a5484526a29ac50f7083248121d36f9337"),
     ("phasevar --mu 25,100 --grid-size 1024",
      "d76e3ffb4cc362b1fa4522263c30406520a0359da567da49fbe0efb6745a0b1f",
-     "684b45fe4e0560488c40cb5b0ebfd0e95a232de9becd8641fb63eb488d5e58e5"),
+     "ac13f9beac435157b0a0d706115f7ac7ac4b9fde038231ca87341547e91a8c6b"),
     # the benchmark's scale
     ("phasevar --mu 1e4,1e5",
      "fbf21379d71b91c6f171656ef1fb786a998c17986a658ac34bb53bd6ed2dfa76",
-     "66f910153dafeabd8ff2c85341fb621ff6b4142dfe1fbaf59dfa227d50155d32"),
+     "4f3d7ab4551b7b1f0cf85d2c2599f87f1d6432723d0385e02760934d5f3cd6d2"),
 ]
 
 
@@ -110,6 +114,7 @@ def test_small_runs_are_pinned(tmp_path):
     # a pin is re-recorded only with a CHANGES.md entry naming the move
     out = tmp_path / "run.csv"
     for argv, csv_sha256, sidecar_sha256 in _PINNED:
+        csv_sha256, sidecar_sha256 = map(dispatch.pinned, (csv_sha256, sidecar_sha256))
         assert main(argv.split() + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha256, argv
         sidecar = out.with_suffix(".json").read_bytes()
@@ -183,6 +188,29 @@ def test_outputs_do_not_depend_on_blas_threads_or_kernel(tmp_path):
             child.wait()
     assert len(printed[0]) == len(argvs)
     assert all(hashes == printed[0] for hashes in printed[1:])
+
+
+def test_pins_hold_below_x86_v4():
+    # the tests that pin heterodyne output, rerun in a child whose numpy runs
+    # its loops below the AVX-512 (X86_V4) target: on an AVX-512 host this
+    # checks the second pin of each pair, on any other host the same one again
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR",
+           "PYTHONPATH": str(Path(laserclock.__file__).resolve().parents[1])}
+    nodes = ["tests/test_cli.py::test_small_runs_are_pinned",
+             "tests/test_tracking.py::test_results_are_bitwise_pinned",
+             "tests/test_tracking.py::test_mixed_seed_widths_are_bitwise_pinned"]
+    child = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                            *nodes], cwd=root, env=env, capture_output=True, text=True,
+                           timeout=300)
+    assert child.returncode == 0, child.stdout[-4000:] + child.stderr[-2000:]
+    assert "11 passed" in child.stdout
+
+
+def test_unrecorded_arctan2_target_fails_naming_it(monkeypatch):
+    monkeypatch.setattr(dispatch, "arctan2_target", lambda: "X86_V9")
+    with pytest.raises(pytest.fail.Exception, match="'X86_V9'"):
+        dispatch.pinned({"X86_V4": "a pin"})
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -818,6 +846,11 @@ def test_phasevar_matches_library(tmp_path):
     results = json.loads(out.with_suffix(".json").read_text())["results"]
     assert results["max_abs_rel_deviation"] == max(abs(float(r["rel_deviation"])) for r in rows)
     assert results["truncations"] == [int(r["truncation"]) for r in rows]
+    # mu x with x = 4 mu V - 1; at mu = 100 criterion 5's law holds
+    # mu (mu x - 1/2) to 2/3 within 3/(2 mu) + 2 (24/5)/mu^2
+    mu_x = results["mu_rel_deviation"]
+    assert mu_x == [float(r["mu_photons"]) * float(r["rel_deviation"]) for r in rows]
+    assert abs(100 * (mu_x[1] - 0.5) - 2 / 3) <= 1.5 / 100 + 9.6 / 100 ** 2
     # the support each variance kept: the whole vector at mu <= 256 or so
     assert results["kept_lengths"] == [86, 211]
 
