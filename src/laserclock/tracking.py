@@ -24,7 +24,8 @@ scalar one-step filters of both estimators.  Monte Carlo runs advance lanes,
 the trials of one or more seeds, in lockstep groups of at most LANE_GROUP
 lanes.  One batch runs every point (beam, seeds, bandwidth) of an experiment;
 consecutive points of one shape (steps, burn-in steps, noise refinement) share
-groups, each lane carrying its own f, ell, dt and bandwidth.  Every lane owns
+groups, each lane carrying its own f, ell, dt and loop rate: the adaptive gain
+g or the heterodyne bandwidth lambda, resolved once per point.  Every lane owns
 two Gaussian increment streams (phase and shot noise), bitwise numpy's
 default_rng([seed, trial, 0|1]); a group hashes all its seed sequences at once
 by numpy's SeedSequence rule and draws in place, at most NOISE_BLOCK floats at
@@ -40,7 +41,7 @@ for time-step convergence checks.  A batch is refused before any noise is drawn
 when it comes to over 2**30 lane-steps, with each lane counted as at least
 LANE_COST of them, or when a point's predicted error is too small for the wrap
 to resolve (WRAP_MSE_FLOOR).  That prediction, the linearized steady-state MSE
-at the point's own gain or bandwidth, is computed once per point and returned
+at the point's own loop rate, is computed once per point and returned
 as ``TrackingResult.predicted``.  numpy.random loads when a seed is derived or
 streams are built, and the process pool only when one starts; it starts at
 most as many processes as the CPUs this process may run on, whatever
@@ -281,14 +282,15 @@ def _heterodyne_dz(p, s, s2a, dt, out):
     return out
 
 
-def _simulate_lanes(mode, steps, burn_steps, refine, lanes, f, ell, dt, bandwidth, gain):
+def _simulate_lanes(mode, steps, burn_steps, refine, lanes, f, ell, dt, rate):
     """Simulate lanes, a list of (seed, trial) pairs with per-lane f, ell, dt and
-    bandwidth arrays, in lockstep; returns per-lane (mse_wrapped, mse_unwrapped,
-    slips) arrays.  Every lane starts locked, phi = est = 0: only the error
-    phi - est reaches an output, so no absolute phase is an input.  A lane's
-    values depend only on its (seed, trial) and its parameters, never on the
-    other lanes, the noise block or the chunk of OBS_CHUNK steps whose errors
-    are observed at once."""
+    rate arrays, in lockstep; returns per-lane (mse_wrapped, mse_unwrapped,
+    slips) arrays.  A lane's rate is its point's loop rate as ``_resolve``
+    gives it: the adaptive gain g or the heterodyne bandwidth lambda.  Every
+    lane starts locked, phi = est = 0: only the error phi - est reaches an
+    output, so no absolute phase is an input.  A lane's values depend only on
+    its (seed, trial) and its parameters, never on the other lanes, the noise
+    block or the chunk of OBS_CHUNK steps whose errors are observed at once."""
     n = len(lanes)
     sl, alpha = np.sqrt(ell), np.sqrt(f)
     phi, est = np.zeros(n), np.zeros(n)
@@ -315,13 +317,10 @@ def _simulate_lanes(mode, steps, burn_steps, refine, lanes, f, ell, dt, bandwidt
         s2a = np.repeat(math.sqrt(2.0) * alpha, 2)  # per float of the complex view
         A, prev_ang = s2a[::2].astype(complex), np.zeros(n)  # locked: arg A = est = 0
         # lam and dt are real: A steps on its float view, bitwise the complex form
-        A, lam, dt2 = A.view(float), np.repeat(bandwidth, 2), np.repeat(dt, 2)
+        A, lam, dt2 = A.view(float), np.repeat(rate, 2), np.repeat(dt, 2)
         out, dz = states.view(float), np.empty((OBS_CHUNK, 2 * n))
     else:
-        two_alpha = 2.0 * alpha
-        with np.errstate(divide="ignore"):
-            sig2 = np.where(ell > 0, 1.0 / (2.0 * np.sqrt(f / ell)), 1.0)
-        g = ell / sig2 if gain is None else np.full(n, gain)
+        two_alpha, g = 2.0 * alpha, rate
     t = np.empty(2 * n if heterodyne else n)  # one step's scratch row
     k0 = 0
     for dwp, dws in _noise_columns(lanes, steps, refine, dt / refine, heterodyne):
@@ -394,44 +393,52 @@ def run_tracking_batch(mode: str, points, *, dt: float | None = None,
 
     Raises ValueError before any seed is iterated or any noise is drawn for no
     points or seeds, a dt or duration that is not positive and finite, a
-    negative burn_in, trials or workers below 1, a gain that is not positive
-    and finite, a bandwidth in adaptive mode, a gain in heterodyne mode, a
-    point whose ``predicted`` is below WRAP_MSE_FLOOR, or a batch over
-    LANE_STEP_BUDGET lane-steps, summed over all points with each lane
-    counted as at least LANE_COST lane-steps; and before any noise is drawn
-    for a seed that is not a nonnegative integer.  Each point's seeds are
-    iterated once.
+    negative burn_in, trials or workers below 1, a gain or bandwidth that is
+    not positive and finite, a bandwidth in adaptive mode, a gain in
+    heterodyne mode, a noise_dt that is not positive and finite or does not
+    divide dt, a point whose ``predicted`` is below WRAP_MSE_FLOOR, or a
+    batch over LANE_STEP_BUDGET lane-steps, summed over all points with each
+    lane counted as at least LANE_COST lane-steps; and before any noise is
+    drawn for a seed that is not a nonnegative integer.  Each point's seeds
+    are iterated once.
     """
     return _run_batch(mode, points, dt, duration, burn_in, trials, workers, gain, noise_dt)
 
 
 def _resolve(mode, beam, bandwidth, dt, duration, burn_in, gain, noise_dt):
-    """A point's loop time constant, its resolved dt, burn_in, duration,
-    bandwidth and predicted MSE (as TrackingResult fields), and its noise
-    refinement."""
-    if gain is not None and not 0 < gain < math.inf:
-        raise ValueError(f"gain must be positive and finite, not {gain!r}")
-    if mode == "adaptive" and bandwidth is not None:
+    """A point's loop rate, its resolved dt, burn_in, duration, bandwidth and
+    predicted MSE (as TrackingResult fields), and its noise refinement.
+
+    The loop rate is the adaptive gain g, by default Berry and Wiseman's
+    ell/sigma^2 at the stationary sigma^2 = 1/(2 sqrt N), or the heterodyne
+    bandwidth lambda, by default the optimal one; its inverse is the loop
+    time constant.  Every input is checked here, before any seed is iterated."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    adaptive = mode == "adaptive"
+    if adaptive and bandwidth is not None:
         raise ValueError(f"bandwidth {bandwidth!r} is for heterodyne mode only")
-    if mode == "heterodyne" and gain is not None:
+    if not adaptive and gain is not None:
         raise ValueError(f"gain {gain!r} is for adaptive mode only")
-    if mode == "heterodyne" and bandwidth is None:
-        bandwidth = optimal_bandwidth(beam)
-    if mode == "adaptive" and gain is not None:
-        tau = 1.0 / gain
-    else:  # also rejects an unknown mode, a bandwidth <= 0 and ell = 0 without a gain
-        tau = loop_time_constant(beam, mode, bandwidth)
-    # lag plus shot noise at gain or bandwidth r, or the closed form at the
-    # optimum; the choice reads only resolved values, which a sidecar echoes
-    if mode == "adaptive":
-        predicted = adaptive_mse_limit(beam.N) if gain is None \
-            else beam.ell / (2 * gain) + gain / (8 * beam.f)
+    rate = gain if adaptive else optimal_bandwidth(beam) if bandwidth is None else bandwidth
+    if rate is None:  # the closed form; the default gain follows from it below
+        tau = loop_time_constant(beam, mode)  # refuses ell = 0
+        predicted = adaptive_mse_limit(beam.N)
     else:
-        predicted = heterodyne_mse_limit(beam.N) if bandwidth == optimal_bandwidth(beam) \
-            else beam.ell / (2 * bandwidth) + bandwidth / (4 * beam.f)
+        if not 0 < rate < math.inf:
+            raise ValueError(f"{'gain' if adaptive else 'bandwidth'} must be positive "
+                             f"and finite, not {rate!r}")
+        tau = 1.0 / rate
+        # lag ell/(2r) plus shot noise r/(8f) adaptive or r/(4f) heterodyne,
+        # or the closed form at the optimal bandwidth; the choice reads only
+        # resolved values, which a sidecar echoes
+        predicted = beam.ell / (2 * rate) + rate / ((8 if adaptive else 4) * beam.f) \
+            if adaptive or rate != optimal_bandwidth(beam) else heterodyne_mse_limit(beam.N)
     if not predicted >= WRAP_MSE_FLOOR:
         raise ValueError(f"predicted steady-state MSE {predicted:.3g} is below "
                          f"{WRAP_MSE_FLOOR:.3g}, the least that the error wrap resolves to 1%")
+    if rate is None:  # ell/sigma^2, sigma^2 = predicted = 1/(2 sqrt(f/ell))
+        rate = beam.ell / predicted
     if dt is None:
         dt = 1e-2 * tau
     if burn_in is None:
@@ -442,11 +449,14 @@ def _resolve(mode, beam, bandwidth, dt, duration, burn_in, gain, noise_dt):
         raise ValueError("dt and duration must be positive and finite, burn_in >= 0")
     refine = 1
     if noise_dt is not None:
-        refine = int(round(dt / noise_dt))
+        # 0 for a noise_dt that is not positive, is nan or inf, or is so
+        # small that dt / noise_dt overflows
+        refine = round(dt / noise_dt) if 0 < noise_dt and dt / noise_dt < math.inf else 0
         if refine < 1 or abs(refine * noise_dt - dt) > 1e-9 * dt:
-            raise ValueError("noise_dt must divide dt")
-    return tau, dict(dt=dt, burn_in=burn_in, duration=duration, bandwidth=bandwidth,
-                     predicted=predicted), refine
+            raise ValueError(f"noise_dt must be positive and finite and divide dt, "
+                             f"not {noise_dt!r}")
+    return rate, dict(dt=dt, burn_in=burn_in, duration=duration,
+                      bandwidth=None if adaptive else rate, predicted=predicted), refine
 
 
 def _run_batch(mode, points, dt, duration, burn_in, trials, workers, gain, noise_dt):
@@ -457,7 +467,7 @@ def _run_batch(mode, points, dt, duration, burn_in, trials, workers, gain, noise
             for beam, _, bandwidth in points]
     if trials < 100:
         warnings.warn("fewer than 100 trials: MSE estimate will be noisy", stacklevel=3)
-    if any(c["duration"] < c["burn_in"] + 20.0 * tau * (1 - 1e-9) for tau, c, _ in runs):
+    if any(c["duration"] < c["burn_in"] + 20.0 / rate * (1 - 1e-9) for rate, c, _ in runs):
         warnings.warn("duration below burn_in + 20 loop time constants", stacklevel=3)
     n_lanes = [len(seeds) * trials for _, seeds, _ in points]
     lane_steps = sum(n * max(c["duration"] / c["dt"] * refine, LANE_COST)
@@ -488,14 +498,13 @@ def _run_batch(mode, points, dt, duration, burn_in, trials, workers, gain, noise
 
     def groups():
         for span, n, k in zip(spans, span_lanes, n_groups):
-            lanes = ((seed, trial, points[i][0], runs[i][1]) for i in span
+            lanes = ((seed, trial, points[i][0], *runs[i][:2]) for i in span
                      for seed in seeds[i] for trial in range(trials))
             for size in np.diff(np.linspace(0, n, k + 1).astype(int)):
                 group = [next(lanes) for _ in range(size)]
-                f, ell, lane_dt, bw = np.array([(beam.f, beam.ell, c["dt"], c["bandwidth"] or 0.0)
-                                                for *_, beam, c in group]).T.copy()
-                yield (mode, *shapes[span[0]], [lane[:2] for lane in group], f, ell, lane_dt, bw,
-                       gain)
+                f, ell, lane_dt, rate = np.array([(beam.f, beam.ell, c["dt"], rate)
+                                                  for *_, beam, rate, c in group]).T.copy()
+                yield mode, *shapes[span[0]], [lane[:2] for lane in group], f, ell, lane_dt, rate
 
     if workers == 1 or sum(n_groups) == 1:
         parts = [_simulate_lanes(*g) for g in groups()]

@@ -570,14 +570,15 @@ def _no_state(*args, **kwargs):
     "sweep --axis linewidth --flux 1e3 --values 1e3,0",
     "sweep --mode heterodyne --axis bandwidth --flux 1e3 --values nan",
     # a bandwidth is checked by the library alone: refused in adaptive mode,
-    # and refused when not positive before any prediction divides by it
+    # and refused when not positive and finite before any prediction divides
+    # by it or its inverse resolves dt to 0
     "track --flux 1e3 --linewidth 1 --bandwidth 100 => bandwidth 100.0 is for heterodyne mode only",
     "sweep --mode adaptive --axis bandwidth --flux 1e3 --values 100 => bandwidth 100.0 is for "
     "heterodyne mode only",
     "track --mode heterodyne --flux 1e3 --linewidth 1 --bandwidth 0 => bandwidth must be positive",
     "sweep --mode heterodyne --axis bandwidth --flux 1e3 --values 0 => bandwidth must be positive",
-    # an infinite bandwidth predicts an infinite error and resolves dt to 0
-    "track --mode heterodyne --flux 1e3 --linewidth 1 --bandwidth inf => dt and duration must be",
+    "track --mode heterodyne --flux 1e3 --linewidth 1 --bandwidth inf => bandwidth must be "
+    "positive and finite, not inf",
     # a flag the run would ignore is refused, not echoed into the outputs
     "limits --mu 100 --wavelength 6e-7 => --power, --wavelength and --linewidth-hz",
     "limits --mu 100 --power 1e-3 --wavelength 6e-7 => --power, --wavelength and --linewidth-hz",

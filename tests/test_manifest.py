@@ -1,7 +1,9 @@
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
+from dispatch import arctan2_target
 from laserclock.cli import main
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -60,3 +62,30 @@ def test_manifest_reads_the_benchmark_workloads():
     assert names[:2] == ["linewidth-mu4-256", "phasevar-grid262144"]
     assert all(argv[0] in ("linewidth", "phasevar", "channel", "limits")
                for _, argv in tool.workload_experiments(["spectral"]))
+
+
+def test_manifest_records_the_arctan2_target_and_names_moved_versions(tmp_path, monkeypatch):
+    tool = load_manifest()
+    old = tool.record(EXPERIMENTS[:1], [1], tmp_path / "old", main)
+    assert old["versions"]["numpy_arctan2_float64"] == arctan2_target()
+    tool.record(EXPERIMENTS[:1], [1], tmp_path / "new", main)
+    assert tool.version_difference(tmp_path / "old", tmp_path / "new") == ""
+
+    # a record from a host at another dispatch level, and one that predates the key
+    path = tmp_path / "new" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    other = "baseline(X86_V2)" if arctan2_target() == "X86_V4" else "X86_V4"
+    manifest["versions"]["numpy_arctan2_float64"] = other
+    path.write_text(json.dumps(manifest))
+    assert tool.version_difference(tmp_path / "old", tmp_path / "new") == (
+        "versions differ, so files may differ with no code change: numpy_arctan2_float64 "
+        f"{arctan2_target()} -> {other}")
+    del manifest["versions"]["numpy_arctan2_float64"]
+    path.write_text(json.dumps(manifest))
+    assert tool.version_difference(tmp_path / "new", tmp_path / "old").endswith(
+        f"numpy_arctan2_float64 unrecorded -> {arctan2_target()}")
+    assert tool.compare(tmp_path / "old", tmp_path / "new") == []
+
+    # a numpy without a dispatch report records the target as unknown
+    monkeypatch.setitem(sys.modules, "numpy.lib.introspect", None)
+    assert tool.arctan2_target() == "unknown"

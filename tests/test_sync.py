@@ -218,6 +218,10 @@ def test_sync_config_validation():
     for ms in ([4, 4], []):
         with pytest.raises(ValueError, match="distinct M values"):
             sync.run_sync(laser, ms)
+    for noise_dt in (0.0, -0.0, math.nan):
+        for regime in ("hl", "sql"):
+            with pytest.raises(ValueError, match="noise_dt"):
+                sync.run_sync(laser, [4], regime=regime, noise_dt=noise_dt)
 
 
 def test_sync_worker_count_does_not_change_report():

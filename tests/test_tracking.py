@@ -260,6 +260,22 @@ def test_run_tracking_validation_and_warnings():
     with pytest.raises(ValueError):
         tr.run_tracking("adaptive", beam, dt=1.0, noise_dt=0.3)
 
+    class Unread:  # seeds that fail the test if iterated
+        def __len__(self):
+            return 1
+
+        def __iter__(self):
+            raise AssertionError("seeds iterated before noise_dt was refused")
+
+    # a noise_dt that is not positive and finite, or so small that dt /
+    # noise_dt overflows, is named before any seed is iterated
+    for noise_dt in (0.0, -0.0, math.nan, math.inf, -1e-3, 5e-324):
+        with pytest.raises(ValueError, match="noise_dt"):
+            tr.run_tracking("adaptive", beam, noise_dt=noise_dt)
+        for mode in tr.MODES:
+            with pytest.raises(ValueError, match="noise_dt"):
+                tr.run_tracking_batch(mode, [(beam, Unread(), None)], noise_dt=noise_dt)
+
 
 def test_beam_params_validation():
     with pytest.raises(ValueError):
@@ -433,6 +449,32 @@ def test_errors_below_the_wrap_resolution_are_refused(monkeypatch):
             tr.run_tracking(mode, tr.BeamParams(f=1e300, ell=1.0))
     with pytest.raises(ValueError, match="error wrap"):
         tr.run_tracking("adaptive", tr.BeamParams(f=1e3, ell=0.0), gain=1e-40)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_default_gain_runs_bitwise_as_that_gain_given():
+    # the default gain ell/sigma^2 with sigma^2 = 1/(2 sqrt(f/ell)), in the
+    # operand order the kernel once derived it in per lane: given explicitly,
+    # it reproduces the default run bit for bit, one point at a time and as
+    # lanes of one group of mixed N (N = 1 slips)
+    timing = dict(dt=2e-3, duration=8.0, burn_in=2.0, trials=20)
+    beams = [tr.BeamParams(f=f, ell=1.0) for f in (1.0, 100.0, 1e3)]
+    seeds = [3, 4]
+
+    def values(res):
+        return res.mse_wrapped, res.mse_unwrapped, res.stderr, res.cycle_slip_rate
+
+    def at_gain(beam, seed):
+        gain = beam.ell / (1.0 / (2.0 * math.sqrt(beam.f / beam.ell)))
+        return values(tr.run_tracking("adaptive", beam, seed=seed, gain=gain, **timing))
+
+    batch = tr.run_tracking_batch("adaptive", [(beam, seeds, None) for beam in beams], **timing)
+    assert batch[0][0].cycle_slip_rate > 0
+    for beam, results in zip(beams, batch):
+        for seed, res in zip(seeds, results):
+            assert values(res) == at_gain(beam, seed)
+            assert values(tr.run_tracking("adaptive", beam, seed=seed, **timing)) == \
+                at_gain(beam, seed)
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

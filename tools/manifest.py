@@ -8,15 +8,21 @@ Each experiment of a workload (its argv in ``benchmarks/workloads.py``, which
 is read, not edited) runs at each seed through ``laserclock.cli.main``, in
 this process, with ``--seed`` and ``--out`` added.  Its CSV and sidecar go
 into the ``--out`` directory as ``<experiment>.seed<s>.csv`` and ``.json``,
-beside ``manifest.json``: the sha256 of each file, with the numpy version and
-scipy's if it imports.  ``laserclock`` is imported from ``--src`` (default:
-this checkout's ``src``), so one copy of this tool can record any tree.
+beside ``manifest.json``: the sha256 of each file, with the numpy version,
+scipy's if it imports, and the target numpy dispatches float64 ``arctan2``
+to on this host (``"unknown"`` where numpy has no dispatch report).  The
+heterodyne estimator runs ``arctan2``, whose ``X86_V4`` loop rounds
+differently from the ones below it, so a heterodyne file can differ between
+hosts with no code change.  ``laserclock`` is imported from ``--src``
+(default: this checkout's ``src``), so one copy of this tool can record any
+tree.
 
-``--check A`` then compares the new run with the record in A and prints one
-line per file that differs: for a CSV, its first differing row and column,
-and each differing column with the largest relative move of a cell in it;
-for a sidecar, each key that was added, removed or changed.  The exit status
-is 1 if any file differs, else 0.
+``--check A`` then compares the new run with the record in A.  It first
+prints one line naming each version that differs between the two records,
+if any does, and then one line per file that differs: for a CSV, its first
+differing row and column, and each differing column with the largest
+relative move of a cell in it; for a sidecar, each key that was added,
+removed or changed.  The exit status is 1 if any file differs, else 0.
 """
 
 from __future__ import annotations
@@ -45,6 +51,18 @@ def workload_experiments(names: list[str]) -> list[tuple[str, tuple]]:
     return [(exp.name, exp.argv) for name in names for exp in module.WORKLOADS[name]]
 
 
+def arctan2_target() -> str:
+    """The target numpy dispatches float64 ``arctan2`` to in this process, as
+    its dispatch report names it (``"X86_V4"``, ``"baseline(X86_V2)"``, ...),
+    or ``"unknown"`` where numpy has no dispatch report."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return "unknown"
+    (loop,) = opt_func_info(func_name="^arctan2$", signature="float64")["arctan2"].values()
+    return loop["current"]
+
+
 def record(experiments, seeds, out_dir: Path, main) -> dict:
     """Run each (name, argv) at each seed through ``main`` into ``out_dir``
     and write and return its manifest."""
@@ -62,7 +80,7 @@ def record(experiments, seeds, out_dir: Path, main) -> dict:
                 raise RuntimeError(f"{' '.join(argv)} --seed {seed} exited {status}")
             for path in (csv_path, csv_path.with_suffix(".json")):
                 files[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
-    versions = {"numpy": numpy.__version__}
+    versions = {"numpy": numpy.__version__, "numpy_arctan2_float64": arctan2_target()}
     try:
         import scipy
         versions["scipy"] = scipy.__version__
@@ -118,6 +136,17 @@ def _json_difference(old: Path, new: Path) -> str:
     return "; ".join(parts) or "same keys and values, other bytes"
 
 
+def version_difference(old_dir: Path, new_dir: Path) -> str:
+    """One line naming each version that differs between the two records,
+    or "" if none does."""
+    old, new = (json.loads((d / "manifest.json").read_text())["versions"]
+                for d in (old_dir, new_dir))
+    moved = [f"{key} {old.get(key, 'unrecorded')} -> {new.get(key, 'unrecorded')}"
+             for key in sorted(old.keys() | new.keys()) if old.get(key) != new.get(key)]
+    return ("versions differ, so files may differ with no code change: " + ", ".join(moved)
+            if moved else "")
+
+
 def compare(old_dir: Path, new_dir: Path) -> list[str]:
     """One line per file whose sha256 differs between the two records."""
     old = json.loads((old_dir / "manifest.json").read_text())["files"]
@@ -150,6 +179,9 @@ def main(argv=None) -> int:
     print(f"{len(manifest['files'])} files recorded in {args.out}")
     if args.check is None:
         return 0
+    versions = version_difference(args.check, args.out)
+    if versions:
+        print(versions)
     lines = compare(args.check, args.out)
     print("\n".join(lines) if lines else f"every file matches {args.check}")
     return 1 if lines else 0
